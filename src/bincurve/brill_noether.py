@@ -10,14 +10,13 @@ log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
-from .bundles import (EffectiveDivisor, canonical_bundle, enumerate_bundles,
-                      from_divisor, hyperelliptic_class, power,
-                      restrict_to_normalization)
+from .bundles import (EffectiveDivisor, bundle_at, bundle_count,
+                      canonical_bundle, from_divisor, hyperelliptic_class,
+                      power, restrict_to_normalization)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
 from .fields import PrimeField
 from .linalg import rank_mod_bounded
@@ -47,7 +46,6 @@ class BNReport:
     witnesses: tuple  # gluing vectors, ascending enumeration order, capped
     witness_cap: int
     index_range: tuple
-    elapsed: float = 0.0  # wall time; deliberately absent from to_json
     seed: int | None = None
 
     def to_json(self):
@@ -62,69 +60,63 @@ class BNReport:
         }
 
 
-def _scan_wr(X: BinaryCurve, md, r, lo, hi, cap):
-    """Count classes with h0 >= r+1 in torus index range [lo, hi).
+def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
+    """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
+    h0 >= at_least, in bundle_at order.
 
-    Row assembly is inlined integer arithmetic; the rank call exits as soon
-    as the rank exceeds ncols - (r+1), which for the common empty case is
-    almost immediately.
+    The gluing row of node j only depends on c_j, so every row is built once
+    per (j, c_j) up front and copied per class; no LineBundle is made. The
+    rank call exits as soon as the rank exceeds ncols - at_least, so a class
+    below the threshold, the common case, costs a few pivots, and the h0 of a
+    yielded class is exact. The field and the range are checked on the first
+    iteration.
     """
-    ctx = X.ctx
-    p = ctx.p
-    g = X.genus
-    e1, e2 = cohomology.gluing_profile(X, md)
+    total = bundle_count(X)
+    hi = total if hi is None else hi
+    if not (0 <= lo <= hi <= total):
+        raise ValueError("bad index range")
     k1 = max(md[0] + 1, 0)
     k2 = max(md[1] + 1, 0)
     ncols = k1 + k2
-    max_rank = ncols - (r + 1)
-    if max_rank < 0:
-        return 0, []
+    max_rank = ncols - at_least
+    if max_rank < 0 or lo == hi:
+        return
+    p = X.ctx.p
     u = p - 1
-    free = max(g, 0)
-    # digit vector for index lo, most significant first
-    digits = []
-    idx = lo
-    for _ in range(free):
-        digits.append(idx % u)
-        idx //= u
-    digits.reverse()
-    count = 0
-    wits = []
-    for _ in range(lo, hi):
-        c = [d + 1 for d in digits]
-        c.append(1)
-        rows = []
-        for j in range(g + 1):
-            cj = c[j] if j < len(c) else 1
+    free = max(X.genus, 0)
+    e1, e2 = cohomology.gluing_profile(X, md)
+    table = []
+    for a, b in zip(e1, e2):
+        tab = []
+        for cj in range(1, p):
             neg = p - cj
-            rows.append(e1[j] + [neg * v % p for v in e2[j]])
-        if rank_mod_bounded(rows, ncols, p, max_rank) <= max_rank:
-            count += 1
-            if len(wits) < cap:
-                wits.append(tuple(c))
-        # increment base-u digit vector
+            tab.append(a + [neg * v % p for v in b])
+        table.append(tab)
+    # one base-u digit per node, the last one pinned to 0 (c_g = 1)
+    digits = [x - 1 for x in bundle_at(X, md, lo).c]
+    for _ in range(lo, hi):
+        rows = [tab[dj][:] for tab, dj in zip(table, digits)]
+        rank = rank_mod_bounded(rows, ncols, p, max_rank)
+        if rank <= max_rank:
+            yield tuple(dj + 1 for dj in digits), ncols - rank
         for pos in range(free - 1, -1, -1):
             digits[pos] += 1
             if digits[pos] < u:
                 break
             digits[pos] = 0
-    return count, wits
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,
                  index_range=None) -> BNReport:
     """Exhaustive W^r scan over one multidegree torus."""
-    ctx = X.ctx
-    if not ctx.is_prime_field():
-        raise ValueError("enumeration needs a finite field")
-    total = (ctx.p - 1) ** max(X.genus, 0)
-    lo, hi = index_range if index_range is not None else (0, total)
-    if not (0 <= lo <= hi <= total):
-        raise ValueError("bad index range")
-    t0 = time.perf_counter()
-    count, wits = _scan_wr(X, tuple(q.md), q.r, lo, hi, witness_cap)
-    return BNReport(q, ctx.p, count, tuple(wits), witness_cap, (lo, hi),
-                    elapsed=time.perf_counter() - t0)
+    lo, hi = index_range if index_range is not None else (0, bundle_count(X))
+    count = 0
+    wits = []
+    for c, _ in torus_h0(X, tuple(q.md), lo, hi, at_least=q.r + 1):
+        count += 1
+        if len(wits) < witness_cap:
+            wits.append(c)
+    return BNReport(q, X.ctx.p, count, tuple(wits), witness_cap, (lo, hi))
 
 
 def split_ranges(total: int, parts: int):
@@ -155,31 +147,7 @@ def merge_reports(parts) -> BNReport:
     return BNReport(first.query, first.p,
                     sum(part.count for part in parts),
                     tuple(wits[:first.witness_cap]), first.witness_cap,
-                    (first.index_range[0], parts[-1].index_range[1]),
-                    elapsed=sum(part.elapsed for part in parts))
-
-
-def _first_hit(X: BinaryCurve, md, r):
-    """First class (enumeration order) with h0 >= r+1, or None."""
-    ctx = X.ctx
-    e1, e2 = cohomology.gluing_profile(X, md)
-    k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
-    ncols = k1 + k2
-    max_rank = ncols - (r + 1)
-    if max_rank < 0:
-        return None
-    p = ctx.p
-    g = X.genus
-    from .bundles import bundle_at, bundle_count
-    for i in range(bundle_count(X)):
-        L = bundle_at(X, md, i)
-        rows = []
-        for j in range(g + 1):
-            neg = p - L.c[j]
-            rows.append(e1[j] + [neg * v % p for v in e2[j]])
-        if rank_mod_bounded(rows, ncols, p, max_rank) <= max_rank:
-            return L
-    return None
+                    (first.index_range[0], parts[-1].index_range[1]))
 
 
 def rho(g: int, d: int, r: int) -> int:
@@ -243,24 +211,23 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
         H = hyperelliptic_class(X)
         return CliffordReport(0, 2, (1, 1), H.c, "genus2", p)
     for h in range(1, g - 1):
-        hit = _first_hit(X, (h, h), h)
+        hit = next(torus_h0(X, (h, h), at_least=h + 1), None)
         if hit is not None:
-            return CliffordReport(0, 2 * h, (h, h), hit.c, "pencil-scan", p)
+            return CliffordReport(0, 2 * h, (h, h), hit[0], "pencil-scan", p)
     for h in range(1, g - 2):
         for md in ((h, h + 1), (h + 1, h)):
-            hit = _first_hit(X, md, h)
+            hit = next(torus_h0(X, md, at_least=h + 1), None)
             if hit is not None:
-                return CliffordReport(1, 2 * h + 1, md, hit.c,
+                return CliffordReport(1, 2 * h + 1, md, hit[0],
                                       "pencil-scan", p)
     best = None
     for d in range(2, 2 * g - 1):
         for md in balanced_set(d, g):
-            for L in enumerate_bundles(X, md):
-                n = cohomology.h0(L)
-                if n >= 2 and n - d + g - 1 >= 2:
+            for c, n in torus_h0(X, md, at_least=2):
+                if n - d + g - 1 >= 2:
                     cl = d - 2 * n + 2
                     if best is None or cl < best[0]:
-                        best = (cl, d, md, L.c)
+                        best = (cl, d, md, c)
     if best is None:
         return CliffordReport(None, None, None, None, "full-scan", p)
     return CliffordReport(best[0], best[1], best[2], best[3], "full-scan", p)
@@ -303,11 +270,11 @@ def clifford_zero_classification(X: BinaryCurve, d: int,
     found = []
     n_found = 0
     for md in balanced_set(d, g):
-        for L in enumerate_bundles(X, md):
-            if cohomology.h0(L) == d // 2 + 1:
+        for c, n in torus_h0(X, md, at_least=d // 2 + 1):
+            if n == d // 2 + 1:
                 n_found += 1
                 if len(found) < cap:
-                    found.append((md, L.c))
+                    found.append((md, c))
     passed = (n_found == 1 and found[0] == (target.md, target.c))
     return CliffordZeroReport(d, X.ctx.p, passed,
                               (target.md, target.c), tuple(found), n_found)

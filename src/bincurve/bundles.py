@@ -290,12 +290,16 @@ def canonical_bundle(X: BinaryCurve) -> LineBundle:
         c2.append(ctx.neg(ctx.div(num, den)))
     L2 = LineBundle(X2, (g - 1, g - 1), c2)
     L = apply_moebius(L2, A.inverse(), B.inverse())
-    assert L.curve.same_curve(X)
+    if not L.curve.same_curve(X):
+        raise RuntimeError("canonical bundle: coordinate change did not "
+                           "return to the original curve")
     L = LineBundle(X, L.md, L.c)
 
     from . import cohomology  # deferred: cohomology builds bundles via descend
     got = cohomology.h0(L)
-    assert got == g, f"canonical bundle sanity check failed: h0 = {got} != {g}"
+    if got != g:
+        raise RuntimeError(
+            f"canonical bundle sanity check failed: h0 = {got} != {g}")
     return L
 
 
@@ -316,13 +320,17 @@ def hyperelliptic_class(X: BinaryCurve) -> LineBundle:
     c = []
     for p, q in X.nodes:
         img, mu = N.apply_with_scale(q)
-        assert img == p
+        if img != p:
+            raise RuntimeError("hyperelliptic class: matching map does not "
+                               "send q_j to p_j")
         c.append(ctx.inv(mu))
     L = LineBundle(X, (1, 1), c)
 
     from . import cohomology
     got = cohomology.h0(L)
-    assert got == 2, f"hyperelliptic class sanity check failed: h0 = {got} != 2"
+    if got != 2:
+        raise RuntimeError(
+            f"hyperelliptic class sanity check failed: h0 = {got} != 2")
     return L
 
 

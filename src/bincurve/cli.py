@@ -37,6 +37,15 @@ def _parse_primes(text: str):
     return tuple(int(t) for t in text.split(",") if t)
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bincurve",
@@ -66,13 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--g", type=int, help="restrict to one genus")
     p.add_argument("--p", type=int, help="restrict to one prime")
     p.add_argument("--n", type=int, help="sample size override")
     p.add_argument("--trials", type=int)
     p.add_argument("--primes", type=_parse_primes)
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("clifford", help="Clifford index by exhaustive scan")
@@ -82,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--md", type=_parse_md, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--witness-cap", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--witness-cap", type=_int_at_least(0), default=64)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--audit", action="store_true",
                    help="recompute on cache hit and compare")
@@ -197,8 +205,7 @@ def cmd_verify(args) -> int:
                  "ps": (args.p,) if args.p is not None else None,
                  "g": args.g, "p": args.p,
                  "n_curves": args.n, "n_random": args.n,
-                 "trials": args.trials, "primes": args.primes,
-                 "exhaustive": args.exhaustive or None}
+                 "trials": args.trials, "primes": args.primes}
     for k, v in overrides.items():
         if v is not None and k in accepted:
             kwargs[k] = v

@@ -68,10 +68,10 @@ def gluing_profile(X: BinaryCurve, md):
     return e1, e2
 
 
-def rows_for_gluing(L: LineBundle, profile=None):
+def rows_for_gluing(L: LineBundle):
     """Gluing matrix rows: row j = [E_{d1}(p_j) | -c_j · E_{d2}(q_j)]."""
     ctx = L.ctx
-    e1, e2 = profile if profile is not None else gluing_profile(L.curve, L.md)
+    e1, e2 = gluing_profile(L.curve, L.md)
     rows = []
     for j, cj in enumerate(L.c):
         neg = ctx.neg(cj)
@@ -98,12 +98,12 @@ def _vanishing_rows(L: LineBundle, D: EffectiveDivisor):
     return rows
 
 
-def h0(L: LineBundle, profile=None) -> int:
+def h0(L: LineBundle) -> int:
     d1, d2 = L.md
     ncols = max(d1 + 1, 0) + max(d2 + 1, 0)
     if ncols == 0:
         return 0
-    rows = rows_for_gluing(L, profile)
+    rows = rows_for_gluing(L)
     return ncols - rank_rows(L.ctx, rows, ncols)
 
 
@@ -194,7 +194,7 @@ def descend(M: LineBundle, pairs) -> DescentResult:
     A bundle L on the reglued curve with h0(L) = h0(M) exists iff every pair
     is neutral; then each gluing scalar is the ratio s(p_i)/s(q_i) taken from
     the first basis section not vanishing at q_i (neutrality makes the ratio
-    section-independent — asserted). Pairs of base points accept any scalar,
+    section-independent — checked). Pairs of base points accept any scalar,
     so uniqueness fails exactly when one occurs. New nodes are appended after
     the existing ones, in the order given.
     """
@@ -234,13 +234,18 @@ def descend(M: LineBundle, pairs) -> DescentResult:
 
     # independent check: descent is possible iff every pair is neutral
     neutral = all(neutral_pair(M, (1, p), (2, q)) for p, q in pairs)
-    assert neutral == exists
+    if neutral != exists:
+        raise RuntimeError(
+            f"descent check failed: neutral pairs {neutral}, descent {exists}")
 
     if not exists:
         return DescentResult(False, None, False)
     X = BinaryCurve(ctx, list(Y.nodes) + [tuple(pr) for pr in pairs])
     L = LineBundle(X, M.md, list(M.c) + new_c)
-    assert h0(L) == space.dim
+    got = h0(L)
+    if got != space.dim:
+        raise RuntimeError(
+            f"descent check failed: h0 = {got} != h0(M) = {space.dim}")
     return DescentResult(True, L, unique)
 
 

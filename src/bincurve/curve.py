@@ -52,6 +52,11 @@ def point_to_json(ctx: FieldCtx, pt: ProjPoint):
     return [ctx.fmt(pt.a), ctx.fmt(pt.b)]
 
 
+def _is_point_json(obj) -> bool:
+    return (isinstance(obj, list) and len(obj) == 2
+            and all(isinstance(x, str) for x in obj))
+
+
 def point_from_json(ctx: FieldCtx, obj) -> ProjPoint:
     a, b = ctx.parse(obj[0]), ctx.parse(obj[1])
     return ProjPoint.normalized(ctx, a, b)
@@ -107,9 +112,23 @@ class BinaryCurve:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BinaryCurve":
+        """Inverse of to_json; malformed input raises ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("field"), dict) \
+                or not isinstance(obj.get("nodes"), list):
+            raise ValueError("curve JSON must be an object with a 'field' "
+                             "object and a 'nodes' list")
         ctx = field_from_json(obj["field"])
-        nodes = [(point_from_json(ctx, n[0]), point_from_json(ctx, n[1]))
-                 for n in obj["nodes"]]
+        nodes = []
+        for n in obj["nodes"]:
+            if not (isinstance(n, list) and len(n) == 2
+                    and all(_is_point_json(pt) for pt in n)):
+                raise ValueError("each node must be [[a, b], [a, b]] with "
+                                 f"string coordinates, got {n!r}")
+            try:
+                nodes.append((point_from_json(ctx, n[0]),
+                              point_from_json(ctx, n[1])))
+            except ZeroDivisionError:
+                raise ValueError(f"node {n!r} divides by zero") from None
         return cls(ctx, nodes)
 
     def __repr__(self):

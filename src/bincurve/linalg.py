@@ -1,141 +1,21 @@
 """Exact dense linear algebra: rank and canonical kernel bases.
 
-Generic Gaussian elimination over any FieldCtx; a specialized integer path
-for F_p (the enumeration hot loop) that avoids per-element dispatch. Matrices
-stay at desk scale (<= ~40x40) so fraction growth over Q is acceptable.
+Forward elimination only, one routine per field kind: `rank_mod_bounded`
+for F_p (the enumeration hot loop, plain integers with no per-element
+dispatch) and a generic FieldCtx routine for Q. Kernel bases come from the
+echelon form by back-substitution. Matrices stay at desk scale (<= ~40x40)
+so fraction growth over Q is acceptable.
 """
 from __future__ import annotations
-
-from .fields import FieldCtx
-
-
-class Matrix:
-    def __init__(self, ctx: FieldCtx, rows):
-        self.ctx = ctx
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def zero(cls, ctx, nrows, ncols):
-        return cls(ctx, [[ctx.zero] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, ctx, n):
-        m = cls.zero(ctx, n, n)
-        for i in range(n):
-            m.rows[i][i] = ctx.one
-        return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, [[self.rows[i][j] for i in range(self.nrows)]
-                                 for j in range(self.ncols)])
-
-    def rank(self) -> int:
-        return len(_rref(self.ctx, [r[:] for r in self.rows], self.ncols)[1])
-
-    def kernel_basis(self):
-        return kernel_basis(self.ctx, self.rows, self.ncols)
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.ctx!r})"
-
-
-def _rref(ctx, rows, ncols):
-    """In-place reduced row echelon form. Returns (rows, pivot column list)."""
-    if ctx.is_prime_field():
-        return _rref_mod(rows, ncols, ctx.p)
-    zero, one = ctx.zero, ctx.one
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][col])
-        if inv != one:
-            rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != zero:
-                f = rows[i][col]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _rref_mod(rows, ncols, p):
-    pivots = []
-    r = 0
-    n = len(rows)
-    for col in range(ncols):
-        piv = -1
-        for i in range(r, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        if inv != 1:
-            rows[r] = [x * inv % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(n):
-            if i != r:
-                f = rows[i][col]
-                if f:
-                    ri = rows[i]
-                    for j in range(col, ncols):
-                        ri[j] = (ri[j] - f * prow[j]) % p
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
-def rank_rows(ctx, rows, ncols=None) -> int:
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    return len(_rref(ctx, [list(r) for r in rows], ncols)[1])
-
-
-def kernel_basis(ctx, rows, ncols):
-    """Canonical right-kernel basis.
-
-    Derived from the RREF: one vector per free column, a 1 in the free
-    coordinate, pivot coordinates back-filled. Free columns ascending, so the
-    output is deterministic and downstream witness lists are stable.
-    """
-    rref, pivots = _rref(ctx, [list(r) for r in rows], ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ctx.zero] * ncols
-        v[free] = ctx.one
-        for i, pc in enumerate(pivots):
-            v[pc] = ctx.neg(rref[i][free])
-        basis.append(v)
-    return basis
 
 
 def rank_mod_bounded(rows, ncols, p, max_rank) -> int:
     """Rank over F_p, giving up early once the rank exceeds max_rank.
 
-    Forward elimination only (no back-substitution); `rows` is consumed.
-    Returns min(rank, max_rank + 1). Hot path of the torus scans.
+    Forward elimination in place: `rows` is left in echelon form (pivot rows
+    first, leading entries in increasing columns, then zero rows) unless the
+    early exit cut it short. Returns min(rank, max_rank + 1). Hot path of
+    the torus scans.
     """
     n = len(rows)
     r = 0
@@ -161,3 +41,70 @@ def rank_mod_bounded(rows, ncols, p, max_rank) -> int:
         if r > max_rank or r == n:
             break
     return r
+
+
+def _echelon(ctx, rows, ncols) -> int:
+    """Forward elimination in place over any field; returns the rank."""
+    if ctx.is_prime_field():
+        return rank_mod_bounded(rows, ncols, ctx.p, ncols)
+    zero = ctx.zero
+    n = len(rows)
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, n) if rows[i][col] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = ctx.inv(prow[col])
+        for i in range(r + 1, n):
+            f = rows[i][col]
+            if f != zero:
+                f = ctx.mul(f, inv)
+                ri = rows[i]
+                for j in range(col, ncols):
+                    ri[j] = ctx.sub(ri[j], ctx.mul(f, prow[j]))
+        r += 1
+        if r == n:
+            break
+    return r
+
+
+def rank_rows(ctx, rows, ncols=None) -> int:
+    if not rows:
+        return 0
+    if ncols is None:
+        ncols = len(rows[0])
+    return _echelon(ctx, [list(r) for r in rows], ncols)
+
+
+def kernel_basis(ctx, rows, ncols):
+    """Canonical right-kernel basis.
+
+    One vector per free column, ascending: a 1 in that column, 0 in the
+    other free columns, pivot coordinates back-substituted from the echelon
+    form. Fixing the free coordinates determines the vector, so the basis
+    does not depend on the elimination order and downstream witness lists
+    are stable.
+    """
+    zero = ctx.zero
+    ech = [list(r) for r in rows]
+    ech = ech[:_echelon(ctx, ech, ncols)]
+    pivots = [next(j for j, x in enumerate(row) if x != zero) for row in ech]
+    neg_inv = [ctx.neg(ctx.inv(row[pc])) for row, pc in zip(ech, pivots)]
+    steps = list(zip(ech, pivots, neg_inv))[::-1]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[free] = ctx.one
+        for row, pc, ni in steps:
+            acc = zero
+            for j in range(pc + 1, ncols):
+                if v[j] != zero and row[j] != zero:
+                    acc = ctx.add(acc, ctx.mul(row[j], v[j]))
+            v[pc] = ctx.mul(ni, acc)
+        basis.append(v)
+    return basis

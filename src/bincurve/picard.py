@@ -143,7 +143,8 @@ def h0_bar(pt) -> int:
     """
     if isinstance(pt, Ell0):
         m = bounds(pt.d, pt.g).lo
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise RuntimeError("degeneration point with non-integral bound")
         return 2 * max(0, int(m) + 1)
     from . import cohomology
     return cohomology.h0(pt.M)

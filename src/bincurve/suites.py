@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from . import cohomology
 from .brill_noether import (BNQuery, bn_enumerate, bn_suite, clifford_index,
                             clifford_zero_classification, estimate_dim,
-                            martens_bound, predicted_empty,
+                            martens_bound, predicted_empty, torus_h0,
                             verify_canonical_very_ample)
-from .bundles import (LineBundle, canonical_bundle, dual, enumerate_bundles,
-                      hyperelliptic_class, tensor, trivial)
+from .bundles import (LineBundle, canonical_bundle, dual, hyperelliptic_class,
+                      tensor, trivial)
 from .curve import (BinaryCurve, is_hyperelliptic_fast, normalize_at,
                     random_curve, random_hyperelliptic_curve, standard_curve)
 from .fields import PrimeField, Rationals
@@ -52,7 +52,7 @@ def _suite_curves(g: int, ctx, rng: Rng):
     return curves
 
 
-def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
+def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0 = d-g+1 for every balanced class with d >= 2g-1 (grid d <= 2g+2)."""
     rng = Rng(seed)
     checked = 0
@@ -63,15 +63,13 @@ def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
             for ci, X in enumerate(_suite_curves(g, ctx, rng.spawn())):
                 for d in range(2 * g - 1, 2 * g + 3):
                     for md in balanced_set(d, g):
-                        profile = cohomology.gluing_profile(X, md)
-                        for L in enumerate_bundles(X, md):
-                            n = cohomology.h0(L, profile)
+                        for c, n in torus_h0(X, md):
                             checked += 1
                             if n != d - g + 1:
                                 violations.append(
                                     {"g": g, "p": p, "curve": ci,
                                      "md": list(md),
-                                     "c": [str(x) for x in L.c],
+                                     "c": [str(x) for x in c],
                                      "h0": n, "expected": d - g + 1})
     return SuiteResult(
         "riemann", not violations,
@@ -80,8 +78,7 @@ def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
          "n_violations": len(violations)})
 
 
-def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1,
-                   exhaustive=True):
+def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0 <= d/2+1 on 0 <= d <= 2g, with both equality cases pinned to the
     unique expected class; plus index-0 <=> hyperelliptic cross-checks."""
     rng = Rng(seed)
@@ -96,23 +93,22 @@ def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1,
                 omega_hits = []
                 for d in range(0, 2 * g + 1):
                     for md in balanced_set(d, g):
-                        profile = cohomology.gluing_profile(X, md)
-                        for L in enumerate_bundles(X, md):
-                            n = cohomology.h0(L, profile)
+                        for c, n in torus_h0(X, md):
                             checked += 1
                             if 2 * n > d + 2:
                                 problems.append({**where, "kind": "bound",
                                                  "md": list(md), "h0": n})
                             if d == 0 and n == 1:
-                                d0_hits.append(L)
+                                d0_hits.append((md, c))
                             if d == 2 * g - 2 and n == g:
-                                omega_hits.append(L)
-                if len(d0_hits) != 1 or d0_hits[0] != trivial(X):
+                                omega_hits.append((md, c))
+                triv = trivial(X)
+                if len(d0_hits) != 1 or d0_hits[0] != (triv.md, triv.c):
                     problems.append({**where, "kind": "degree0-equality",
                                      "n_hits": len(d0_hits)})
                 if g >= 1:
                     w = canonical_bundle(X)
-                    if len(omega_hits) != 1 or omega_hits[0] != w:
+                    if len(omega_hits) != 1 or omega_hits[0] != (w.md, w.c):
                         problems.append({**where, "kind": "canonical-equality",
                                          "n_hits": len(omega_hits)})
                 if g >= 2:
@@ -131,15 +127,16 @@ def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1,
                                                  "n_found": zc.n_found})
     return SuiteResult(
         "clifford", not problems,
-        {"gs": list(gs), "ps": list(ps), "seed": seed,
-         "exhaustive": bool(exhaustive)},
+        {"gs": list(gs), "ps": list(ps), "seed": seed},
         {"classes_checked": checked, "problems": problems[:10],
          "n_problems": len(problems)})
 
 
-def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
+def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0(w ⊗ L^-1) = h0(L) - d + g - 1 on the full exhaustive grid; ties the
-    residue-formula w to Riemann-Roch."""
+    residue-formula w to Riemann-Roch. The left side takes the generic h0,
+    the right side the torus scan's, so the two h0 paths are compared on
+    every class too."""
     rng = Rng(seed)
     checked = 0
     violations = []
@@ -150,15 +147,16 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
                 w = canonical_bundle(X)
                 for d in range(0, 2 * g + 3):
                     for md in balanced_set(d, g):
-                        for L in enumerate_bundles(X, md):
+                        for c, n in torus_h0(X, md):
+                            L = LineBundle(X, md, c)
                             lhs = cohomology.h0(tensor(w, dual(L)))
-                            rhs = cohomology.h0(L) - d + g - 1
+                            rhs = n - d + g - 1
                             checked += 1
                             if lhs != rhs:
                                 violations.append(
                                     {"g": g, "p": p, "curve": ci,
                                      "md": list(md),
-                                     "c": [str(x) for x in L.c],
+                                     "c": [str(x) for x in c],
                                      "lhs": lhs, "rhs": rhs})
     return SuiteResult(
         "serre", not violations,
@@ -167,7 +165,7 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED, jobs=1):
          "n_violations": len(violations)})
 
 
-def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED, jobs=1):
+def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
     """Every provably-empty (md, r) case scans to an exact zero count."""
     rng = Rng(seed)
     cases = 0
@@ -196,7 +194,7 @@ def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED, jobs=1):
          "n_violations": len(violations)})
 
 
-def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, jobs=1, g=3):
+def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
     """Degree-split bound h0 <= d1+d2+1-min(d2,g), its equality regime
     d2 >= g, and the descent dictionary on one-node regluings: the fiber
     over M contains exactly one (resp. zero, resp. all) classes matching
@@ -213,8 +211,7 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, jobs=1, g=3):
             for hi in range(lo, g + 2):
                 bound = lo + hi + 1 - min(hi, g)
                 for md in ((lo, hi), (hi, lo)):
-                    for L in enumerate_bundles(X, md):
-                        n = cohomology.h0(L)
+                    for _, n in torus_h0(X, md):
                         checked += 1
                         if n > bound:
                             problems.append({"p": p, "kind": "bound",
@@ -224,36 +221,31 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, jobs=1, g=3):
                             problems.append({"p": p, "kind": "equality",
                                              "md": list(md), "h0": n,
                                              "bound": bound})
-        # (c): descent fibers over one reglued node
+        # (c): descent fibers over one reglued node; node g is the last
+        # one, so regluing it onto Y gives back X itself
         Y, removed = normalize_at(X, [g])
         pair = removed[0]
         for d in (1, 2):
             for md in balanced_set(d, g - 1):
                 if md[0] < -1 or md[1] < -1:
                     continue
-                for M in enumerate_bundles(Y, md):
-                    if cohomology.h0(M) == 0:
-                        continue
+                for c, hM in torus_h0(Y, md, at_least=1):
+                    M = LineBundle(Y, md, c)
                     res = cohomology.descend(M, [pair])
-                    nodes = list(Y.nodes) + [pair]
-                    fiber = []
-                    for unit in ctx.units():
-                        L = LineBundle(BinaryCurve(ctx, nodes), md,
-                                       list(M.c) + [unit])
-                        if cohomology.h0(L) == cohomology.h0(M):
-                            fiber.append(unit)
+                    fiber = [unit for unit in ctx.units()
+                             if cohomology.h0(LineBundle(X, md, c + (unit,)))
+                             == hM]
                     checked += 1
                     expected = 0 if not res.exists else 1 if res.unique else p - 1
                     ok = len(fiber) == expected
                     if res.exists and res.unique:
                         # gluing vectors canonicalize, so compare as bundles
-                        want = LineBundle(BinaryCurve(ctx, nodes), md,
-                                          list(M.c) + [fiber[0]])
+                        want = LineBundle(X, md, c + (fiber[0],))
                         ok = ok and res.bundle == want
                     if not ok:
                         problems.append({"p": p, "kind": "descent-fiber",
                                          "md": list(md),
-                                         "c": [str(x) for x in M.c],
+                                         "c": [str(x) for x in c],
                                          "fiber": len(fiber),
                                          "exists": res.exists,
                                          "unique": res.unique})
@@ -344,7 +336,7 @@ def _reduced(X: BinaryCurve, p: int) -> BinaryCurve:
     return reduce_curve_mod(X, p)
 
 
-def suite_martens(seed=DEFAULT_SEED, jobs=1, primes=MARTENS_PRIMES):
+def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
     """Dimension predictions in the window 2 <= d <= g-1 via growth exponents:
     exactly d-2r on a hyperelliptic curve, at most d-2r-1 otherwise, and the
     r > min(d_i) cases are empty."""
@@ -385,7 +377,7 @@ def suite_martens(seed=DEFAULT_SEED, jobs=1, primes=MARTENS_PRIMES):
          "problems": problems})
 
 
-def suite_theta(seed=DEFAULT_SEED, jobs=1, ps=(7, 11, 23)):
+def suite_theta(seed=DEFAULT_SEED, ps=(7, 11, 23)):
     """Hyperelliptic genus 3: the degree-2 pencil is the unique md-(1,1)
     class with two sections at every prime, i.e. a 0-dimensional locus
     (g-3 = 0); the two-prime exponent agrees."""
@@ -411,7 +403,7 @@ def suite_theta(seed=DEFAULT_SEED, jobs=1, ps=(7, 11, 23)):
          "estimate": est.to_json(), "problems": problems})
 
 
-def suite_bn(seed=DEFAULT_SEED, jobs=1, n_curves=100):
+def suite_bn(seed=DEFAULT_SEED, n_curves=100):
     """Sampled existence/emptiness verdicts for r <= 2 against rho."""
     neg = bn_suite(4, 1, [11], n_curves, seed, mds=[(1, 1)])
     pos = bn_suite(3, 1, [7], n_curves, seed, mds=balanced_set(3, 3))
@@ -439,7 +431,7 @@ def suite_bn(seed=DEFAULT_SEED, jobs=1, n_curves=100):
          "rho_zero": zero.to_json(), "canonical_pinned": omega_ok})
 
 
-def suite_very_ample(seed=DEFAULT_SEED, jobs=1, gs=(3, 4), p=11, trials=15,
+def suite_very_ample(seed=DEFAULT_SEED, gs=(3, 4), p=11, trials=15,
                      n_curves=2):
     """Canonical embedding separates points/tangents iff not hyperelliptic."""
     rng = Rng(seed)
@@ -483,7 +475,7 @@ def _check_partial_order(strata) -> bool:
     return True
 
 
-def suite_wbar(seed=DEFAULT_SEED, jobs=1, p=7):
+def suite_wbar(seed=DEFAULT_SEED, p=7):
     """Stratum combinatorics and boundary-locus assembly."""
     from .brill_noether import assemble_Wbar
     rng = Rng(seed)

@@ -45,7 +45,7 @@ def test_01_riemann_range_exhaustive():
 
 def test_02_clifford_bound_and_equality_cases():
     t0 = time.perf_counter()
-    res = suites.suite_clifford(gs=(1, 2, 3), ps=(5, 7), exhaustive=True)
+    res = suites.suite_clifford(gs=(1, 2, 3), ps=(5, 7))
     dt = time.perf_counter() - t0
     ok = res.passed and dt < 60.0
     line = _verdict(2, "clifford-bound", ok,

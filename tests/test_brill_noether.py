@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
                                     assemble_Wbar, bn_enumerate, bn_suite,
@@ -6,8 +8,10 @@ from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
                                     clifford_zero_classification,
                                     estimate_dim, martens_bound,
                                     merge_reports, predicted_empty,
-                                    reduce_curve_mod, rho, split_ranges)
-from bincurve.bundles import canonical_bundle, hyperelliptic_class
+                                    reduce_curve_mod, rho, split_ranges,
+                                    torus_h0)
+from bincurve.bundles import (canonical_bundle, enumerate_bundles,
+                              hyperelliptic_class)
 from bincurve.cohomology import h0
 from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
@@ -75,6 +79,67 @@ def test_sharding_matches_single_scan():
     assert merged.count == whole.count
     assert merged.witnesses == whole.witnesses
     assert merged.index_range == (0, 216)
+
+
+# (g, p) with at most 1296 classes per torus, so the generic-h0 oracle
+# below stays quick
+TORUS_SIZES = [(g, p) for g in (1, 2, 3, 4) for p in (5, 7, 11, 13)
+               if (p - 1) ** g <= 1296]
+
+
+@st.composite
+def torus_cases(draw):
+    g, p = draw(st.sampled_from(TORUS_SIZES))
+    ctx = PrimeField(p)
+    rng = Rng(draw(st.integers(0, 10 ** 6)))
+    pool = [ProjPoint.finite(ctx, a) for a in range(p)]
+    pool.append(ProjPoint.infinity(ctx))
+    X = BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                  rng.distinct(pool, g + 1))))
+    # ncols = max(d1+1, 0) + max(d2+1, 0) ranges over 0 .. 2g+4, on both
+    # sides of g+1 (where a generic class stops having sections)
+    md = (draw(st.integers(-2, g + 1)), draw(st.integers(-2, g + 1)))
+    return X, md, draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_cases())
+def test_torus_h0_matches_generic_h0(case):
+    X, md, k = case
+    want = [(L.c, h0(L)) for L in enumerate_bundles(X, md) if h0(L) >= k]
+    assert list(torus_h0(X, md, at_least=k)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_cases(), st.data())
+def test_torus_h0_range_is_a_slice_of_the_full_scan(case, data):
+    X, md, k = case
+    full = list(torus_h0(X, md))         # at_least=0 yields every class
+    total = len(full)
+    assert total == (X.ctx.p - 1) ** X.genus
+    lo = data.draw(st.integers(0, total))
+    hi = data.draw(st.integers(lo, total))
+    want = [hit for hit in full[lo:hi] if hit[1] >= k]
+    assert list(torus_h0(X, md, lo, hi, at_least=k)) == want
+
+
+def test_torus_h0_cut_inside_a_fiber():
+    # consecutive runs of p-1 classes differ only in c_{g-1}; cut into two
+    X = random_curve(3, F7, Rng(26))
+    full = list(torus_h0(X, (1, 2)))
+    assert list(torus_h0(X, (1, 2), 7, 16)) == full[7:16]
+    assert list(torus_h0(X, (1, 2), 7, 16, at_least=2)) == \
+        [hit for hit in full[7:16] if hit[1] >= 2]
+
+
+def test_torus_h0_validates_field_and_range():
+    with pytest.raises(ValueError):
+        next(torus_h0(standard_curve(2, Rationals()), (1, 1)))
+    X = standard_curve(2, F7)
+    for lo, hi in ((-1, 5), (5, 4), (0, 37)):
+        with pytest.raises(ValueError):
+            next(torus_h0(X, (1, 1), lo, hi))
+    assert list(torus_h0(X, (1, 1), 36, 36)) == []
 
 
 def test_merge_rejects_gaps():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +161,35 @@ def test_restriction_to_normalization():
     assert M.curve.genus == 1
     assert M.md == L.md
     assert len(M.c) == 2
+
+
+PERTURBED_H0 = """
+import bincurve.cohomology as cohomology
+from bincurve.bundles import canonical_bundle, hyperelliptic_class
+from bincurve.curve import standard_curve
+from bincurve.fields import PrimeField
+
+real_h0 = cohomology.h0
+cohomology.h0 = lambda L: real_h0(L) + 1
+X = standard_curve(3, PrimeField(7))
+print("debug", __debug__)
+for fn in (canonical_bundle, hyperelliptic_class):
+    try:
+        fn(X)
+    except RuntimeError:
+        print("raised", fn.__name__)
+    else:
+        print("returned", fn.__name__)
+"""
+
+
+def test_sanity_checks_survive_optimized_mode():
+    import bincurve
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bincurve.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_H0],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "debug False", "raised canonical_bundle", "raised hyperelliptic_class"]

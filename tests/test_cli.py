@@ -178,6 +178,26 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": {"type": "Fp", "p": 7}, "nodes": [[["0"]]]},
+    {"field": {"type": "Fp", "p": 7}, "nodes": 5},
+    [{"field": {"type": "Fp", "p": 7}}],
+], ids=["short-node", "nodes-not-a-list", "top-level-list"])
+def test_malformed_curve_json_exits_2(tmp_path, capsys, doc):
+    cf = tmp_path / "c.json"
+    cf.write_text(json.dumps(doc))
+    assert main(["h0", "--curve", str(cf), "--md", "1,1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"),
+                                        ("--witness-cap", "-1")])
+def test_bn_rejects_out_of_range_counts(capsys, flag, value):
+    assert main(["bn", "--random-genus", "2", "--p", "7", "--md", "1,1",
+                 "--r", "0", "--no-cache", flag, value]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_random_curve_needs_field_but_file_does_not(tmp_path, capsys):
     X = standard_curve(2, PrimeField(11))
     cf = tmp_path / "c.json"

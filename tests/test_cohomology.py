@@ -6,7 +6,7 @@ from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               random_bundle, tensor, trivial)
 from bincurve.cohomology import (SectionSpace, base_locus, derivative_row,
-                                 descend, gluing_profile, h0, h0_vanishing,
+                                 descend, h0, h0_vanishing,
                                  h1, monomial_values, neutral_pair,
                                  point_divisor)
 from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
@@ -103,14 +103,6 @@ def test_derivative_row_hand_check():
     inf = ProjPoint.infinity(F7)
     assert derivative_row(F7, 2, inf, 1) == [0, 1, 0]
     assert derivative_row(F7, 2, inf, 0) == [1, 0, 0]
-
-
-def test_profile_precomputation_matches_direct():
-    X = random_curve(2, F11, Rng(5))
-    md = (2, 1)
-    profile = gluing_profile(X, md)
-    for L in enumerate_bundles(X, md):
-        assert h0(L, profile) == h0(L)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bincurve.fields import PrimeField, Rationals
-from bincurve.linalg import Matrix, kernel_basis, rank_mod_bounded, rank_rows
+from bincurve.linalg import kernel_basis, rank_mod_bounded, rank_rows
 
 F7 = PrimeField(7)
 Q = Rationals()
@@ -22,10 +23,10 @@ def test_rank_known_matrices():
 
 
 def test_identity_and_transpose():
-    I3 = Matrix.identity(F7, 3)
-    assert I3.rank() == 3
-    m = Matrix(F7, [[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().rank() == m.rank() == 2
+    I3 = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert rank_rows(F7, I3) == 3
+    m = [[1, 2, 3], [4, 5, 6]]
+    assert rank_rows(F7, [list(c) for c in zip(*m)]) == rank_rows(F7, m) == 2
 
 
 def test_kernel_vectors_annihilate():
@@ -56,14 +57,19 @@ def test_rank_nullity(rows):
 
 @given(mat_strategy)
 def test_rank_equals_transpose_rank(rows):
-    m = Matrix(F7, [list(row) for row in rows])
-    assert m.rank() == m.transpose().rank()
+    assert rank_rows(F7, rows) == rank_rows(F7, [list(c) for c in zip(*rows)])
 
 
 @given(mat_strategy)
-def test_rank_mod_agrees_with_generic(rows):
-    r = rank_rows(F7, [list(row) for row in rows])
-    assert rank_mod_bounded([list(row) for row in rows], 3, 7, 10) == r
+def test_rank_and_kernel_match_brute_force_count(rows):
+    # the rows kill exactly 7^(3 - rank) of the 343 vectors of F_7^3
+    killed = sum(all(sum(a * x for a, x in zip(row, v)) % 7 == 0
+                     for row in rows)
+                 for v in product(range(7), repeat=3))
+    assert killed == 7 ** (3 - rank_rows(F7, rows))
+    assert killed == 7 ** (3 - rank_mod_bounded([list(r) for r in rows],
+                                                3, 7, 3))
+    assert killed == 7 ** len(kernel_basis(F7, rows, 3))
 
 
 def test_rank_mod_bounded_early_exit():

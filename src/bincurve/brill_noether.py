@@ -1,8 +1,9 @@
 """Special-divisor loci over prime fields: exhaustive scans and verdicts.
 
-W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1;
-everything here is brute force over the (p-1)^g torus with an early-exit
-rank kernel, which at desk scale (g <= 5, p <= 31) beats anything clever.
+W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1.
+Every exhaustive scan walks the (p-1)^g torus through `torus_h0`, which
+solves each run of p-1 classes differing only in the last free gluing
+coordinate with one early-exit elimination and a closed form.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -23,6 +24,10 @@ from .linalg import rank_mod_bounded
 from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
                      is_balanced, picard_type)
 from .rng import Rng
+
+# Version of the torus scan. It is part of the `bn` cache key, so an entry
+# written by another version is a miss; bump it with any change to torus_h0.
+SCAN_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,18 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
     h0 >= at_least, in bundle_at order.
 
-    The gluing row of node j only depends on c_j, so every row is built once
-    per (j, c_j) up front and copied per class; no LineBundle is made. The
-    rank call exits as soon as the rank exceeds ncols - at_least, so a class
-    below the threshold, the common case, costs a few pivots, and the h0 of a
-    yielded class is exact. The field and the range are checked on the first
-    iteration.
+    Fiber solve: a run of consecutive classes sharing c_0 .. c_{g-2} (a
+    fiber; p-1 classes, or one when g = 0) differs only in c_v of the
+    fastest node v = g-1, whose gluing row is a - c_v·b with
+    a = [E1(p_v) | 0] and b = [0 | E2(q_v)]. Each fiber eliminates the other
+    rows once, to rank rf, and reduces a and b against that echelon form to
+    residuals ra and rb. Reduction is linear, so
+    h0(c_v) = ncols - rf - [ra != c_v·rb]: constant over the fiber when
+    rb = 0, otherwise one less than ncols - rf except at the single
+    c_v = ra[k]/rb[k] (k the first nonzero of rb) where ra = c_v·rb holds.
+    The elimination exits once the rank exceeds ncols - at_least, and then
+    no class of the fiber can qualify. Cuts inside a fiber are allowed. The
+    field and the range are checked on the first iteration.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -81,27 +92,60 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     max_rank = ncols - at_least
     if max_rank < 0 or lo == hi:
         return
+    if not X.nodes:  # genus -1: one class, no gluing rows
+        yield (), ncols
+        return
     p = X.ctx.p
-    u = p - 1
     free = max(X.genus, 0)
+    run = p - 1 if free else 1
+    v = max(free - 1, 0)  # with g = 0, node 0 itself over a run of one
     e1, e2 = cohomology.gluing_profile(X, md)
-    table = []
-    for a, b in zip(e1, e2):
-        tab = []
-        for cj in range(1, p):
-            neg = p - cj
-            tab.append(a + [neg * v % p for v in b])
-        table.append(tab)
-    # one base-u digit per node, the last one pinned to 0 (c_g = 1)
+    a = e1[v] + [0] * k2
+    b = [0] * k1 + e2[v]
+    # the other nodes' rows, built once per (j, c_j) and copied per fiber
+    table = [[ej + [(p - cj) * x % p for x in fj] for cj in range(1, p)]
+             if j != v else None for j, (ej, fj) in enumerate(zip(e1, e2))]
+    # one base-(p-1) digit per node, the last one pinned to 0 (c_g = 1)
     digits = [x - 1 for x in bundle_at(X, md, lo).c]
-    for _ in range(lo, hi):
-        rows = [tab[dj][:] for tab, dj in zip(table, digits)]
-        rank = rank_mod_bounded(rows, ncols, p, max_rank)
-        if rank <= max_rank:
-            yield tuple(dj + 1 for dj in digits), ncols - rank
-        for pos in range(free - 1, -1, -1):
+    tail = tuple(d + 1 for d in digits[v + 1:])
+    index = lo
+    while index < hi:
+        c0 = digits[v] + 1
+        c1 = min(run + 1, c0 + hi - index)
+        rows = [tab[dj][:] for tab, dj in zip(table, digits) if tab]
+        rf = rank_mod_bounded(rows, ncols, p, max_rank)
+        if rf <= max_rank:
+            ra, rb = a[:], b[:]
+            for row in rows[:rf]:
+                pc = next(j for j, x in enumerate(row) if x)
+                inv = pow(row[pc], p - 2, p)
+                fa, fb = ra[pc] * inv % p, rb[pc] * inv % p
+                if fa or fb:
+                    for j in range(pc, ncols):
+                        if row[j]:
+                            ra[j] = (ra[j] - fa * row[j]) % p
+                            rb[j] = (rb[j] - fb * row[j]) % p
+            # h0 is top at c_v = jump (0: no such class) and low elsewhere
+            top = ncols - rf
+            k = next((j for j, x in enumerate(rb) if x), None)
+            if k is None:
+                low, jump = (top - 1 if any(ra) else top), 0
+            else:
+                low = top - 1
+                jump = ra[k] * pow(rb[k], p - 2, p) % p
+                if any((x - jump * y) % p for x, y in zip(ra, rb)):
+                    jump = 0
+            head = tuple(d + 1 for d in digits[:v])
+            if low >= at_least:
+                for c in range(c0, c1):
+                    yield (*head, c, *tail), top if c == jump else low
+            elif c0 <= jump < c1:
+                yield (*head, jump, *tail), top
+        index += c1 - c0
+        digits[v] = 0
+        for pos in range(v - 1, -1, -1):
             digits[pos] += 1
-            if digits[pos] < u:
+            if digits[pos] < run:
                 break
             digits[pos] = 0
 

@@ -55,11 +55,30 @@ class LineBundle:
         return {"md": list(self.md), "c": [list(ctx.to_pair(x)) for x in self.c]}
 
 
+def _is_int_json(x) -> bool:
+    return isinstance(x, (int, str)) and not isinstance(x, bool)
+
+
 def bundle_from_json(X: BinaryCurve, obj: dict) -> LineBundle:
+    """Inverse of LineBundle.to_json; malformed input raises ValueError."""
     ctx = X.ctx
-    md = (int(obj["md"][0]), int(obj["md"][1]))
-    c = [ctx.from_pair(pair) for pair in obj["c"]]
-    return LineBundle(X, md, c)
+    if not isinstance(obj, dict):
+        raise ValueError("bundle JSON must be an object with 'md' and 'c'")
+    md, c = obj.get("md"), obj.get("c")
+    if not (isinstance(md, list) and len(md) == 2
+            and all(_is_int_json(d) for d in md)):
+        raise ValueError(f"bundle 'md' must be [d1, d2], got {md!r}")
+    n = len(X.nodes)
+    if not (isinstance(c, list) and len(c) == n
+            and all(isinstance(pair, list) and len(pair) == 2
+                    and all(_is_int_json(x) for x in pair) for pair in c)):
+        raise ValueError(f"bundle 'c' must be a list of {n} [num, den] "
+                         f"pairs, got {c!r}")
+    try:
+        units = [ctx.from_pair(pair) for pair in c]
+    except ZeroDivisionError:
+        raise ValueError(f"bundle 'c' has a zero denominator: {c!r}") from None
+    return LineBundle(X, (int(md[0]), int(md[1])), units)
 
 
 def trivial(X: BinaryCurve) -> LineBundle:

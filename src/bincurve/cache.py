@@ -2,8 +2,9 @@
 
 One line per entry: {"key": sha256-hex, "value": {...}}. Later lines win,
 so corrections are appends, never rewrites. The key hashes the canonical
-JSON of (curve, field, md, r); the value stores count, capped witnesses,
-and the artifact version.
+JSON of (curve, field, md, r, scan version), so an entry written by another
+version of the torus scan is never served; the value stores the witness
+cap and the report (count and capped witnesses).
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import hashlib
 import json
 import os
 
+from .brill_noether import SCAN_VERSION
 from .reports import canonical_json
 
 ENV_VAR = "BINCURVE_CACHE_DIR"
@@ -29,6 +31,7 @@ def bn_key(curve_json: dict, field_json: dict, md, r: int) -> str:
         "field": field_json,
         "md": list(md),
         "r": r,
+        "scan_version": SCAN_VERSION,
     })
     return hashlib.sha256(material.encode("ascii")).hexdigest()
 

@@ -12,10 +12,11 @@ from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
                                     torus_h0)
 from bincurve.bundles import (canonical_bundle, enumerate_bundles,
                               hyperelliptic_class)
-from bincurve.cohomology import h0
+from bincurve.cohomology import h0, rows_for_gluing
 from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
+from bincurve.linalg import rank_rows
 from bincurve.picard import balanced_set
 from bincurve.rng import Rng
 
@@ -83,7 +84,7 @@ def test_sharding_matches_single_scan():
 
 # (g, p) with at most 1296 classes per torus, so the generic-h0 oracle
 # below stays quick
-TORUS_SIZES = [(g, p) for g in (1, 2, 3, 4) for p in (5, 7, 11, 13)
+TORUS_SIZES = [(g, p) for g in (0, 1, 2, 3, 4) for p in (5, 7, 11, 13)
                if (p - 1) ** g <= 1296]
 
 
@@ -114,13 +115,59 @@ def test_torus_h0_matches_generic_h0(case):
 @given(torus_cases(), st.data())
 def test_torus_h0_range_is_a_slice_of_the_full_scan(case, data):
     X, md, k = case
-    full = list(torus_h0(X, md))         # at_least=0 yields every class
+    full = [(L.c, h0(L)) for L in enumerate_bundles(X, md)]
     total = len(full)
     assert total == (X.ctx.p - 1) ** X.genus
     lo = data.draw(st.integers(0, total))
     hi = data.draw(st.integers(lo, total))
     want = [hit for hit in full[lo:hi] if hit[1] >= k]
     assert list(torus_h0(X, md, lo, hi, at_least=k)) == want
+
+
+def test_torus_h0_fiber_shapes_exhaustive():
+    """Every class of g=3, p=7 on two curves, every md in [-1, g+1]^2 and
+    at_least 0-3, against generic h0. A fiber is a run of p-1 classes that
+    differ only in c_{g-1}; the grid must contain each shape the closed-form
+    solve distinguishes: skipped (the other rows alone leave fewer than
+    at_least sections), constant, and exactly one class one higher."""
+    g, u = 3, 6
+    shapes = set()
+    for X in (standard_curve(g, F7), random_curve(g, F7, Rng(27))):
+        for d1 in range(-1, g + 2):
+            for d2 in range(-1, g + 2):
+                md = (d1, d2)
+                ncols = max(d1 + 1, 0) + max(d2 + 1, 0)
+                classes = list(enumerate_bundles(X, md))
+                want = [(L.c, h0(L)) for L in classes]
+                for k in range(4):
+                    assert list(torus_h0(X, md, at_least=k)) == \
+                        [hit for hit in want if hit[1] >= k]
+                for f in range(0, len(classes), u):
+                    rows = rows_for_gluing(classes[f])
+                    del rows[g - 1]
+                    if ncols - rank_rows(F7, rows, ncols) < 3:
+                        shapes.add("skipped")     # at least at at_least=3
+                    values = sorted(n for _, n in want[f:f + u])
+                    if values[0] == values[-1]:
+                        shapes.add("constant")
+                    elif values[-2] == values[0] == values[-1] - 1:
+                        shapes.add("one-jump")
+    assert shapes == {"skipped", "constant", "one-jump"}
+
+
+def test_torus_h0_without_free_coordinate():
+    # g = 0: one class, node 0's row is a - 1·b; genus -1: no row at all
+    pts = [ProjPoint.finite(F7, a) for a in range(7)]
+    curves = [BinaryCurve(F7, [(pts[i], pts[j])]) for i in (0, 3)
+              for j in (0, 5)]
+    curves.append(BinaryCurve(F7, [(ProjPoint.infinity(F7), pts[2])]))
+    curves.append(BinaryCurve(F7, []))
+    for X in curves:
+        for md in [(d1, d2) for d1 in range(-2, 3) for d2 in range(-2, 3)]:
+            want = [(L.c, h0(L)) for L in enumerate_bundles(X, md)]
+            for k in range(4):
+                assert list(torus_h0(X, md, at_least=k)) == \
+                    [hit for hit in want if hit[1] >= k]
 
 
 def test_torus_h0_cut_inside_a_fiber():

@@ -190,6 +190,50 @@ def test_malformed_curve_json_exits_2(tmp_path, capsys, doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
+ONES = [["1", "1"]] * 3   # a valid gluing vector on a genus-2 curve
+
+
+@pytest.mark.parametrize("doc", [
+    {"md": [1, 1], "c": 5},
+    [1, 2],
+    {"md": "1,1", "c": ONES},
+    {"md": [1, None], "c": ONES},
+    {"c": ONES},
+    {"md": [1, 1], "c": [["1", "1"]] * 2},
+    {"md": [1, 1], "c": [["1"], ["1"], ["1"]]},
+    {"md": [1, 1], "c": [["0", "1"], ["1", "1"], ["1", "1"]]},
+    {"md": [1, 1], "c": [["1", "0"], ["1", "1"], ["1", "1"]]},
+], ids=["c-not-a-list", "top-level-list", "md-a-string", "md-null-entry",
+        "md-missing", "c-too-short", "c-short-pair", "c-zero-value",
+        "c-zero-denominator"])
+def test_malformed_bundle_json_exits_2(tmp_path, capsys, doc):
+    bf = tmp_path / "b.json"
+    bf.write_text(json.dumps(doc))
+    assert main(["h0", "--random-genus", "2", "--p", "7",
+                 "--bundle", str(bf)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+
+
+def test_bn_cache_entry_of_another_scan_version_is_a_miss(capsys,
+                                                          monkeypatch):
+    import bincurve.cache
+    args = ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1")
+    _, rep, _ = run(capsys, *args)
+    from bincurve.cli import build_parser, _load_curve
+    Xr = _load_curve(build_parser().parse_args(list(args)))
+    version = bincurve.cache.SCAN_VERSION
+    monkeypatch.setattr(bincurve.cache, "SCAN_VERSION", version - 1)
+    key = bn_key(Xr.to_json(), field_to_json(Xr.ctx), [1, 1], 1)
+    stale = dict(rep["report"], count=999)
+    JsonlCache().store(key, {"witness_cap": 64, "report": stale})
+    _, rep_old, _ = run(capsys, *args)
+    assert rep_old["report"]["count"] == 999   # served under its own version
+    monkeypatch.setattr(bincurve.cache, "SCAN_VERSION", version)
+    _, rep_new, _ = run(capsys, *args)
+    assert rep_new == rep
+
+
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"),
                                         ("--witness-cap", "-1")])
 def test_bn_rejects_out_of_range_counts(capsys, flag, value):

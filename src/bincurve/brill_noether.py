@@ -2,8 +2,10 @@
 
 W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1.
 Every exhaustive scan walks the (p-1)^g torus through `torus_h0`, which
-solves each run of p-1 classes differing only in the last free gluing
-coordinate with one early-exit elimination and a closed form.
+keeps one echelon level per gluing digit: a run of p-1 classes differing
+only in the last free gluing coordinate usually costs one single-row
+reduction and a closed form, and a prefix whose rows already exceed the
+rank bound is skipped with its whole subtree.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -20,14 +22,13 @@ from .bundles import (EffectiveDivisor, bundle_at, bundle_count,
                       power, restrict_to_normalization)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
 from .fields import PrimeField
-from .linalg import rank_mod_bounded
 from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
                      is_balanced, picard_type)
 from .rng import Rng
 
 # Version of the torus scan. It is part of the `bn` cache key, so an entry
 # written by another version is a miss; bump it with any change to torus_h0.
-SCAN_VERSION = 2
+SCAN_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,26 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
     h0 >= at_least, in bundle_at order.
 
-    Fiber solve: a run of consecutive classes sharing c_0 .. c_{g-2} (a
-    fiber; p-1 classes, or one when g = 0) differs only in c_v of the
-    fastest node v = g-1, whose gluing row is a - c_v·b with
-    a = [E1(p_v) | 0] and b = [0 | E2(q_v)]. Each fiber eliminates the other
-    rows once, to rank rf, and reduces a and b against that echelon form to
-    residuals ra and rb. Reduction is linear, so
-    h0(c_v) = ncols - rf - [ra != c_v·rb]: constant over the fiber when
-    rb = 0, otherwise one less than ncols - rf except at the single
-    c_v = ra[k]/rb[k] (k the first nonzero of rb) where ra = c_v·rb holds.
-    The elimination exits once the rank exceeds ncols - at_least, and then
-    no class of the fiber can qualify. Cuts inside a fiber are allowed. The
-    field and the range are checked on the first iteration.
+    Digit tree: class indices are base-(p-1) digits c_0 - 1 .. c_{g-1} - 1,
+    first node slowest, node g pinned to c_g = 1. Level 0 holds the pinned
+    row of node g in echelon form, and level k+1 extends level k by node
+    k's row at its current digit with one single-row reduction against
+    level k's pivots (each zero in the columns of the pivots before it,
+    leading entry 1). When the odometer carries at position pos, only
+    levels pos+1 .. v are rebuilt, v = g-1 being the fastest node, so most
+    fibers cost one row reduction. Each level also carries the residuals
+    ra, rb of node v's halves a = [E1(p_v) | 0] and b = [0 | E2(q_v)];
+    extending a level reduces them against the new pivot only.
+
+    Fiber solve: the p-1 classes of a fiber (one when g = 0) differ only in
+    c_v, and node v's row is a - c_v·b. With rf the rank of level v,
+    reduction is linear, so h0(c_v) = ncols - rf - [ra != c_v·rb]: constant
+    over the fiber when rb = 0, otherwise one less than ncols - rf except at
+    the single c_v = ra[k]/rb[k] (k the first nonzero of rb) where
+    ra = c_v·rb holds. Rank only grows down the tree, so once a level's rank
+    exceeds ncols - at_least no class below that prefix qualifies and the
+    whole subtree is skipped in one step. Cuts anywhere in the tree are
+    allowed. The field and the range are checked on the first iteration.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -100,54 +109,84 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     run = p - 1 if free else 1
     v = max(free - 1, 0)  # with g = 0, node 0 itself over a run of one
     e1, e2 = cohomology.gluing_profile(X, md)
-    a = e1[v] + [0] * k2
-    b = [0] * k1 + e2[v]
-    # the other nodes' rows, built once per (j, c_j) and copied per fiber
+    # each node's row per unit value, built once (node v enters as a, b)
     table = [[ej + [(p - cj) * x % p for x in fj] for cj in range(1, p)]
-             if j != v else None for j, (ej, fj) in enumerate(zip(e1, e2))]
+             for ej, fj in zip(e1, e2)]
+
+    def reduce(vec, pivots):
+        # single-row reduction; pivots are (column, row) pairs, leading 1
+        for pc, row in pivots:
+            f = vec[pc]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        return vec
+
+    def extend(level, row):
+        # level plus one row: (pivots, ra, rb), never changed in place
+        pivots, ra, rb = level
+        row = reduce(row, pivots)
+        for pc, lead in enumerate(row):
+            if lead:
+                break
+        else:
+            return level
+        inv = pow(lead, p - 2, p)
+        new = [(pc, [x * inv % p for x in row])]
+        return pivots + new, reduce(ra, new), reduce(rb, new)
+
     # one base-(p-1) digit per node, the last one pinned to 0 (c_g = 1)
     digits = [x - 1 for x in bundle_at(X, md, lo).c]
     tail = tuple(d + 1 for d in digits[v + 1:])
+    level = ([], e1[v] + [0] * k2, [0] * k1 + e2[v])
+    for j in range(v + 1, len(digits)):
+        level = extend(level, table[j][digits[j]])
+    levels = [level] * (v + 1)  # levels[0 .. pos] are current
+    pos = 0
     index = lo
     while index < hi:
-        c0 = digits[v] + 1
-        c1 = min(run + 1, c0 + hi - index)
-        rows = [tab[dj][:] for tab, dj in zip(table, digits) if tab]
-        rf = rank_mod_bounded(rows, ncols, p, max_rank)
-        if rf <= max_rank:
-            ra, rb = a[:], b[:]
-            for row in rows[:rf]:
-                pc = next(j for j, x in enumerate(row) if x)
-                inv = pow(row[pc], p - 2, p)
-                fa, fb = ra[pc] * inv % p, rb[pc] * inv % p
-                if fa or fb:
-                    for j in range(pc, ncols):
-                        if row[j]:
-                            ra[j] = (ra[j] - fa * row[j]) % p
-                            rb[j] = (rb[j] - fb * row[j]) % p
+        while pos < v and len(levels[pos][0]) <= max_rank:
+            levels[pos + 1] = extend(levels[pos], table[pos][digits[pos]])
+            pos += 1
+        pivots, ra, rb = levels[pos]
+        rf = len(pivots)
+        if rf > max_rank:
+            # no class below prefix digits[:pos] qualifies
+            skip = pos
+        else:
             # h0 is top at c_v = jump (0: no such class) and low elsewhere
+            skip = v
+            c0 = digits[v] + 1
+            c1 = min(run + 1, c0 + hi - index)
             top = ncols - rf
-            k = next((j for j, x in enumerate(rb) if x), None)
-            if k is None:
-                low, jump = (top - 1 if any(ra) else top), 0
+            for k, lead in enumerate(rb):
+                if lead:
+                    low = top - 1
+                    jump = ra[k] * pow(lead, p - 2, p) % p
+                    if any((x - jump * y) % p for x, y in zip(ra, rb)):
+                        jump = 0
+                    break
             else:
-                low = top - 1
-                jump = ra[k] * pow(rb[k], p - 2, p) % p
-                if any((x - jump * y) % p for x, y in zip(ra, rb)):
-                    jump = 0
+                low, jump = (top - 1 if any(ra) else top), 0
             head = tuple(d + 1 for d in digits[:v])
             if low >= at_least:
                 for c in range(c0, c1):
                     yield (*head, c, *tail), top if c == jump else low
             elif c0 <= jump < c1:
                 yield (*head, jump, *tail), top
-        index += c1 - c0
-        digits[v] = 0
-        for pos in range(v - 1, -1, -1):
+        # step past the subtree of digits[:skip], then carry
+        size = 1
+        for i in range(v, skip - 1, -1):
+            index -= digits[i] * size
+            size *= run
+            digits[i] = 0
+        index += size
+        pos = skip - 1
+        while pos >= 0:
             digits[pos] += 1
             if digits[pos] < run:
                 break
             digits[pos] = 0
+            pos -= 1
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,

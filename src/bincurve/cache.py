@@ -1,10 +1,11 @@
 """Append-only JSON-lines cache for enumeration results.
 
 One line per entry: {"key": sha256-hex, "value": {...}}. Later lines win,
-so corrections are appends, never rewrites. The key hashes the canonical
-JSON of (curve, field, md, r, scan version), so an entry written by another
-version of the torus scan is never served; the value stores the witness
-cap and the report (count and capped witnesses).
+so corrections are appends, never rewrites. A lookup parses only the lines
+that contain the key's JSON text, then compares the parsed key. The key
+hashes the canonical JSON of (curve, field, md, r, scan version), so an
+entry written by another version of the torus scan is never served; the
+value stores the witness cap and the report (count and capped witnesses).
 """
 from __future__ import annotations
 
@@ -47,11 +48,13 @@ class JsonlCache:
             fh = open(self.path, "r", encoding="ascii")
         except FileNotFoundError:
             return None
+        # store writes the key as canonical JSON text, so a line without
+        # that text cannot be its entry; only candidates are parsed
+        needle = json.dumps(key, ensure_ascii=True)
         value = None
         with fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if needle not in line:
                     continue
                 try:
                     entry = json.loads(line)

@@ -11,7 +11,6 @@ import argparse
 import inspect
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .brill_noether import (BNQuery, bn_enumerate, clifford_index,
                             abel_sample, merge_reports, split_ranges)
@@ -23,7 +22,7 @@ from .fields import PrimeField, Rationals, field_to_json
 from .picard import enumerate_strata, picard_type, strata_to_json
 from .reports import canonical_json, envelope, text_table
 from .rng import Rng
-from .suites import DEFAULT_SEED, SUITES
+from .suites import DEFAULT_SEED, SUITES, pool_map
 
 
 def _parse_md(text: str):
@@ -240,9 +239,7 @@ def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
     total = bundle_count(X)
     blobs = [(X.to_json(), list(q.md), q.r, lo, hi, cap)
              for lo, hi in split_ranges(total, jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_bn_shard, blobs))
-    return merge_reports(parts)
+    return merge_reports(pool_map(_bn_shard, blobs, jobs))
 
 
 def cmd_bn(args) -> int:

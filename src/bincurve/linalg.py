@@ -1,7 +1,7 @@
 """Exact dense linear algebra: rank and canonical kernel bases.
 
 Forward elimination only, one routine per field kind: `rank_mod_bounded`
-for F_p (the enumeration hot loop, plain integers with no per-element
+for F_p (generic h0 over a prime field, plain integers with no per-element
 dispatch) and a generic FieldCtx routine for Q. Kernel bases come from the
 echelon form by back-substitution. Matrices stay at desk scale (<= ~40x40)
 so fraction growth over Q is acceptable.
@@ -14,8 +14,8 @@ def rank_mod_bounded(rows, ncols, p, max_rank) -> int:
 
     Forward elimination in place: `rows` is left in echelon form (pivot rows
     first, leading entries in increasing columns, then zero rows) unless the
-    early exit cut it short. Returns min(rank, max_rank + 1). Hot path of
-    the torus scans.
+    early exit cut it short. Returns min(rank, max_rank + 1). The torus
+    scan keeps its own incremental echelon (`brill_noether.torus_h0`).
     """
     n = len(rows)
     r = 0

@@ -39,6 +39,15 @@ class SuiteResult:
                 "config": self.config, "summary": self.summary}
 
 
+def pool_map(fn, items, jobs: int, chunksize: int = 1) -> list:
+    """[fn(x) for x in items], in order; spread over one process pool of
+    `jobs` workers when jobs > 1. fn and the items must pickle."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 def _suite_curves(g: int, ctx, rng: Rng):
     """Deterministic fixtures: the standard (hyperelliptic) curve plus, for
     g >= 3, one seeded random curve (generically not hyperelliptic)."""
@@ -278,11 +287,12 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
     Seeded curves per (g, p): n_random generic ones plus n_special built
     hyperelliptic by construction, so both directions of the equivalence
     get exercised. When hyperelliptic, the scan must find exactly one class
-    and it must be the constructed pencil. Per-curve checks fan out to a
-    process pool when jobs > 1; results are order-preserving either way.
+    and it must be the constructed pencil. The per-curve checks of every
+    combo go through one `pool_map` call; results keep their order.
     """
     rng = Rng(seed)
     combos = []
+    jsons = []
     for g in gs:
         for p in ps:
             ctx = PrimeField(p)
@@ -290,19 +300,17 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
             curves = [random_curve(g, ctx, crng) for _ in range(n_random)]
             curves += [random_hyperelliptic_curve(g, ctx, crng)
                        for _ in range(n_special)]
-            combos.append((g, p, [X.to_json() for X in curves]))
+            combos.append((g, p, len(jsons), len(jsons) + len(curves)))
+            jsons += [X.to_json() for X in curves]
+    checked = pool_map(_hyp_check, jsons, jobs, chunksize=8)
     summary = []
     failures = 0
-    for g, p, jsons in combos:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_hyp_check, jsons, chunksize=8))
-        else:
-            results = [_hyp_check(cj) for cj in jsons]
+    for g, p, start, stop in combos:
+        results = checked[start:stop]
         bad = [{"index": i, **res} for i, res in enumerate(results)
                if not res["agree"] or res["witness_ok"] is False]
         failures += len(bad)
-        summary.append({"g": g, "p": p, "n": len(jsons),
+        summary.append({"g": g, "p": p, "n": len(results),
                         "n_hyperelliptic": sum(r["hyp"] for r in results),
                         "failures": bad[:10], "n_failures": len(bad)})
     return SuiteResult(

@@ -83,8 +83,8 @@ def test_sharding_matches_single_scan():
 
 
 # (g, p) with at most 1296 classes per torus, so the generic-h0 oracle
-# below stays quick
-TORUS_SIZES = [(g, p) for g in (0, 1, 2, 3, 4) for p in (5, 7, 11, 13)
+# below stays quick; (5, 5) walks a prefix of four digit levels
+TORUS_SIZES = [(g, p) for g in (0, 1, 2, 3, 4, 5) for p in (5, 7, 11, 13)
                if (p - 1) ** g <= 1296]
 
 
@@ -153,6 +153,61 @@ def test_torus_h0_fiber_shapes_exhaustive():
                     elif values[-2] == values[0] == values[-1] - 1:
                         shapes.add("one-jump")
     assert shapes == {"skipped", "constant", "one-jump"}
+
+
+def test_torus_h0_digit_tree_exhaustive():
+    """Every class of g=4, p=5 on two curves, every md in [-1, g+1]^2 and
+    at_least 0-3, against generic h0, over the whole torus and over cuts
+    [lo, hi) that start or end inside a skipped subtree. The subtree of a
+    prefix c_0 .. c_{depth-1} is skipped when those rows and the pinned row
+    of node g already exceed rank ncols - at_least. The grid must contain
+    such a prefix above the fiber level (depth < g-1, so at least (p-1)^2
+    classes) with a qualifying class beside its subtree, so that the cuts
+    have something to lose."""
+    g, p = 4, 5
+    ctx = PrimeField(p)
+    u, total = p - 1, (p - 1) ** g
+    rng = Rng(28)
+    pool = [ProjPoint.finite(ctx, a) for a in range(p)]
+    pool.append(ProjPoint.infinity(ctx))
+    curves = [standard_curve(g, ctx),
+              BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                        rng.distinct(pool, g + 1))))]
+    n_cut = 0
+    for X in curves:
+        for md in [(d1, d2) for d1 in range(-1, g + 2)
+                   for d2 in range(-1, g + 2)]:
+            ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+            classes = list(enumerate_bundles(X, md))
+            want = [(L.c, h0(L)) for L in classes]
+            for k in range(4):
+                subtrees = []
+                for depth in range(1, g - 1):
+                    size = u ** (g - depth)
+                    for start in range(0, total, size):
+                        rows = rows_for_gluing(classes[start])
+                        rank = rank_rows(ctx, rows[:depth] + rows[g:], ncols)
+                        if rank > ncols - k:
+                            subtrees.append((start, start + size))
+                # cut inside a skipped subtree, ending just past the next
+                # hit after it or starting at the last hit before it
+                hits = [i for i, (_, n) in enumerate(want) if n >= k]
+                cuts = [(0, total)]
+                for start, stop in subtrees:
+                    after = [i for i in hits if i >= stop][:1]
+                    before = [i for i in hits if i < start][-1:]
+                    if len(cuts) > 12 or not (after or before):
+                        continue
+                    lo = start + u + 1
+                    cuts += [(lo, hi) for hi in [stop - 1, total] +
+                             [min(i + d, total) for i in after
+                              for d in (1, u)]]
+                    cuts += [(i, stop - 1) for i in before]
+                for lo, hi in cuts:
+                    assert list(torus_h0(X, md, lo, hi, at_least=k)) == \
+                        [hit for hit in want[lo:hi] if hit[1] >= k]
+                n_cut += len(cuts) > 1
+    assert n_cut > 0
 
 
 def test_torus_h0_without_free_coordinate():

@@ -59,3 +59,16 @@ def test_entries_are_canonical_json(tmp_path):
     raw = (tmp_path / "bn.jsonl").read_text().strip()
     assert raw == '{"key":"k","value":{"a":2,"b":1}}'
     assert json.loads(raw)["value"] == {"a": 2, "b": 1}
+
+
+def test_key_text_inside_another_value_is_not_an_entry(tmp_path):
+    # lookup parses only lines holding the key's text; a value may hold it too
+    c = JsonlCache(str(tmp_path))
+    c.store("k1", {"count": 1})
+    c.store("k2", {"note": "k1", "key": "k1", "nested": {"key": "k3"}})
+    assert c.lookup("k1") == {"count": 1}
+    assert c.lookup("k2")["note"] == "k1"
+    assert c.lookup("k3") is None
+    c.store("k1", {"count": 2})
+    c.store("k4", {"shadow": {"key": "k1", "value": {"count": 3}}})
+    assert c.lookup("k1") == {"count": 2}

@@ -58,13 +58,16 @@ def test_lemma_e_suite_small():
 
 
 def test_hyperelliptic_suite_small_jobs_identical():
-    kw = dict(gs=(3,), ps=(7,), n_random=6, n_special=3, seed=3)
+    # two combos of 9 curves in one pool: chunks of 8 cross the boundary
+    kw = dict(gs=(3,), ps=(7, 11), n_random=6, n_special=3, seed=3)
     r1 = SUITES["hyperelliptic"](jobs=1, **kw)
     r2 = SUITES["hyperelliptic"](jobs=2, **kw)
     assert r1.passed
     assert canonical_json(r1.to_json()) == canonical_json(r2.to_json())
-    combo = r1.summary["combos"][0]
-    assert combo["n"] == 9 and combo["n_hyperelliptic"] >= 3
+    combos = r1.summary["combos"]
+    assert [(c["g"], c["p"]) for c in combos] == [(3, 7), (3, 11)]
+    for combo in combos:
+        assert combo["n"] == 9 and combo["n_hyperelliptic"] >= 3
 
 
 def test_bn_suite_small():

@@ -433,8 +433,7 @@ class DimEstimate:
                 "rounded": self.rounded, "residual": self.residual}
 
 
-def estimate_dim(X: BinaryCurve, q: BNQuery, primes,
-                 witness_cap: int = 4) -> DimEstimate:
+def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
     """Growth-exponent dimension proxy from counts at >= 2 primes.
 
     Uses the widest prime pair for the headline exponent. The rounding
@@ -447,7 +446,7 @@ def estimate_dim(X: BinaryCurve, q: BNQuery, primes,
     counts = []
     for p in primes:
         Xp = reduce_curve_mod(X, p)
-        counts.append(bn_enumerate(Xp, q, witness_cap=witness_cap).count)
+        counts.append(bn_enumerate(Xp, q, witness_cap=0).count)
     counts = tuple(counts)
     if all(n == 0 for n in counts):
         return DimEstimate(tuple(primes), counts, "empty", None, None, None)
@@ -679,6 +678,11 @@ class BNSuiteRow:
                 "counts": list(self.counts), "verdict": self.verdict}
 
 
+# sampled verdict thresholds: the share of curves that must agree with rho
+EMPTY_THRESHOLD_PCT = 90
+NONEMPTY_THRESHOLD_PCT = 80
+
+
 @dataclass
 class BNSuiteReport:
     g: int
@@ -687,8 +691,6 @@ class BNSuiteReport:
     n_curves: int
     seed: int
     mds: tuple
-    empty_threshold_pct: int
-    nonempty_threshold_pct: int
     rows: tuple
 
     @property
@@ -699,20 +701,19 @@ class BNSuiteReport:
         return {"g": self.g, "r": self.r, "primes": list(self.primes),
                 "n_curves": self.n_curves, "seed": self.seed,
                 "mds": [list(md) for md in self.mds],
-                "empty_threshold_pct": self.empty_threshold_pct,
-                "nonempty_threshold_pct": self.nonempty_threshold_pct,
+                "empty_threshold_pct": EMPTY_THRESHOLD_PCT,
+                "nonempty_threshold_pct": NONEMPTY_THRESHOLD_PCT,
                 "rows": [row.to_json() for row in self.rows],
                 "passed": self.passed}
 
 
 def bn_suite(g: int, r: int, primes, n_curves: int, seed: int,
-             mds=None, d_window=None, empty_threshold_pct: int = 90,
-             nonempty_threshold_pct: int = 80) -> BNSuiteReport:
+             mds=None) -> BNSuiteReport:
     """Sampled existence/emptiness verdicts against the expected dimension.
 
-    rho < 0: at least empty_threshold_pct % of random curves should have an
+    rho < 0: at least EMPTY_THRESHOLD_PCT % of random curves should have an
     empty locus (the statement excludes a thin special set, so unanimity is
-    not expected). rho >= 1: at least nonempty_threshold_pct % nonempty.
+    not expected). rho >= 1: at least NONEMPTY_THRESHOLD_PCT % nonempty.
     rho = 0: counts are reported with no verdict, since finitely many
     geometric points need not be rational. Curves are drawn once per prime
     and shared across all rows; everything is determined by the seed.
@@ -720,8 +721,8 @@ def bn_suite(g: int, r: int, primes, n_curves: int, seed: int,
     if g > 5 or any(p > 13 for p in primes):
         raise ValueError("desk-scale parameters only (g <= 5, p <= 13)")
     if mds is None:
-        lo, hi = d_window if d_window is not None else (2, max(2, g))
-        mds = [md for d in range(lo, hi + 1) for md in balanced_set(d, g)]
+        mds = [md for d in range(2, max(2, g) + 1)
+               for md in balanced_set(d, g)]
     mds = [tuple(md) for md in mds]
     rng = Rng(seed)
     curves = {p: [random_curve(g, PrimeField(p), rng.spawn())
@@ -739,15 +740,14 @@ def bn_suite(g: int, r: int, primes, n_curves: int, seed: int,
                 # provably empty regardless of rho; demand exact zeros
                 verdict = "pass" if n_nonempty == 0 else "fail"
             elif rh < 0:
-                ok = 100 * n_empty >= empty_threshold_pct * n_curves
+                ok = 100 * n_empty >= EMPTY_THRESHOLD_PCT * n_curves
                 verdict = "pass" if ok else "fail"
             elif rh >= 1:
-                ok = 100 * n_nonempty >= nonempty_threshold_pct * n_curves
+                ok = 100 * n_nonempty >= NONEMPTY_THRESHOLD_PCT * n_curves
                 verdict = "pass" if ok else "fail"
             else:
                 verdict = "report"
             rows.append(BNSuiteRow(d, md, p, rh, n_curves,
                                    n_empty, n_nonempty, counts, verdict))
     return BNSuiteReport(g, r, tuple(primes), n_curves, seed, tuple(mds),
-                         empty_threshold_pct, nonempty_threshold_pct,
                          tuple(rows))

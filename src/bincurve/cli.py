@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--g", type=int, help="restrict to one genus")
     p.add_argument("--p", type=int, help="restrict to one prime")
-    p.add_argument("--n", type=int, help="sample size override")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--n", type=_int_at_least(1), help="sample size override")
+    p.add_argument("--trials", type=_int_at_least(1))
     p.add_argument("--primes", type=_parse_primes)
     p.add_argument("--out")
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abel", help="sample degree-d point classes")
     add_common(p)
     p.add_argument("--md", type=_parse_md, required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     return ap
 
 
@@ -154,8 +154,9 @@ def cmd_h0(args) -> int:
     if n0 >= 1:
         bl = base_locus(L)
         locus = {
-            "smooth_points": [[comp, X.ctx.fmt(v) if v is not None else "inf"]
-                              for comp, v in _locus_points(bl, X)],
+            "smooth_points": [[comp, "inf" if pt.is_infinity()
+                               else X.ctx.fmt(pt.a)]
+                              for comp, pt in bl.smooth_points],
             "nodes": list(bl.nodes),
             "full_components": list(bl.full_components),
         }
@@ -165,14 +166,6 @@ def cmd_h0(args) -> int:
     cfg = {**_curve_config(args, X), "md": list(L.md)}
     _emit(envelope("h0", "section-space dimensions", cfg, payload), args.out)
     return 0
-
-
-def _locus_points(bl, X):
-    # base_locus reports projective points; flatten for JSON
-    out = []
-    for comp, pt in bl.smooth_points:
-        out.append((comp, None if pt.is_infinity() else pt.a))
-    return out
 
 
 def cmd_strata(args) -> int:
@@ -196,19 +189,26 @@ def cmd_strata(args) -> int:
     return 0
 
 
+# verify overrides and the suite parameters each one sets; a flag that
+# sets none of a suite's parameters is an error. gs and ps get a 1-tuple.
+VERIFY_OVERRIDES = {"g": ("gs", "g"), "p": ("ps", "p"),
+                    "n": ("n_curves", "n_random"), "trials": ("trials",),
+                    "primes": ("primes",)}
+
+
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     accepted = inspect.signature(fn).parameters
-    kwargs = {"seed": args.seed, "jobs": args.jobs}
-    overrides = {"gs": (args.g,) if args.g is not None else None,
-                 "ps": (args.p,) if args.p is not None else None,
-                 "g": args.g, "p": args.p,
-                 "n_curves": args.n, "n_random": args.n,
-                 "trials": args.trials, "primes": args.primes}
-    for k, v in overrides.items():
-        if v is not None and k in accepted:
-            kwargs[k] = v
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    kwargs = {k: getattr(args, k) for k in ("seed", "jobs") if k in accepted}
+    for flag, params in VERIFY_OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        hit = [k for k in params if k in accepted]
+        if not hit:
+            raise ValueError(f"verify {args.suite} takes no --{flag}")
+        for k in hit:
+            kwargs[k] = (value,) if k in ("gs", "ps") else value
     res = fn(**kwargs)
     cfg = dict(res.config)
     table = text_table(("suite", "passed"),
@@ -234,11 +234,9 @@ def _bn_shard(blob):
 
 
 def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
-    if jobs <= 1:
-        return bn_enumerate(X, q, witness_cap=cap)
-    total = bundle_count(X)
+    # --jobs 1 runs the same shard and merge code, in this process
     blobs = [(X.to_json(), list(q.md), q.r, lo, hi, cap)
-             for lo, hi in split_ranges(total, jobs)]
+             for lo, hi in split_ranges(bundle_count(X), jobs)]
     return merge_reports(pool_map(_bn_shard, blobs, jobs))
 
 

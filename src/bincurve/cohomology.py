@@ -79,12 +79,18 @@ def rows_for_gluing(L: LineBundle):
     return rows
 
 
-def _vanishing_rows(L: LineBundle, D: EffectiveDivisor):
+def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
+    """Gluing rows, plus vanishing rows for D, and the column split (k1, k2).
+
+    Columns are the k1 coefficients of f, then the k2 coefficients of h.
+    """
     ctx = L.ctx
     d1, d2 = L.md
     k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
-    rows = []
-    for comp, pt, mult in D.entries:
+    # with no columns the rank is 0 whatever the rows: skip the gluing rows
+    rows = rows_for_gluing(L) if k1 + k2 else []
+    entries = D.entries if D is not None else ()
+    for comp, pt, mult in entries:
         dcomp = d1 if comp == 1 else d2
         if mult >= 2 and ctx.is_prime_field() and ctx.p <= dcomp + 1:
             raise ValueError(
@@ -95,28 +101,20 @@ def _vanishing_rows(L: LineBundle, D: EffectiveDivisor):
                 rows.append(block + [ctx.zero] * k2)
             else:
                 rows.append([ctx.zero] * k1 + block)
-    return rows
+    return rows, k1, k2
 
 
 def h0(L: LineBundle) -> int:
-    d1, d2 = L.md
-    ncols = max(d1 + 1, 0) + max(d2 + 1, 0)
-    if ncols == 0:
-        return 0
-    rows = rows_for_gluing(L)
-    return ncols - rank_rows(L.ctx, rows, ncols)
+    rows, k1, k2 = _section_matrix(L)
+    return k1 + k2 - rank_rows(L.ctx, rows, k1 + k2)
 
 
 def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
     """h0 of L twisted down by D, via vanishing rows on the gluing matrix."""
     if not L.curve.same_curve(D.curve):
         raise ValueError("divisor lives on a different curve")
-    d1, d2 = L.md
-    ncols = max(d1 + 1, 0) + max(d2 + 1, 0)
-    if ncols == 0:
-        return 0
-    rows = rows_for_gluing(L) + _vanishing_rows(L, D)
-    return ncols - rank_rows(L.ctx, rows, ncols)
+    rows, k1, k2 = _section_matrix(L, D)
+    return k1 + k2 - rank_rows(L.ctx, rows, k1 + k2)
 
 
 def h1(L: LineBundle) -> int:
@@ -133,12 +131,8 @@ class SectionSpace:
 
     def __post_init__(self):
         L = self.bundle
-        d1, d2 = L.md
-        k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
-        rows = rows_for_gluing(L)
-        if self.vanishing is not None:
-            rows += _vanishing_rows(L, self.vanishing)
-        vecs = kernel_basis(L.ctx, rows, k1 + k2) if k1 + k2 else []
+        rows, k1, k2 = _section_matrix(L, self.vanishing)
+        vecs = kernel_basis(L.ctx, rows, k1 + k2)
         object.__setattr__(
             self, "basis",
             tuple((tuple(v[:k1]), tuple(v[k1:])) for v in vecs))

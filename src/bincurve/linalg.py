@@ -1,81 +1,66 @@
 """Exact dense linear algebra: rank and canonical kernel bases.
 
-Forward elimination only, one routine per field kind: `rank_mod_bounded`
-for F_p (generic h0 over a prime field, plain integers with no per-element
-dispatch) and a generic FieldCtx routine for Q. Kernel bases come from the
+One forward-elimination routine, `_echelon`, serves F_p and Q alike on
+plain values: ints reduced mod p over F_p (p prime), exact Fractions over
+Q (p = 0, where plain ints are accepted too). The two fields differ only in
+the pivot inverse and in the reduction mod p. Kernel bases come from the
 echelon form by back-substitution. Matrices stay at desk scale (<= ~40x40)
-so fraction growth over Q is acceptable.
+so fraction growth over Q is acceptable. The torus scan keeps its own
+incremental echelon (`brill_noether.torus_h0`).
 """
 from __future__ import annotations
 
+from fractions import Fraction
 
-def rank_mod_bounded(rows, ncols, p, max_rank) -> int:
-    """Rank over F_p, giving up early once the rank exceeds max_rank.
 
-    Forward elimination in place: `rows` is left in echelon form (pivot rows
-    first, leading entries in increasing columns, then zero rows) unless the
-    early exit cut it short. Returns min(rank, max_rank + 1). The torus
-    scan keeps its own incremental echelon (`brill_noether.torus_h0`).
+def _modulus(ctx) -> int:
+    # p over F_p, 0 for exact arithmetic over Q
+    return ctx.p if ctx.is_prime_field() else 0
+
+
+def _inverse(x, p):
+    return pow(x, p - 2, p) if p else 1 / Fraction(x)
+
+
+def _echelon(rows, ncols, p) -> int:
+    """Forward elimination in place over F_p, or over Q when p = 0.
+
+    `rows` is left in echelon form: pivot rows first, leading entries in
+    increasing columns, then zero rows. Returns the rank.
     """
     n = len(rows)
     r = 0
     for col in range(ncols):
-        piv = -1
-        for i in range(r, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        prow = rows[r]
-        for i in range(r + 1, n):
-            f = rows[i][col]
-            if f:
-                f = f * inv % p
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = (ri[j] - f * prow[j]) % p
-        r += 1
-        if r > max_rank or r == n:
-            break
-    return r
-
-
-def _echelon(ctx, rows, ncols) -> int:
-    """Forward elimination in place over any field; returns the rank."""
-    if ctx.is_prime_field():
-        return rank_mod_bounded(rows, ncols, ctx.p, ncols)
-    zero = ctx.zero
-    n = len(rows)
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, n) if rows[i][col] != zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = ctx.inv(prow[col])
-        for i in range(r + 1, n):
-            f = rows[i][col]
-            if f != zero:
-                f = ctx.mul(f, inv)
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = ctx.sub(ri[j], ctx.mul(f, prow[j]))
-        r += 1
         if r == n:
             break
+        piv = r
+        while piv < n and not rows[piv][col]:
+            piv += 1
+        if piv == n:
+            continue
+        prow = rows[piv]
+        rows[r], rows[piv] = prow, rows[r]
+        inv = _inverse(prow[col], p)
+        for i in range(r + 1, n):
+            ri = rows[i]
+            f = ri[col]
+            if f:
+                f *= inv
+                if p:
+                    f %= p
+                    for j in range(col, ncols):
+                        ri[j] = (ri[j] - f * prow[j]) % p
+                else:
+                    for j in range(col, ncols):
+                        ri[j] -= f * prow[j]
+        r += 1
     return r
 
 
 def rank_rows(ctx, rows, ncols=None) -> int:
-    if not rows:
-        return 0
     if ncols is None:
-        ncols = len(rows[0])
-    return _echelon(ctx, [list(r) for r in rows], ncols)
+        ncols = len(rows[0]) if rows else 0
+    return _echelon([list(r) for r in rows], ncols, _modulus(ctx))
 
 
 def kernel_basis(ctx, rows, ncols):
@@ -87,24 +72,22 @@ def kernel_basis(ctx, rows, ncols):
     does not depend on the elimination order and downstream witness lists
     are stable.
     """
-    zero = ctx.zero
+    p = _modulus(ctx)
     ech = [list(r) for r in rows]
-    ech = ech[:_echelon(ctx, ech, ncols)]
-    pivots = [next(j for j, x in enumerate(row) if x != zero) for row in ech]
-    neg_inv = [ctx.neg(ctx.inv(row[pc])) for row, pc in zip(ech, pivots)]
-    steps = list(zip(ech, pivots, neg_inv))[::-1]
+    ech = ech[:_echelon(ech, ncols, p)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    steps = [(row, pc, -_inverse(row[pc], p))
+             for row, pc in zip(ech, pivots)][::-1]
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * ncols
+        v = [ctx.zero] * ncols
         v[free] = ctx.one
         for row, pc, ni in steps:
-            acc = zero
-            for j in range(pc + 1, ncols):
-                if v[j] != zero and row[j] != zero:
-                    acc = ctx.add(acc, ctx.mul(row[j], v[j]))
-            v[pc] = ctx.mul(ni, acc)
+            acc = sum(row[j] * v[j] for j in range(pc + 1, ncols)
+                      if v[j] and row[j])
+            v[pc] = ni * acc % p if p else ni * acc
         basis.append(v)
     return basis

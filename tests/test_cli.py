@@ -242,6 +242,44 @@ def test_bn_rejects_out_of_range_counts(capsys, flag, value):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("abel", "--random-genus", "3", "--p", "7", "--md", "1,1",
+     "--trials", "-5"),
+    ("abel", "--random-genus", "3", "--p", "7", "--md", "1,1",
+     "--trials", "0"),
+    ("verify", "bn", "--n", "0"),
+    ("verify", "hyperelliptic", "--n", "-3"),
+    ("verify", "very-ample", "--trials", "-1"),
+    ("verify", "very-ample", "--trials", "0"),
+])
+def test_count_flags_reject_zero_and_negative(capsys, argv):
+    assert main(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be >= 1" in out.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "theta", "--primes", "7"), "--primes"),
+    (("verify", "martens", "--g", "3"), "--g"),
+    (("verify", "riemann", "--n", "5"), "--n"),
+    (("verify", "wbar", "--trials", "2"), "--trials"),
+])
+def test_verify_rejects_flags_the_suite_does_not_take(capsys, argv, flag):
+    assert main(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"verify {argv[1]} takes no {flag}" in out.err
+
+
+def test_verify_accepts_plumbing_flags_everywhere(tmp_path, capsys):
+    # riemann takes neither --jobs nor --out; both stay accepted
+    out = tmp_path / "r.json"
+    code = main(["verify", "riemann", "--g", "1", "--p", "5", "--seed", "3",
+                 "--jobs", "2", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["report"]["config"]["gs"] == [1]
+
+
 def test_random_curve_needs_field_but_file_does_not(tmp_path, capsys):
     X = standard_curve(2, PrimeField(11))
     cf = tmp_path / "c.json"

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincurve.fields import PrimeField, Rationals
-from bincurve.linalg import kernel_basis, rank_mod_bounded, rank_rows
+from bincurve.linalg import _echelon, _inverse, kernel_basis, rank_rows
 
 F7 = PrimeField(7)
 Q = Rationals()
@@ -67,16 +67,7 @@ def test_rank_and_kernel_match_brute_force_count(rows):
                      for row in rows)
                  for v in product(range(7), repeat=3))
     assert killed == 7 ** (3 - rank_rows(F7, rows))
-    assert killed == 7 ** (3 - rank_mod_bounded([list(r) for r in rows],
-                                                3, 7, 3))
     assert killed == 7 ** len(kernel_basis(F7, rows, 3))
-
-
-def test_rank_mod_bounded_early_exit():
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    # cap below the true rank: reports cap+1 ("too big") without finishing
-    assert rank_mod_bounded([r[:] for r in rows], 3, 7, 1) == 2
-    assert rank_mod_bounded([r[:] for r in rows], 3, 7, 3) == 3
 
 
 def test_rational_elimination_is_exact():
@@ -85,3 +76,98 @@ def test_rational_elimination_is_exact():
     assert rank_rows(Q, rows) == 4
     rows.append([sum(r[j] for r in rows) for j in range(4)])
     assert rank_rows(Q, [row[:] for row in rows]) == 4
+
+
+def _det(m):
+    # Leibniz formula in exact arithmetic, independent of the elimination
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(n), 2))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _minor_rank(rows, ncols, p):
+    """Largest k with a nonzero k x k minor (mod p when p > 0)."""
+    best = 0
+    for k in range(1, min(len(rows), ncols) + 1):
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(ncols), k):
+                d = _det([[rows[i][j] for j in ci] for i in ri])
+                if (d.numerator % p if p else d):
+                    best = k
+                    break
+            if best == k:
+                break
+        if best < k:
+            break
+    return best
+
+
+# few distinct values, so that small and rank-deficient minors are common
+q_entry = st.one_of(
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2),
+                     Fraction(0)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3))
+fp_entry = st.integers(0, 6)
+
+
+def _matrices(entry):
+    return st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(entry, min_size=m, max_size=m), max_size=4),
+        st.just(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(fp_entry))
+def test_rank_over_f7_equals_largest_nonzero_minor(mat):
+    rows, ncols = mat
+    r = _minor_rank(rows, ncols, 7)
+    assert rank_rows(F7, rows, ncols) == r
+    assert len(kernel_basis(F7, rows, ncols)) == ncols - r
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(q_entry))
+def test_rank_over_q_equals_largest_nonzero_minor_exactly(mat):
+    rows, ncols = mat
+    r = _minor_rank(rows, ncols, 0)
+    assert rank_rows(Q, rows, ncols) == r
+    ech = [list(row) for row in rows]
+    assert _echelon(ech, ncols, 0) == r
+    # plain int input stays exact: no entry turns into a float, every
+    # pivot is inverted as a Fraction, every kernel entry is a Fraction
+    assert all(type(x) in (int, Fraction) for row in ech for x in row)
+    for row in ech[:r]:
+        pivot = next(x for x in row if x)
+        assert type(_inverse(pivot, 0)) is Fraction
+        assert _inverse(pivot, 0) * pivot == 1
+    basis = kernel_basis(Q, rows, ncols)
+    assert len(basis) == ncols - r
+    assert all(type(x) is Fraction for v in basis for x in v)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_matrices(fp_entry).map(lambda m: (F7, m)),
+                 _matrices(q_entry).map(lambda m: (Q, m))),
+       st.randoms(use_true_random=False))
+def test_kernel_basis_is_canonical_under_row_permutation_and_duplication(
+        case, rnd):
+    ctx, (rows, ncols) = case
+    want = kernel_basis(ctx, rows, ncols)
+    shuffled = [list(row) for row in rows]
+    rnd.shuffle(shuffled)
+    assert kernel_basis(ctx, shuffled, ncols) == want
+    if rows:
+        extra = [list(rnd.choice(rows)) for _ in range(rnd.randint(1, 3))]
+        doubled = shuffled + extra
+        rnd.shuffle(doubled)
+        assert kernel_basis(ctx, doubled, ncols) == want

@@ -2,10 +2,10 @@
 
 W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1.
 Every exhaustive scan walks the (p-1)^g torus through `torus_h0`, which
-keeps one echelon level per gluing digit: a run of p-1 classes differing
-only in the last free gluing coordinate usually costs one single-row
-reduction and a closed form, and a prefix whose rows already exceed the
-rank bound is skipped with its whole subtree.
+recurses down the tree of gluing digits with one echelon level per depth:
+a run of p-1 classes differing only in the last free gluing coordinate
+usually costs one single-row reduction and a closed form, and a prefix
+whose rows already exceed the rank bound is skipped with its whole subtree.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
-from .bundles import (EffectiveDivisor, bundle_at, bundle_count,
+from .bundles import (EffectiveDivisor, bundle_count,
                       canonical_bundle, from_divisor, hyperelliptic_class,
                       power, restrict_to_normalization)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
@@ -28,7 +28,7 @@ from .rng import Rng
 
 # Version of the torus scan. It is part of the `bn` cache key, so an entry
 # written by another version is a miss; bump it with any change to torus_h0.
-SCAN_VERSION = 3
+SCAN_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,15 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     Digit tree: class indices are base-(p-1) digits c_0 - 1 .. c_{g-1} - 1,
     first node slowest, node g pinned to c_g = 1. Level 0 holds the pinned
     row of node g in echelon form, and level k+1 extends level k by node
-    k's row at its current digit with one single-row reduction against
-    level k's pivots (each zero in the columns of the pivots before it,
-    leading entry 1). When the odometer carries at position pos, only
-    levels pos+1 .. v are rebuilt, v = g-1 being the fastest node, so most
-    fibers cost one row reduction. Each level also carries the residuals
-    ra, rb of node v's halves a = [E1(p_v) | 0] and b = [0 | E2(q_v)];
-    extending a level reduces them against the new pivot only.
+    k's row at one digit with one single-row reduction against level k's
+    pivots (each zero in the columns of the pivots before it, leading
+    entry 1). The recursive walk `fibers` builds each level once per
+    prefix and descends only into the digits whose subtrees meet [lo, hi);
+    at depth v = g-1, the fastest node, it emits one fiber per prefix, so
+    most fibers cost one row reduction. Each level also carries the
+    residuals ra, rb of node v's halves a = [E1(p_v) | 0] and
+    b = [0 | E2(q_v)]; extending a level reduces them against the new pivot
+    only.
 
     Fiber solve: the p-1 classes of a fiber (one when g = 0) differ only in
     c_v, and node v's row is a - c_v·b. With rf the rank of level v,
@@ -134,59 +136,45 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
         new = [(pc, [x * inv % p for x in row])]
         return pivots + new, reduce(ra, new), reduce(rb, new)
 
-    # one base-(p-1) digit per node, the last one pinned to 0 (c_g = 1)
-    digits = [x - 1 for x in bundle_at(X, md, lo).c]
-    tail = tuple(d + 1 for d in digits[v + 1:])
+    def fibers(k, level, base, head):
+        # fibers below the prefix head (nodes 0 .. k-1) whose first class
+        # has index base, as (base, head, level v); only subtrees that meet
+        # [lo, hi) are entered
+        if len(level[0]) > max_rank:
+            return  # rank only grows: no class below this prefix qualifies
+        if k == v:
+            yield base, head, level
+            return
+        size = run ** (v - k)
+        for d in range(max(lo - base, 0) // size,
+                       min(-((base - hi) // size), run)):
+            yield from fibers(k + 1, extend(level, table[k][d]),
+                              base + d * size, head + (d + 1,))
+
+    # level 0: node v's halves, reduced by the pinned rows (c = 1) after it
     level = ([], e1[v] + [0] * k2, [0] * k1 + e2[v])
-    for j in range(v + 1, len(digits)):
-        level = extend(level, table[j][digits[j]])
-    levels = [level] * (v + 1)  # levels[0 .. pos] are current
-    pos = 0
-    index = lo
-    while index < hi:
-        while pos < v and len(levels[pos][0]) <= max_rank:
-            levels[pos + 1] = extend(levels[pos], table[pos][digits[pos]])
-            pos += 1
-        pivots, ra, rb = levels[pos]
-        rf = len(pivots)
-        if rf > max_rank:
-            # no class below prefix digits[:pos] qualifies
-            skip = pos
-        else:
-            # h0 is top at c_v = jump (0: no such class) and low elsewhere
-            skip = v
-            c0 = digits[v] + 1
-            c1 = min(run + 1, c0 + hi - index)
-            top = ncols - rf
-            for k, lead in enumerate(rb):
-                if lead:
-                    low = top - 1
-                    jump = ra[k] * pow(lead, p - 2, p) % p
-                    if any((x - jump * y) % p for x, y in zip(ra, rb)):
-                        jump = 0
-                    break
-            else:
-                low, jump = (top - 1 if any(ra) else top), 0
-            head = tuple(d + 1 for d in digits[:v])
-            if low >= at_least:
-                for c in range(c0, c1):
-                    yield (*head, c, *tail), top if c == jump else low
-            elif c0 <= jump < c1:
-                yield (*head, jump, *tail), top
-        # step past the subtree of digits[:skip], then carry
-        size = 1
-        for i in range(v, skip - 1, -1):
-            index -= digits[i] * size
-            size *= run
-            digits[i] = 0
-        index += size
-        pos = skip - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < run:
+    for j in range(v + 1, len(X.nodes)):
+        level = extend(level, table[j][0])
+    tail = (1,) * (len(X.nodes) - v - 1)
+    for base, head, (pivots, ra, rb) in fibers(0, level, 0, ()):
+        # h0 is top at c_v = jump (0: no such class) and low elsewhere
+        top = ncols - len(pivots)
+        for k, lead in enumerate(rb):
+            if lead:
+                low = top - 1
+                jump = ra[k] * pow(lead, p - 2, p) % p
+                if any((x - jump * y) % p for x, y in zip(ra, rb)):
+                    jump = 0
                 break
-            digits[pos] = 0
-            pos -= 1
+        else:
+            low, jump = (top - 1 if any(ra) else top), 0
+        c0 = max(lo - base, 0) + 1
+        c1 = min(hi - base, run) + 1
+        if low >= at_least:
+            for c in range(c0, c1):
+                yield (*head, c, *tail), top if c == jump else low
+        elif c0 <= jump < c1:
+            yield (*head, jump, *tail), top
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,
@@ -336,8 +324,11 @@ class CliffordZeroReport:
         }
 
 
-def clifford_zero_classification(X: BinaryCurve, d: int,
-                                 cap: int = 16) -> CliffordZeroReport:
+# classes kept in CliffordZeroReport.found; n_found counts them all
+ZERO_CLASS_CAP = 16
+
+
+def clifford_zero_classification(X: BinaryCurve, d: int) -> CliffordZeroReport:
     """On a hyperelliptic curve, the Clifford-equality classes of even degree
     0 <= d <= 2g-2 should be exactly the d/2 power of the degree-2 pencil.
     Exhaustive over all balanced multidegrees of total degree d.
@@ -356,7 +347,7 @@ def clifford_zero_classification(X: BinaryCurve, d: int,
         for c, n in torus_h0(X, md, at_least=d // 2 + 1):
             if n == d // 2 + 1:
                 n_found += 1
-                if len(found) < cap:
+                if len(found) < ZERO_CLASS_CAP:
                     found.append((md, c))
     passed = (n_found == 1 and found[0] == (target.md, target.c))
     return CliffordZeroReport(d, X.ctx.p, passed,
@@ -410,12 +401,16 @@ def reduce_curve_mod(X: BinaryCurve, p: int) -> BinaryCurve:
         raise ValueError(f"bad reduction mod {p}: {exc}") from None
 
 
-def _growth_exponent_ok(p1, n1, p2, n2, k, tol_hundredths=35) -> bool:
+# largest residual |exponent - rounded| accepted as a dimension, in 1/100
+GROWTH_TOL_HUNDREDTHS = 35
+
+
+def _growth_exponent_ok(p1, n1, p2, n2, k) -> bool:
     # |log(n2/n1)/log(p2/p1) - k| <= tol, decided in exact integer arithmetic
     base = Fraction(p2, p1)
     ratio = Fraction(n2, n1) ** 100
-    return (base ** (100 * k - tol_hundredths) <= ratio
-            <= base ** (100 * k + tol_hundredths))
+    return (base ** (100 * k - GROWTH_TOL_HUNDREDTHS) <= ratio
+            <= base ** (100 * k + GROWTH_TOL_HUNDREDTHS))
 
 
 @dataclass
@@ -434,15 +429,16 @@ class DimEstimate:
 
 
 def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
-    """Growth-exponent dimension proxy from counts at >= 2 primes.
+    """Growth-exponent dimension proxy from counts at >= 2 distinct primes
+    (a repeated prime is scanned once).
 
     Uses the widest prime pair for the headline exponent. The rounding
     verdict is computed in exact arithmetic; the float fields are display
     only. Residual above 0.35 is reported as inconclusive, not as failure.
     """
-    primes = sorted(primes)
+    primes = sorted(set(primes))
     if len(primes) < 2:
-        raise ValueError("need at least two primes")
+        raise ValueError("need at least two distinct primes")
     counts = []
     for p in primes:
         Xp = reduce_curve_mod(X, p)
@@ -585,17 +581,6 @@ class VeryAmpleReport:
     pq_failures: tuple       # sampled smooth pairs violating the g-2 value
     node_failures: tuple     # (node, which-check, got, expected)
     n_pq_samples: int
-    seed: int | None = None
-
-    def to_json(self):
-        return {"g": self.g, "p": self.p,
-                "hyperelliptic": self.hyperelliptic,
-                "very_ample": self.very_ample, "passed": self.passed,
-                "n_pq_samples": self.n_pq_samples,
-                "pq_failures": [list(map(str, f)) for f in self.pq_failures],
-                "node_failures": [list(map(str, f))
-                                  for f in self.node_failures],
-                "seed": self.seed}
 
 
 def verify_canonical_very_ample(X: BinaryCurve, rng: Rng,

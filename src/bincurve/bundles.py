@@ -8,7 +8,8 @@ is literal equality and each md-torus is exactly (k*)^g.
 """
 from __future__ import annotations
 
-from .curve import BinaryCurve, MoebiusMap, ProjPoint, normalize_at
+from .curve import (BinaryCurve, MoebiusMap, ProjPoint, is_hyperelliptic_fast,
+                    normalize_at)
 from .fields import FieldCtx
 from .rng import Rng
 
@@ -329,8 +330,6 @@ def hyperelliptic_class(X: BinaryCurve) -> LineBundle:
     O(1): with N = matrix of psi^{-1} and N·rep(q_j) = mu_j·rep(p_j), linear
     forms pull back to pairs (l, l∘N) and the gluing is c_j = mu_j^{-1}.
     """
-    from .curve import is_hyperelliptic_fast
-
     flag, psi = is_hyperelliptic_fast(X)
     if not flag:
         raise ValueError("curve is not hyperelliptic")

@@ -17,6 +17,7 @@ from .brill_noether import SCAN_VERSION
 from .reports import canonical_json
 
 ENV_VAR = "BINCURVE_CACHE_DIR"
+CACHE_FILE = "bn.jsonl"
 
 
 def cache_dir() -> str:
@@ -38,10 +39,9 @@ def bn_key(curve_json: dict, field_json: dict, md, r: int) -> str:
 
 
 class JsonlCache:
-    def __init__(self, directory: str | None = None,
-                 filename: str = "bn.jsonl"):
+    def __init__(self, directory: str | None = None):
         self.directory = directory if directory is not None else cache_dir()
-        self.path = os.path.join(self.directory, filename)
+        self.path = os.path.join(self.directory, CACHE_FILE)
 
     def lookup(self, key: str):
         try:

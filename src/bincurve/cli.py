@@ -33,7 +33,10 @@ def _parse_md(text: str):
 
 
 def _parse_primes(text: str):
-    return tuple(int(t) for t in text.split(",") if t)
+    primes = tuple(int(t) for t in text.split(",") if t)
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no prime in {text!r}")
+    return primes
 
 
 def _int_at_least(lo: int):

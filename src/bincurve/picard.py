@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .bundles import LineBundle
+from . import cohomology
+from .bundles import LineBundle, enumerate_bundles
 from .curve import BinaryCurve, normalize_at
 
 
@@ -146,13 +147,11 @@ def h0_bar(pt) -> int:
         if m.denominator != 1:
             raise RuntimeError("degeneration point with non-integral bound")
         return 2 * max(0, int(m) + 1)
-    from . import cohomology
     return cohomology.h0(pt.M)
 
 
 def stratum_points(X: BinaryCurve, st: Stratum):
     """All [M, S] points of one stratum over a finite field ((p-1)^{g-e} classes)."""
-    from .bundles import enumerate_bundles
     Y, _ = normalize_at(X, st.S)
     for M in enumerate_bundles(Y, st.md):
         yield PicardPoint(st.S, M)

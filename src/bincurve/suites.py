@@ -11,14 +11,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import cohomology
-from .brill_noether import (BNQuery, bn_enumerate, bn_suite, clifford_index,
-                            clifford_zero_classification, estimate_dim,
-                            martens_bound, predicted_empty, torus_h0,
+from .brill_noether import (BNQuery, assemble_Wbar, bn_enumerate, bn_suite,
+                            clifford_index, clifford_zero_classification,
+                            estimate_dim, martens_bound, predicted_empty,
+                            reduce_curve_mod, torus_h0,
                             verify_canonical_very_ample)
 from .bundles import (LineBundle, canonical_bundle, dual, hyperelliptic_class,
                       tensor, trivial)
-from .curve import (BinaryCurve, is_hyperelliptic_fast, normalize_at,
-                    random_curve, random_hyperelliptic_curve, standard_curve)
+from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
+                    normalize_at, random_curve, random_hyperelliptic_curve,
+                    standard_curve)
 from .fields import PrimeField, Rationals
 from .picard import (Ell0, Stratum, balanced_set, closure_leq,
                      enumerate_strata, picard_type)
@@ -52,7 +54,6 @@ def _suite_curves(g: int, ctx, rng: Rng):
     """Deterministic fixtures: the standard (hyperelliptic) curve plus, for
     g >= 3, one seeded random curve (generically not hyperelliptic)."""
     if g == 0:
-        from .curve import ProjPoint
         inf = ProjPoint.infinity(ctx)
         return [BinaryCurve(ctx, [(inf, inf)])]
     curves = [standard_curve(g, ctx)]
@@ -328,7 +329,6 @@ def _int_hyp_curve(g: int) -> BinaryCurve:
 
 
 def _int_nonhyp_curve4() -> BinaryCurve:
-    from .curve import ProjPoint
     ctx = Rationals()
     a = [ProjPoint.finite(ctx, ctx.from_int(i)) for i in range(4)]
     a.append(ProjPoint.infinity(ctx))
@@ -339,11 +339,6 @@ def _int_nonhyp_curve4() -> BinaryCurve:
 MARTENS_PRIMES = (13, 23)
 
 
-def _reduced(X: BinaryCurve, p: int) -> BinaryCurve:
-    from .brill_noether import reduce_curve_mod
-    return reduce_curve_mod(X, p)
-
-
 def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
     """Dimension predictions in the window 2 <= d <= g-1 via growth exponents:
     exactly d-2r on a hyperelliptic curve, at most d-2r-1 otherwise, and the
@@ -352,9 +347,9 @@ def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
     md, r = (1, 2), 1
     Xh = _int_hyp_curve(4)
     Xn = _int_nonhyp_curve4()
-    if is_hyperelliptic_fast(_reduced(Xh, primes[0]))[0] is not True:
+    if is_hyperelliptic_fast(reduce_curve_mod(Xh, primes[0]))[0] is not True:
         problems.append({"kind": "fixture", "detail": "hyp fixture broken"})
-    if is_hyperelliptic_fast(_reduced(Xn, primes[0]))[0] is not False:
+    if is_hyperelliptic_fast(reduce_curve_mod(Xn, primes[0]))[0] is not False:
         problems.append({"kind": "fixture", "detail": "nonhyp fixture broken"})
 
     pred_h = martens_bound(4, md, r, hyperelliptic=True)
@@ -373,7 +368,7 @@ def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
                          "estimate": est_n.to_json()})
     pred_e = martens_bound(4, (0, 3), 1, hyperelliptic=True)
     empty_ok = pred_e.kind == "empty"
-    Xp = _reduced(Xh, primes[0])
+    Xp = reduce_curve_mod(Xh, primes[0])
     empty_ok = empty_ok and bn_enumerate(
         Xp, BNQuery((0, 3), 1), witness_cap=1).count == 0
     if not empty_ok:
@@ -393,7 +388,7 @@ def suite_theta(seed=DEFAULT_SEED, ps=(7, 11, 23)):
     counts = {}
     problems = []
     for p in ps:
-        Xp = _reduced(X, p)
+        Xp = reduce_curve_mod(X, p)
         rep = bn_enumerate(Xp, BNQuery((1, 1), 1), witness_cap=2)
         counts[p] = rep.count
         if rep.count != 1:
@@ -485,7 +480,6 @@ def _check_partial_order(strata) -> bool:
 
 def suite_wbar(seed=DEFAULT_SEED, p=7):
     """Stratum combinatorics and boundary-locus assembly."""
-    from .brill_noether import assemble_Wbar
     rng = Rng(seed)
     ctx = PrimeField(p)
     problems = []

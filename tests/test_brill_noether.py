@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
@@ -10,9 +10,9 @@ from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
                                     merge_reports, predicted_empty,
                                     reduce_curve_mod, rho, split_ranges,
                                     torus_h0)
-from bincurve.bundles import (canonical_bundle, enumerate_bundles,
+from bincurve.bundles import (LineBundle, canonical_bundle, enumerate_bundles,
                               hyperelliptic_class)
-from bincurve.cohomology import h0, rows_for_gluing
+from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
 from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
@@ -341,6 +341,96 @@ def test_estimate_dim_verdicts():
     assert est2.kind == "empty"
     with pytest.raises(ValueError):
         estimate_dim(X, BNQuery((1, 1), 1), (7,))  # needs two primes
+    with pytest.raises(ValueError, match="two distinct primes"):
+        estimate_dim(X, BNQuery((1, 1), 1), (13, 13))
+    # a repeated prime is scanned once
+    assert estimate_dim(X, BNQuery((1, 1), 1), [11, 7, 7]) == est
+
+
+@st.composite
+def integral_models(draw):
+    """A curve over Q with integer (or infinite) branch points and a bundle
+    with integral gluing; the integers stay small so most primes are good."""
+    g = draw(st.integers(1, 3))
+    coords = st.lists(st.none() | st.integers(-5, 5), min_size=g + 1,
+                      max_size=g + 1, unique=True)
+    glue = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=g + 1,
+                         max_size=g + 1))
+    md = (draw(st.integers(-1, g + 1)), draw(st.integers(-1, g + 1)))
+    return draw(coords), draw(coords), glue, md
+
+
+def _points(ctx, coords):
+    return [ProjPoint.infinity(ctx) if a is None
+            else ProjPoint.finite(ctx, ctx.from_int(a)) for a in coords]
+
+
+def _reduce_vector(vec, p):
+    """Entrywise reduction of a Fraction vector, None if not p-integral."""
+    if any(x.denominator % p == 0 for x in vec):
+        return None
+    return tuple(x.numerator * pow(x.denominator, -1, p) % p for x in vec)
+
+
+def test_q_model_h0_and_sections_reduce_mod_p():
+    """Semicontinuity: h0 over Q <= h0 of the reduction at every good prime
+    (the curve reduces without collisions and every gluing value is a
+    unit). Where the two agree and the Q kernel basis is p-integral, that
+    basis reduces entrywise to exactly the mod-p SectionSpace basis: both
+    are the canonical basis of the same pivot columns. (With equal h0 the
+    pivot columns can still move mod p, e.g. for the row [p, 1, 1]; the Q
+    basis then has p in a denominator and is not compared.)"""
+    seen = {"jump": 0, "basis": 0}
+
+    # g = 1, md (0,0): rows [1 | -c_j], rank 1 mod 5 where 1 = 6, else 2;
+    # md (1,1) keeps h0 = 2 at every prime
+    @example(([0, 1], [0, 1], [1, 6], (0, 0)))
+    @example(([0, 1], [0, 1], [1, 6], (1, 1)))
+    @settings(max_examples=60, deadline=None)
+    @given(integral_models())
+    def check(model):
+        left, right, glue, md = model
+        Q = Rationals()
+        XQ = BinaryCurve(Q, list(zip(_points(Q, left), _points(Q, right))))
+        SQ = SectionSpace(LineBundle(XQ, md, [Q.from_int(c) for c in glue]))
+        assert SQ.dim == h0(SQ.bundle)
+        for p in (5, 7, 11, 13):
+            if any(c % p == 0 for c in glue):
+                continue
+            try:
+                Xp = reduce_curve_mod(XQ, p)
+            except ValueError:
+                continue   # two branch points collide mod p
+            Sp = SectionSpace(LineBundle(Xp, md, [c % p for c in glue]))
+            assert SQ.dim <= Sp.dim
+            seen["jump"] += SQ.dim < Sp.dim
+            reduced = [_reduce_vector(f + hpart, p) for f, hpart in SQ.basis]
+            if SQ.dim == Sp.dim and None not in reduced:
+                assert reduced == [f + hpart for f, hpart in Sp.basis]
+                seen["basis"] += SQ.dim > 0
+
+    check()
+    assert seen["jump"] and seen["basis"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(integral_models(), st.integers(0, 1))
+def test_estimate_dim_counts_equal_direct_fp_scans(model, r):
+    """estimate_dim reduces the Q curve with reduce_curve_mod and counts
+    with torus_h0; the reference builds each F_p curve from the integers
+    directly and counts with generic h0 over enumerate_bundles. Branch
+    points lie in [-5, 5], so they stay distinct mod 11 and 13."""
+    left, right, _, md = model
+    Q = Rationals()
+    XQ = BinaryCurve(Q, list(zip(_points(Q, left), _points(Q, right))))
+    counts = []
+    for p in (11, 13):
+        F = PrimeField(p)
+        Xp = BinaryCurve(F, list(zip(_points(F, left), _points(F, right))))
+        counts.append(sum(1 for L in enumerate_bundles(Xp, md)
+                          if h0(L) >= r + 1))
+    est = estimate_dim(XQ, BNQuery(md, r), (13, 11))
+    assert est.primes == (11, 13) and est.counts == tuple(counts)
 
 
 def test_abel_degree_one_never_moves():

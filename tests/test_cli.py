@@ -271,6 +271,17 @@ def test_verify_rejects_flags_the_suite_does_not_take(capsys, argv, flag):
     assert f"verify {argv[1]} takes no {flag}" in out.err
 
 
+@pytest.mark.parametrize("primes,message", [
+    ("13,13", "need at least two distinct primes"),
+    (",", "no prime in ','"),
+])
+def test_verify_martens_needs_two_distinct_primes(capsys, primes, message):
+    assert main(["verify", "martens", "--primes", primes]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert message in out.err
+
+
 def test_verify_accepts_plumbing_flags_everywhere(tmp_path, capsys):
     # riemann takes neither --jobs nor --out; both stay accepted
     out = tmp_path / "r.json"

@@ -12,7 +12,7 @@ from .curve import (BinaryCurve, MoebiusMap, ProjPoint, hyperelliptic_witness_no
 from .bundles import (EffectiveDivisor, LineBundle, apply_moebius, bundle_at,
                       bundle_count, bundle_from_json, canonical_bundle, dual,
                       enumerate_bundles, from_divisor, hyperelliptic_class,
-                      is_isomorphic, move_curve, power, random_bundle,
+                      is_isomorphic, power, random_bundle,
                       restrict_to_normalization, scale, tensor, trivial)
 from .cohomology import (BaseLocus, DescentResult, SectionSpace, base_locus,
                          descend, gluing_profile, h0, h0_vanishing, h1,

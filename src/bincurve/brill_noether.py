@@ -362,15 +362,16 @@ class MartensPrediction:
 
 def martens_bound(g: int, md, r: int, hyperelliptic: bool) -> MartensPrediction:
     """Predicted dimension of W^r on md: exact d-2r when hyperelliptic,
-    else at most d-2r-1; empty when r exceeds a component degree.
-    Only meaningful in the window 2 <= d <= g-1, 0 < 2r <= d.
+    else at most d-2r-1; empty where predicted_empty says so, which
+    rejects an unbalanced md with ValueError. Only meaningful in the window
+    2 <= d <= g-1, 0 < 2r <= d.
     """
     d = md[0] + md[1]
     if not (2 <= d <= g - 1):
         raise ValueError("need 2 <= d <= g-1")
     if not (0 < 2 * r <= d):
         raise ValueError("need 0 < 2r <= d")
-    if r > min(md):
+    if predicted_empty(md, r, g):
         return MartensPrediction("empty", None)
     if hyperelliptic:
         return MartensPrediction("exact", d - 2 * r)
@@ -506,6 +507,10 @@ def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
     return AbelStats(tuple(md), X.ctx.p, trials, ones, hist)
 
 
+# witnesses kept per stratum in a WbarReport
+WBAR_WITNESS_CAP = 8
+
+
 @dataclass
 class WbarStratum:
     S: tuple
@@ -543,8 +548,7 @@ class WbarReport:
                 "ell0_h0": self.ell0_h0, "ell0_excluded": self.ell0_excluded}
 
 
-def assemble_Wbar(X: BinaryCurve, d: int, r: int,
-                  witness_cap: int = 8) -> WbarReport:
+def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
     """Per-stratum W^r counts across the compactified Picard scheme.
 
     Requires d <= r+g-1: in that range the identified point of the
@@ -564,7 +568,8 @@ def assemble_Wbar(X: BinaryCurve, d: int, r: int,
             ell0_excluded = ell0_h0 < r + 1
             continue
         Y, _ = normalize_at(X, st.S)
-        rep = bn_enumerate(Y, BNQuery(st.md, r), witness_cap=witness_cap)
+        rep = bn_enumerate(Y, BNQuery(st.md, r),
+                           witness_cap=WBAR_WITNESS_CAP)
         rows.append(WbarStratum(st.S, st.md, st.dim, rep.count,
                                 rep.witnesses))
     return WbarReport(d, r, X.ctx.p, picard_type(d, g), tuple(rows),

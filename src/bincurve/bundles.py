@@ -8,7 +8,7 @@ is literal equality and each md-torus is exactly (k*)^g.
 """
 from __future__ import annotations
 
-from .curve import (BinaryCurve, MoebiusMap, ProjPoint, is_hyperelliptic_fast,
+from .curve import (BinaryCurve, MoebiusMap, det, is_hyperelliptic_fast,
                     normalize_at)
 from .fields import FieldCtx
 from .rng import Rng
@@ -215,19 +215,13 @@ class EffectiveDivisor:
         return f"EffectiveDivisor({list(self.entries)!r})"
 
 
-def _linear_factor_at(ctx, root: ProjPoint, pt: ProjPoint):
-    # value at rep(pt) of the degree-1 form vanishing exactly at `root`
-    if root.is_infinity():
-        return pt.b
-    return ctx.sub(pt.a, ctx.mul(root.a, pt.b))
-
-
 def from_divisor(X: BinaryCurve, D: EffectiveDivisor) -> LineBundle:
     """O_X(D): gluing c_j = A(p_j)/B(q_j), A and B the forms cutting out D.
 
-    Works with homogeneous linear factors, so points at infinity need no
-    special casing; at finite points this is the monic-polynomial ratio.
-    The pair (A, B) itself is a section, so h0 >= 1 always.
+    Each point contributes the homogeneous linear factor det(-, pt), so
+    points at infinity need no special casing; at finite points this is the
+    monic-polynomial ratio. The pair (A, B) itself is a section, so h0 >= 1
+    always.
     """
     if not X.same_curve(D.curve):
         raise ValueError("divisor lives on a different curve")
@@ -238,16 +232,11 @@ def from_divisor(X: BinaryCurve, D: EffectiveDivisor) -> LineBundle:
         den = ctx.one
         for comp, pt, mult in D.entries:
             if comp == 1:
-                num = ctx.mul(num, ctx.pow(_linear_factor_at(ctx, pt, p), mult))
+                num = ctx.mul(num, ctx.pow(det(ctx, p, pt), mult))
             else:
-                den = ctx.mul(den, ctx.pow(_linear_factor_at(ctx, pt, q), mult))
+                den = ctx.mul(den, ctx.pow(det(ctx, q, pt), mult))
         c.append(ctx.div(num, den))
     return LineBundle(X, D.multidegree, c)
-
-
-def move_curve(X: BinaryCurve, M1: MoebiusMap, M2: MoebiusMap) -> BinaryCurve:
-    nodes = [(M1.apply(p), M2.apply(q)) for p, q in X.nodes]
-    return BinaryCurve(X.ctx, nodes)
 
 
 def apply_moebius(L: LineBundle, M1: MoebiusMap, M2: MoebiusMap) -> LineBundle:
@@ -268,52 +257,35 @@ def apply_moebius(L: LineBundle, M1: MoebiusMap, M2: MoebiusMap) -> LineBundle:
     return LineBundle(BinaryCurve(ctx, nodes), (d1, d2), c)
 
 
-def _finitizing_map(ctx, pts) -> MoebiusMap:
-    """Moebius map sending every listed point to a finite one (t -> 1/(t-a))."""
-    if not any(pt.is_infinity() for pt in pts):
-        return MoebiusMap.identity(ctx)
-    finite = {pt.a for pt in pts if not pt.is_infinity()}
-    limit = ctx.p if ctx.is_prime_field() else len(finite) + 1
-    for n in range(limit):
-        a = ctx.from_int(n)
-        if a not in finite:
-            return MoebiusMap(ctx, ctx.zero, ctx.one, ctx.one, ctx.neg(a))
-    raise ValueError("no free coordinate left for re-coordination")
-
-
 def canonical_bundle(X: BinaryCurve) -> LineBundle:
-    """Dualizing bundle, md (g-1, g-1).
+    """Dualizing bundle, md (g-1, g-1), from homogeneous residues.
 
     Sections are pairs of differentials with simple poles along the nodes and
-    opposite residues there; with all branch points finite that forces
-    c_j = -prod_{k != j}(p_j - p_k) / prod_{k != j}(q_j - q_k). Non-finite
-    branch points are moved away first and the gluing transported back.
+    opposite residues there. On C1 such a differential is f·(x dy - y dx)/F
+    with F = prod_k det((x, y), rep(p_k)); its residue at p_j is
+    -f(rep(p_j)) / prod_{k != j} det(rep(p_j), rep(p_k)), the same expression
+    at finite points and at infinity, and likewise on C2. Opposite residues
+    force
+        c_j = -prod_{k != j} det(p_j, p_k) / prod_{k != j} det(q_j, q_k),
+    with det(u, v) = u.a·v.b - u.b·v.a (p_j - p_k when both are finite).
     Verifies h0 = g before returning.
     """
     g = X.genus
     if g < 1:
         raise ValueError("canonical bundle construction needs g >= 1")
     ctx = X.ctx
-    A = _finitizing_map(ctx, X.branch_points(1))
-    B = _finitizing_map(ctx, X.branch_points(2))
-    X2 = move_curve(X, A, B)
-    ps = [p.a for p in X2.branch_points(1)]
-    qs = [q.a for q in X2.branch_points(2)]
-    c2 = []
+    ps = X.branch_points(1)
+    qs = X.branch_points(2)
+    c = []
     for j in range(g + 1):
         num = ctx.one
         den = ctx.one
         for k in range(g + 1):
             if k != j:
-                num = ctx.mul(num, ctx.sub(ps[j], ps[k]))
-                den = ctx.mul(den, ctx.sub(qs[j], qs[k]))
-        c2.append(ctx.neg(ctx.div(num, den)))
-    L2 = LineBundle(X2, (g - 1, g - 1), c2)
-    L = apply_moebius(L2, A.inverse(), B.inverse())
-    if not L.curve.same_curve(X):
-        raise RuntimeError("canonical bundle: coordinate change did not "
-                           "return to the original curve")
-    L = LineBundle(X, L.md, L.c)
+                num = ctx.mul(num, det(ctx, ps[j], ps[k]))
+                den = ctx.mul(den, det(ctx, qs[j], qs[k]))
+        c.append(ctx.neg(ctx.div(num, den)))
+    L = LineBundle(X, (g - 1, g - 1), c)
 
     from . import cohomology  # deferred: cohomology builds bundles via descend
     got = cohomology.h0(L)

@@ -55,11 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-component nodal curves.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_curve=True):
-        if need_curve:
-            p.add_argument("--curve", help="curve JSON file")
-            p.add_argument("--random-genus", type=int, metavar="G",
-                           help="seeded random curve instead of a file")
+    def add_common(p):
+        p.add_argument("--curve", help="curve JSON file")
+        p.add_argument("--random-genus", type=int, metavar="G",
+                       help="seeded random curve instead of a file")
         p.add_argument("--p", type=int, help="prime field F_p")
         p.add_argument("--field", choices=["Q"], help="rationals")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)

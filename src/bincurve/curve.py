@@ -48,6 +48,13 @@ class ProjPoint:
         return "oo" if self.is_infinity() else f"({self.a})"
 
 
+def det(ctx: FieldCtx, u: ProjPoint, v: ProjPoint):
+    """u.a·v.b - u.b·v.a at the fixed representatives: the value at rep(u)
+    of the degree-1 form vanishing exactly at v (u.a - v.a when both are
+    finite)."""
+    return ctx.sub(ctx.mul(u.a, v.b), ctx.mul(u.b, v.a))
+
+
 def point_to_json(ctx: FieldCtx, pt: ProjPoint):
     return [ctx.fmt(pt.a), ctx.fmt(pt.b)]
 
@@ -168,10 +175,6 @@ class MoebiusMap:
         self.m = (ctx.mul(m00, inv), ctx.mul(m01, inv),
                   ctx.mul(m10, inv), ctx.mul(m11, inv))
 
-    @classmethod
-    def identity(cls, ctx: FieldCtx) -> "MoebiusMap":
-        return cls(ctx, ctx.one, ctx.zero, ctx.zero, ctx.one)
-
     def apply_raw(self, pt: ProjPoint):
         """Image coordinates before normalization: M · (a, b)^T."""
         ctx = self.ctx
@@ -225,10 +228,10 @@ class MoebiusMap:
 
 def _to_standard_triple(ctx, v1: ProjPoint, v2: ProjPoint, v3: ProjPoint) -> MoebiusMap:
     # sends v1,v2,v3 to (1,0),(0,1),(1,1); needs the three points distinct
-    det = ctx.sub(ctx.mul(v1.a, v2.b), ctx.mul(v1.b, v2.a))
-    if det == ctx.zero:
+    d12 = det(ctx, v1, v2)
+    if d12 == ctx.zero:
         raise ValueError("points not distinct")
-    inv = ctx.inv(det)
+    inv = ctx.inv(d12)
     # [v1 v2]^{-1}
     n00, n01 = ctx.mul(v2.b, inv), ctx.neg(ctx.mul(v2.a, inv))
     n10, n11 = ctx.neg(ctx.mul(v1.b, inv)), ctx.mul(v1.a, inv)

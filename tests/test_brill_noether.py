@@ -315,6 +315,17 @@ def test_martens_bound_window():
         martens_bound(4, (2, 3), 1, True)    # d = 5 > g-1
     with pytest.raises(ValueError):
         martens_bound(4, (1, 2), 0, True)    # r must be positive
+    # an unbalanced md has no emptiness verdict: on a g = 5 curve every
+    # class of the (-3, 7) torus has h0 = 2, so "empty" would be wrong
+    with pytest.raises(ValueError):
+        martens_bound(5, (-3, 7), 1, True)
+    # on balanced md the verdict is r > min(md) throughout the window
+    for g in range(3, 12):
+        for d in range(2, g):
+            for r in range(1, d // 2 + 1):
+                for md in balanced_set(d, g):
+                    empty = martens_bound(g, md, r, True).kind == "empty"
+                    assert empty == (r > min(md))
 
 
 def test_reduce_curve_mod():

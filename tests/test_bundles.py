@@ -13,13 +13,17 @@ from bincurve.bundles import (EffectiveDivisor, LineBundle, apply_moebius,
                               is_isomorphic, power, random_bundle,
                               restrict_to_normalization, scale, tensor,
                               trivial)
-from bincurve.cohomology import h0
-from bincurve.curve import ProjPoint, random_curve, standard_curve
+from bincurve.brill_noether import torus_h0
+from bincurve.cohomology import h0, h0_vanishing
+from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
+                            random_moebius, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.rng import Rng
 
+F5 = PrimeField(5)
 F7 = PrimeField(7)
 F11 = PrimeField(11)
+F13 = PrimeField(13)
 
 
 def test_gluing_canonicalized_to_last_coordinate_one():
@@ -104,13 +108,48 @@ def test_from_divisor_has_section_and_right_degree():
     assert h0(L) >= 1
 
 
-def test_from_divisor_infinity_agrees_with_finite_formula():
-    # moving a finite divisor by t -> t (no-op) keeps the class; compare a
-    # divisor at infinity against its image under a coordinate change
-    X = standard_curve(2, F7)
-    D = EffectiveDivisor(X, [(1, ProjPoint.finite(F7, 4), 1)])
+def _points_of_line(ctx):
+    return [ProjPoint.finite(ctx, a) for a in range(ctx.p)] + [
+        ProjPoint.infinity(ctx)]
+
+
+def _curve_from_sides(ctx, g, rng, avoid=(None, None)):
+    # g+1 random branch points per side, drawn from all of P^1(F_p) except
+    # the side's `avoid` point, so infinity lands on either side or both
+    sides = []
+    for skip in avoid:
+        pool = [pt for pt in _points_of_line(ctx) if pt != skip]
+        sides.append(rng.distinct(pool, g + 1))
+    return BinaryCurve(ctx, list(zip(*sides)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_from_divisor_infinity_agrees_with_finite_formula(seed):
+    # a divisor through infinity, moved by random coordinate changes, gives
+    # the transported class; and O(D)(-D) = O_X has exactly one section
+    rng = Rng(seed)
+    ctx = rng.choice([F11, F13])   # p > 8 >= d_i + 1 for the derivative rows
+    g = rng.below(4)
+    inf = ProjPoint.infinity(ctx)
+    at_inf = 1 + rng.below(2)            # component carrying a point at oo
+    X = _curve_from_sides(ctx, g, rng,
+                          avoid=(inf, None) if at_inf == 1 else (None, inf))
+    entries = [(at_inf, inf, 1 + rng.below(3))]
+    for comp in (1, 2):
+        pool = [pt for pt in X.smooth_points(comp) if pt != inf]
+        for pt in rng.distinct(pool, rng.below(3)):
+            entries.append((comp, pt, 1 + rng.below(2)))
+    D = EffectiveDivisor(X, entries)
     L = from_divisor(X, D)
-    assert h0(L) == 1
+    assert h0_vanishing(L, D) == 1
+
+    M1, M2 = random_moebius(ctx, rng), random_moebius(ctx, rng)
+    Lm = apply_moebius(L, M1, M2)
+    Dm = EffectiveDivisor(Lm.curve, [
+        (comp, (M1 if comp == 1 else M2).apply(pt), m)
+        for comp, pt, m in D.entries])
+    assert from_divisor(Lm.curve, Dm) == Lm
 
 
 def test_canonical_bundle_degree_and_sections():
@@ -122,6 +161,32 @@ def test_canonical_bundle_degree_and_sections():
             assert h0(w) == g
     X = random_curve(4, F11, Rng(9))
     assert h0(canonical_bundle(X)) == 4
+
+
+def test_canonical_bundle_when_branch_points_fill_the_line():
+    # g = p: each side's branch points are all of P^1(F_p), so no Moebius
+    # map can move infinity to a free coordinate; the residue formula needs
+    # none, and its class is the only one of md (g-1, g-1) with h0 >= g
+    for ctx, seed in ((F5, 1), (F5, 2), (F7, 3)):
+        g = ctx.p
+        X = _curve_from_sides(ctx, g, Rng(seed))
+        w = canonical_bundle(X)
+        assert w.md == (g - 1, g - 1) and h0(w) == g
+        hits = [c for c, _ in torus_h0(X, w.md, at_least=g)]
+        assert hits == [w.c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_canonical_bundle_is_moebius_equivariant(seed):
+    # infinity among the branch points on either side, before or after the
+    # move: transporting omega_X gives omega of the moved curve
+    rng = Rng(seed)
+    ctx = rng.choice([F7, F11])
+    X = _curve_from_sides(ctx, 1 + rng.below(5), rng)
+    w = canonical_bundle(X)
+    wm = apply_moebius(w, random_moebius(ctx, rng), random_moebius(ctx, rng))
+    assert canonical_bundle(wm.curve) == wm
 
 
 def test_hyperelliptic_class_has_two_sections():
@@ -143,7 +208,6 @@ def test_hyperelliptic_class_squares_to_canonical_when_g3():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_moebius_transport_preserves_h0(seed):
-    from bincurve.curve import random_moebius
     rng = Rng(seed)
     X = random_curve(2, F11, rng)
     L = random_bundle(X, (rng.below(4) - 1, rng.below(4) - 1), rng)

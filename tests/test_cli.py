@@ -282,6 +282,14 @@ def test_verify_martens_needs_two_distinct_primes(capsys, primes, message):
     assert message in out.err
 
 
+def test_verify_clifford_when_branch_points_fill_the_line(capsys):
+    # g = p = 5: each side's six branch points are all of P^1(F_5), and the
+    # suite pins its result to the canonical bundle
+    code, rep, err = run(capsys, "verify", "clifford", "--g", "5", "--p", "5")
+    assert code == 0, err
+    assert rep["report"]["passed"] is True
+
+
 def test_verify_accepts_plumbing_flags_everywhere(tmp_path, capsys):
     # riemann takes neither --jobs nor --out; both stay accepted
     out = tmp_path / "r.json"

@@ -1,19 +1,20 @@
-"""Append-only JSON-lines cache for enumeration results.
+"""Append-only JSON-lines cache for `bn` reports.
 
-One line per entry: {"key": sha256-hex, "value": {...}}. Later lines win,
+One line per entry: {"key": sha256-hex, "value": report}. Later lines win,
 so corrections are appends, never rewrites. A lookup parses only the lines
-that contain the key's JSON text, then compares the parsed key. The key
-hashes the canonical JSON of (curve, field, md, r, scan version), so an
-entry written by another version of the torus scan is never served; the
-value stores the witness cap and the report (count and capped witnesses).
+that contain the key's JSON text, then compares the parsed key; a line that
+does not parse, or is not an object whose value is an object, is skipped.
+The key hashes every input of the report (the curve JSON, which carries the
+field, md, r and the witness cap) together with a digest of this package's
+sources, so an entry written by other code is never served.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 
-from .brill_noether import SCAN_VERSION
 from .reports import canonical_json
 
 ENV_VAR = "BINCURVE_CACHE_DIR"
@@ -27,13 +28,26 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "bincurve")
 
 
-def bn_key(curve_json: dict, field_json: dict, md, r: int) -> str:
+@functools.cache
+def code_digest() -> str:
+    """sha256 over the package's *.py files in name order, each hashed as
+    its name, its length in bytes and its bytes; computed once per process."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
+    return h.hexdigest()
+
+
+def bn_key(curve_json: dict, md, r: int, witness_cap: int) -> str:
     material = canonical_json({
         "curve": curve_json,
-        "field": field_json,
         "md": list(md),
         "r": r,
-        "scan_version": SCAN_VERSION,
+        "witness_cap": witness_cap,
+        "code": code_digest(),
     })
     return hashlib.sha256(material.encode("ascii")).hexdigest()
 
@@ -43,7 +57,7 @@ class JsonlCache:
         self.directory = directory if directory is not None else cache_dir()
         self.path = os.path.join(self.directory, CACHE_FILE)
 
-    def lookup(self, key: str):
+    def lookup(self, key: str) -> dict | None:
         try:
             fh = open(self.path, "r", encoding="ascii")
         except FileNotFoundError:
@@ -60,8 +74,10 @@ class JsonlCache:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn write; later entries still count
-                if entry.get("key") == key:
-                    value = entry.get("value")
+                # a line of another shape is skipped like a torn one
+                if (isinstance(entry, dict) and entry.get("key") == key
+                        and isinstance(entry.get("value"), dict)):
+                    value = entry["value"]
         return value
 
     def store(self, key: str, value: dict):

@@ -228,42 +228,32 @@ def cmd_clifford(args) -> int:
     return 0
 
 
-def _bn_shard(blob):
-    curve_json, md, r, lo, hi, cap = blob
-    X = BinaryCurve.from_json(curve_json)
-    return bn_enumerate(X, BNQuery(tuple(md), r), witness_cap=cap,
-                        index_range=(lo, hi))
+def _bn_shard(job):
+    X, q, cap, index_range = job
+    return bn_enumerate(X, q, witness_cap=cap, index_range=index_range)
 
 
 def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
     # --jobs 1 runs the same shard and merge code, in this process
-    blobs = [(X.to_json(), list(q.md), q.r, lo, hi, cap)
-             for lo, hi in split_ranges(bundle_count(X), jobs)]
-    return merge_reports(pool_map(_bn_shard, blobs, jobs))
+    shards = [(X, q, cap, rg) for rg in split_ranges(bundle_count(X), jobs)]
+    return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 
 def cmd_bn(args) -> int:
     X = _load_curve(args)
     q = BNQuery(args.md, args.r)
     cache = None if args.no_cache else JsonlCache()
-    key = bn_key(X.to_json(), field_to_json(X.ctx), list(q.md), q.r)
-    payload = None
+    key = bn_key(X.to_json(), q.md, q.r, args.witness_cap)
+    payload = cache.lookup(key) if cache is not None else None
     audit = None
-    if cache is not None:
-        hit = cache.lookup(key)
-        if hit is not None and hit.get("witness_cap") == args.witness_cap:
-            payload = hit["report"]
-            if args.audit:
-                fresh = _bn_compute(X, q, args.witness_cap, args.jobs).to_json()
-                match = fresh == payload
-                audit = {"checked": True, "match": match}
-                if not match:
-                    payload = fresh
+    if payload is not None and args.audit:
+        fresh = _bn_compute(X, q, args.witness_cap, args.jobs).to_json()
+        audit = {"checked": True, "match": fresh == payload}
+        payload = fresh
     if payload is None:
         payload = _bn_compute(X, q, args.witness_cap, args.jobs).to_json()
         if cache is not None:
-            cache.store(key, {"witness_cap": args.witness_cap,
-                              "report": payload})
+            cache.store(key, payload)
     if audit is not None:
         payload = {**payload, "audit": audit}
     cfg = {**_curve_config(args, X), "md": list(q.md), "r": q.r,

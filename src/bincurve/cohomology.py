@@ -106,7 +106,7 @@ def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
 
 def h0(L: LineBundle) -> int:
     rows, k1, k2 = _section_matrix(L)
-    return k1 + k2 - rank_rows(L.ctx, rows, k1 + k2)
+    return k1 + k2 - rank_rows(L.ctx, rows)
 
 
 def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
@@ -114,7 +114,7 @@ def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
     if not L.curve.same_curve(D.curve):
         raise ValueError("divisor lives on a different curve")
     rows, k1, k2 = _section_matrix(L, D)
-    return k1 + k2 - rank_rows(L.ctx, rows, k1 + k2)
+    return k1 + k2 - rank_rows(L.ctx, rows)
 
 
 def h1(L: LineBundle) -> int:

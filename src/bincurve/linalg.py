@@ -57,9 +57,8 @@ def _echelon(rows, ncols, p) -> int:
     return r
 
 
-def rank_rows(ctx, rows, ncols=None) -> int:
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def rank_rows(ctx, rows) -> int:
+    ncols = len(rows[0]) if rows else 0
     return _echelon([list(r) for r in rows], ncols, _modulus(ctx))
 
 

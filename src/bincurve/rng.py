@@ -11,7 +11,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 class Rng:
     def __init__(self, seed: int):
-        self.seed = seed & _MASK
         self.state = seed & _MASK
 
     def next_u64(self) -> int:

@@ -266,10 +266,9 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
          "n_problems": len(problems)})
 
 
-def _hyp_check(curve_json: dict) -> dict:
+def _hyp_check(X: BinaryCurve) -> dict:
     """Worker: compare the matching-map test against the exhaustive pencil
     scan on one curve. Safe to run in a subprocess."""
-    X = BinaryCurve.from_json(curve_json)
     flag, _ = is_hyperelliptic_fast(X)
     rep = bn_enumerate(X, BNQuery((1, 1), 1), witness_cap=2)
     agree = flag == (rep.count > 0)
@@ -293,17 +292,17 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
     """
     rng = Rng(seed)
     combos = []
-    jsons = []
+    curves = []
     for g in gs:
         for p in ps:
             ctx = PrimeField(p)
             crng = rng.spawn()
-            curves = [random_curve(g, ctx, crng) for _ in range(n_random)]
+            start = len(curves)
+            curves += [random_curve(g, ctx, crng) for _ in range(n_random)]
             curves += [random_hyperelliptic_curve(g, ctx, crng)
                        for _ in range(n_special)]
-            combos.append((g, p, len(jsons), len(jsons) + len(curves)))
-            jsons += [X.to_json() for X in curves]
-    checked = pool_map(_hyp_check, jsons, jobs, chunksize=8)
+            combos.append((g, p, start, len(curves)))
+    checked = pool_map(_hyp_check, curves, jobs, chunksize=8)
     summary = []
     failures = 0
     for g, p, start, stop in combos:

@@ -145,7 +145,7 @@ def test_torus_h0_fiber_shapes_exhaustive():
                 for f in range(0, len(classes), u):
                     rows = rows_for_gluing(classes[f])
                     del rows[g - 1]
-                    if ncols - rank_rows(F7, rows, ncols) < 3:
+                    if ncols - rank_rows(F7, rows) < 3:
                         shapes.add("skipped")     # at least at at_least=3
                     values = sorted(n for _, n in want[f:f + u])
                     if values[0] == values[-1]:
@@ -186,7 +186,7 @@ def test_torus_h0_digit_tree_exhaustive():
                     size = u ** (g - depth)
                     for start in range(0, total, size):
                         rows = rows_for_gluing(classes[start])
-                        rank = rank_rows(ctx, rows[:depth] + rows[g:], ncols)
+                        rank = rank_rows(ctx, rows[:depth] + rows[g:])
                         if rank > ncols - k:
                             subtrees.append((start, start + size))
                 # cut inside a skipped subtree, ending just past the next

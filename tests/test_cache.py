@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
 
-from bincurve.cache import ENV_VAR, JsonlCache, bn_key, cache_dir
+import pytest
+
+import bincurve.cache
+from bincurve.cache import ENV_VAR, JsonlCache, bn_key, cache_dir, code_digest
 from bincurve.curve import standard_curve
-from bincurve.fields import PrimeField, field_to_json
+from bincurve.fields import PrimeField
 
 
 def test_store_lookup_round_trip(tmp_path):
@@ -43,14 +48,43 @@ def test_env_var_overrides_location(tmp_path, monkeypatch):
 
 def test_bn_key_is_stable_and_discriminating():
     X = standard_curve(2, PrimeField(7))
-    cj, fj = X.to_json(), field_to_json(X.ctx)
-    k1 = bn_key(cj, fj, (1, 1), 1)
-    k2 = bn_key(cj, fj, (1, 1), 1)
+    cj = X.to_json()
+    k1 = bn_key(cj, (1, 1), 1, 64)
+    k2 = bn_key(cj, (1, 1), 1, 64)
     assert k1 == k2 and len(k1) == 64
-    assert bn_key(cj, fj, (1, 1), 2) != k1
-    assert bn_key(cj, fj, (1, 2), 1) != k1
+    assert bn_key(cj, (1, 1), 2, 64) != k1
+    assert bn_key(cj, (1, 2), 1, 64) != k1
+    assert bn_key(cj, (1, 1), 1, 8) != k1
     Y = standard_curve(2, PrimeField(11))
-    assert bn_key(Y.to_json(), field_to_json(Y.ctx), (1, 1), 1) != k1
+    assert bn_key(Y.to_json(), (1, 1), 1, 64) != k1
+
+
+def test_code_digest_hashes_every_package_source(monkeypatch):
+    package = os.path.dirname(os.path.abspath(bincurve.cache.__file__))
+    names = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "cache.py" in names and "brill_noether.py" in names
+    h = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        h.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0")
+        h.update(data)
+    assert code_digest() == h.hexdigest()
+    # the digest is part of the key: other code, other key
+    cj = standard_curve(2, PrimeField(7)).to_json()
+    k1 = bn_key(cj, (1, 1), 1, 64)
+    monkeypatch.setattr(bincurve.cache, "code_digest", lambda: "0" * 64)
+    assert bn_key(cj, (1, 1), 1, 64) != k1
+
+
+@pytest.mark.parametrize("line", ['["k"]', '{"key": "k", "value": 5}',
+                                  '{"key": "k", "value": null}', '"k"'])
+def test_entry_of_another_shape_is_skipped(tmp_path, line):
+    c = JsonlCache(str(tmp_path))
+    c.store("k", {"count": 5})
+    with open(c.path, "a") as fh:
+        fh.write(line + "\n")
+    assert c.lookup("k") == {"count": 5}
 
 
 def test_entries_are_canonical_json(tmp_path):

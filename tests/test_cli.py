@@ -1,17 +1,24 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bincurve.cache import JsonlCache, bn_key
-from bincurve.cli import main
+from bincurve.cli import _load_curve, build_parser, main
 from bincurve.curve import standard_curve
-from bincurve.fields import PrimeField, field_to_json
+from bincurve.fields import PrimeField
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("BINCURVE_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path
+
+
+def _bn_key_of(argv):
+    """The cache key that `bincurve bn argv` looks up."""
+    ns = build_parser().parse_args(list(argv))
+    return bn_key(_load_curve(ns).to_json(), ns.md, ns.r, ns.witness_cap)
 
 
 def run(capsys, *argv):
@@ -97,15 +104,10 @@ def test_bn_audit_detects_poisoned_cache(tmp_path, capsys):
     code, rep, _ = run(capsys, *args)
     assert code == 0
     # poison: overwrite the entry with a wrong count under the same key
-    X = standard_curve(3, PrimeField(7))  # not the same curve; recompute key
-    from bincurve.cli import build_parser, _load_curve
-    ns = build_parser().parse_args(list(args))
-    Xr = _load_curve(ns)
-    key = bn_key(Xr.to_json(), field_to_json(Xr.ctx), [1, 1], 1)
     cache = JsonlCache()
     poisoned = dict(rep["report"])
     poisoned["count"] = 999
-    cache.store(key, {"witness_cap": 64, "report": poisoned})
+    cache.store(_bn_key_of(args), poisoned)
     code2, rep2, err = run(capsys, *args)        # un-audited hit: wrong count
     assert rep2["report"]["count"] == 999
     code3, rep3, err3 = run(capsys, *args, "--audit")
@@ -215,23 +217,52 @@ def test_malformed_bundle_json_exits_2(tmp_path, capsys, doc):
     assert out.out == "" and "Traceback" not in out.err
 
 
-def test_bn_cache_entry_of_another_scan_version_is_a_miss(capsys,
-                                                          monkeypatch):
+def test_bn_cache_entry_of_other_code_is_a_miss(capsys, monkeypatch):
     import bincurve.cache
     args = ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1")
     _, rep, _ = run(capsys, *args)
-    from bincurve.cli import build_parser, _load_curve
-    Xr = _load_curve(build_parser().parse_args(list(args)))
-    version = bincurve.cache.SCAN_VERSION
-    monkeypatch.setattr(bincurve.cache, "SCAN_VERSION", version - 1)
-    key = bn_key(Xr.to_json(), field_to_json(Xr.ctx), [1, 1], 1)
+    real = bincurve.cache.code_digest
+    monkeypatch.setattr(bincurve.cache, "code_digest", lambda: "0" * 64)
     stale = dict(rep["report"], count=999)
-    JsonlCache().store(key, {"witness_cap": 64, "report": stale})
+    JsonlCache().store(_bn_key_of(args), stale)
     _, rep_old, _ = run(capsys, *args)
-    assert rep_old["report"]["count"] == 999   # served under its own version
-    monkeypatch.setattr(bincurve.cache, "SCAN_VERSION", version)
+    assert rep_old["report"]["count"] == 999   # served to its own code only
+    # setattr, not undo(): undo would also drop the fixture's cache dir
+    monkeypatch.setattr(bincurve.cache, "code_digest", real)
     _, rep_new, _ = run(capsys, *args)
     assert rep_new == rep
+
+
+def test_bn_witness_caps_have_their_own_entries(capsys):
+    args = ("bn", "--random-genus", "3", "--p", "7", "--md", "2,2", "--r", "1")
+    cache = JsonlCache()
+    _, rep64, _ = run(capsys, *args)
+    _, rep2, _ = run(capsys, *args, "--witness-cap", "2")
+    assert rep2["report"]["witness_cap"] == 2
+    assert rep2["report"]["witnesses"] == rep64["report"]["witnesses"][:2]
+    # two misses, two entries; both caps now hit
+    assert len(Path(cache.path).read_text().splitlines()) == 2
+    assert cache.lookup(_bn_key_of(args)) == rep64["report"]
+    assert cache.lookup(_bn_key_of(args + ("--witness-cap", "2"))) == \
+        rep2["report"]
+    _, hit64, _ = run(capsys, *args)
+    _, hit2, _ = run(capsys, *args, "--witness-cap", "2")
+    assert (hit64, hit2) == (rep64, rep2)
+    assert len(Path(cache.path).read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("shape", ["list", "int-value"])
+def test_bn_skips_cache_lines_of_another_shape(capsys, shape):
+    argv = ["bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    key = _bn_key_of(argv)
+    bad = [key] if shape == "list" else {"key": key, "value": 5}
+    with open(JsonlCache().path, "a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == first and "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,3 +274,88 @@ def test_base_locus_full_component_and_nodes():
     bl = base_locus(L)
     assert bl.full_components == (1,)
     assert bl.nodes == (0, 1, 2)
+
+
+# The oracle below is independent of the gcd and root search in base_locus:
+# a smooth point x is a base point of L iff h0(L(-x)) = h0(L).
+
+def _base_locus_case(ctx, seed):
+    """L = O(D) (x) T on a curve with finite branch points only, so oo is a
+    smooth point of both components. D has 1-3 points and is pushed through
+    oo half the time; T is trivial, canonical (K(x) has x as a base point
+    and h0 = g >= 2) or O(E). Returns L and the smooth points to check:
+    every smooth point over F_p, a grid of small rationals plus oo over Q
+    (D is drawn from them, so its support is included)."""
+    rng = Rng(seed)
+    if ctx.is_prime_field():
+        values = [ctx.from_int(a) for a in range(ctx.p)]
+    else:
+        values = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2)})
+    g = 2 + rng.below(2)
+    X = BinaryCurve(ctx, [(ProjPoint.finite(ctx, a), ProjPoint.finite(ctx, b))
+                          for a, b in zip(rng.distinct(values, g + 1),
+                                          rng.distinct(values, g + 1))])
+    inf = ProjPoint.infinity(ctx)
+    smooth = [(comp, pt) for comp in (1, 2)
+              for pt in [ProjPoint.finite(ctx, a) for a in values] + [inf]
+              if pt not in X.branch_points(comp)]
+    pts = rng.distinct(smooth, 1 + rng.below(3))
+    through_inf = (1 + rng.below(2), inf)
+    if rng.below(2) and through_inf not in pts:
+        pts[0] = through_inf
+    kind = rng.below(3)
+    if kind == 0:
+        T = trivial(X)
+    elif kind == 1:
+        T = canonical_bundle(X)
+    else:
+        T = from_divisor(X, point_divisor(X, rng.distinct(smooth, 2)))
+    return tensor(from_divisor(X, point_divisor(X, pts)), T), smooth
+
+
+def _check_base_locus(L, candidates):
+    """Every reported smooth base point passes the oracle; every candidate
+    that passes is reported, unless it lies on a full component, where all
+    points pass and none is listed. Returns the reported points."""
+    X = L.curve
+    n = h0(L)
+    bl = base_locus(L)
+
+    def is_base(comp, pt):
+        return h0_vanishing(L, point_divisor(X, [(comp, pt)])) == n
+
+    assert all(is_base(comp, pt) for comp, pt in bl.smooth_points)
+    for comp, pt in candidates:
+        base = is_base(comp, pt)
+        if comp in bl.full_components:
+            assert base and (comp, pt) not in bl.smooth_points
+        else:
+            assert base == ((comp, pt) in bl.smooth_points), (comp, pt)
+    return bl.smooth_points
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([7, 11, 13]), st.integers(0, 10 ** 6))
+def test_base_locus_matches_vanishing_oracle_over_fp(p, seed):
+    _check_base_locus(*_base_locus_case(PrimeField(p), seed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_base_locus_matches_vanishing_oracle_over_q(seed):
+    _check_base_locus(*_base_locus_case(Rationals(), seed))
+
+
+def test_base_locus_oracle_cases_occur():
+    """Fixed seeds: the oracle confirms a base point at oo and a base point
+    shared by h0 >= 2 sections, over F_11 and over Q."""
+    for ctx in (F11, Rationals()):
+        shapes = set()
+        for seed in range(30):
+            L, candidates = _base_locus_case(ctx, seed)
+            points = _check_base_locus(L, candidates)
+            if any(pt.is_infinity() for _, pt in points):
+                shapes.add("infinity")
+            if points and h0(L) >= 2:
+                shapes.add("shared")
+        assert shapes == {"infinity", "shared"}, (ctx, shapes)

@@ -129,7 +129,7 @@ def _matrices(entry):
 def test_rank_over_f7_equals_largest_nonzero_minor(mat):
     rows, ncols = mat
     r = _minor_rank(rows, ncols, 7)
-    assert rank_rows(F7, rows, ncols) == r
+    assert rank_rows(F7, rows) == r
     assert len(kernel_basis(F7, rows, ncols)) == ncols - r
 
 
@@ -138,7 +138,7 @@ def test_rank_over_f7_equals_largest_nonzero_minor(mat):
 def test_rank_over_q_equals_largest_nonzero_minor_exactly(mat):
     rows, ncols = mat
     r = _minor_rank(rows, ncols, 0)
-    assert rank_rows(Q, rows, ncols) == r
+    assert rank_rows(Q, rows) == r
     ech = [list(row) for row in rows]
     assert _echelon(ech, ncols, 0) == r
     # plain int input stays exact: no entry turns into a float, every

@@ -1,11 +1,18 @@
 """Special-divisor loci over prime fields: exhaustive scans and verdicts.
 
 W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1.
-Every exhaustive scan walks the (p-1)^g torus through `torus_h0`, which
-recurses down the tree of gluing digits with one echelon level per depth:
-a run of p-1 classes differing only in the last free gluing coordinate
-usually costs one single-row reduction and a closed form, and a prefix
-whose rows already exceed the rank bound is skipped with its whole subtree.
+Every exhaustive scan of the (p-1)^g torus is one walk with two front ends:
+`torus_h0` yields each qualifying class with its exact h0, and
+`bn_enumerate` counts them and keeps the first witnesses. Before walking,
+the rank floor of the gluing matrix (its two Vandermonde blocks) empties a
+torus whose every class has too few sections, and gives h0 in closed form
+on every class when one block is empty. Otherwise the walk recurses down
+the tree of gluing digits with one echelon level per depth: a run of p-1
+classes differing only in the last free gluing coordinate usually costs one
+single-row reduction and a closed form, a prefix whose rows already exceed
+the rank bound is skipped with its whole subtree, and, for counting, a
+prefix whose remaining rows cannot push the rank past the bound is
+counted whole.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -18,8 +25,8 @@ from fractions import Fraction
 
 from . import cohomology
 from .bundles import (EffectiveDivisor, bundle_count,
-                      canonical_bundle, from_divisor, hyperelliptic_class,
-                      power, restrict_to_normalization)
+                      canonical_bundle, from_divisor, gluing_at,
+                      hyperelliptic_class, power, restrict_to_normalization)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
 from .fields import PrimeField
 from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
@@ -60,32 +67,30 @@ class BNReport:
         }
 
 
-def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
-    """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
-    h0 >= at_least, in bundle_at order.
+def rank_floor(md, n: int) -> int:
+    """Least rank of the gluing matrix of md over every class of a torus
+    with n nodes.
 
-    Digit tree: class indices are base-(p-1) digits c_0 - 1 .. c_{g-1} - 1,
-    first node slowest, node g pinned to c_g = 1. Level 0 holds the pinned
-    row of node g in echelon form, and level k+1 extends level k by node
-    k's row at one digit with one single-row reduction against level k's
-    pivots (each zero in the columns of the pivots before it, leading
-    entry 1). The recursive walk `fibers` builds each level once per
-    prefix and descends only into the digits whose subtrees meet [lo, hi);
-    at depth v = g-1, the fastest node, it emits one fiber per prefix, so
-    most fibers cost one row reduction. Each level also carries the
-    residuals ra, rb of node v's halves a = [E1(p_v) | 0] and
-    b = [0 | E2(q_v)]; extending a level reduces them against the new pivot
-    only.
+    Row j is [E1(p_j) | -c_j·E2(q_j)], with k1 = max(d1+1, 0) and
+    k2 = max(d2+1, 0) columns. Both blocks are Vandermonde on distinct
+    branch points, and scaling rows by units keeps each block's rank, so
+    the rank is at least max(min(n, k1), min(n, k2)). It is exactly that
+    on every class when one block is empty (k1 = 0 or k2 = 0) or n <= 1.
+    """
+    k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
+    return max(min(n, k1), min(n, k2))
 
-    Fiber solve: the p-1 classes of a fiber (one when g = 0) differ only in
-    c_v, and node v's row is a - c_v·b. With rf the rank of level v,
-    reduction is linear, so h0(c_v) = ncols - rf - [ra != c_v·rb]: constant
-    over the fiber when rb = 0, otherwise one less than ncols - rf except at
-    the single c_v = ra[k]/rb[k] (k the first nonzero of rb) where
-    ra = c_v·rb holds. Rank only grows down the tree, so once a level's rank
-    exceeds ncols - at_least no class below that prefix qualifies and the
-    whole subtree is skipped in one step. Cuts anywhere in the tree are
-    allowed. The field and the range are checked on the first iteration.
+
+def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
+    """The one walk of the torus behind `torus_h0` and `bn_enumerate`.
+
+    Yields, in index order, runs of classes of [lo, hi) that all have
+    h0 >= at_least, as (head, a, b, low, top, jump). With head a tuple the
+    run is the classes (*head, c, 1) for c in [a, b), of h0 top at c = jump
+    and low elsewhere (one fiber of the digit tree). With head None the run
+    is the classes of torus index [a, b): all of h0 = low when low is not
+    None (a torus on which the rank floor is exact), else a sure-hit
+    subtree, which is only cut off when sure_hit is set.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -95,15 +100,16 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     k2 = max(md[1] + 1, 0)
     ncols = k1 + k2
     max_rank = ncols - at_least
-    if max_rank < 0 or lo == hi:
-        return
-    if not X.nodes:  # genus -1: one class, no gluing rows
-        yield (), ncols
+    n = len(X.nodes)
+    floor = rank_floor(md, n)
+    if floor > max_rank or lo == hi:
+        return  # every class has rank >= floor: none qualifies
+    if not (k1 and k2) or n <= 1:
+        yield None, lo, hi, ncols - floor, ncols - floor, 0
         return
     p = X.ctx.p
-    free = max(X.genus, 0)
-    run = p - 1 if free else 1
-    v = max(free - 1, 0)  # with g = 0, node 0 itself over a run of one
+    run = p - 1
+    v = n - 2  # the fastest free node; node n-1 is pinned to c = 1
     e1, e2 = cohomology.gluing_profile(X, md)
     # each node's row per unit value, built once (node v enters as a, b)
     table = [[ej + [(p - cj) * x % p for x in fj] for cj in range(1, p)]
@@ -131,32 +137,30 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
         return pivots + new, reduce(ra, new), reduce(rb, new)
 
     def fibers(k, level, base, head):
-        # fibers below the prefix head (nodes 0 .. k-1) whose first class
-        # has index base, as (base, head, level v); only subtrees that meet
-        # [lo, hi) are entered
-        if len(level[0]) > max_rank:
+        # runs below the prefix head (nodes 0 .. k-1), whose first class
+        # has index base; only subtrees that meet [lo, hi) are entered
+        rank = len(level[0])
+        if rank > max_rank:
             return  # rank only grows: no class below this prefix qualifies
-        if k == v:
-            yield base, head, level
+        if sure_hit and rank + v - k < max_rank:
+            # v - k + 1 rows to come, each adding at most 1 to the rank
+            yield (None, max(lo, base), min(hi, base + run ** (v - k + 1)),
+                   None, None, 0)
             return
-        size = run ** (v - k)
-        for d in range(max(lo - base, 0) // size,
-                       min(-((base - hi) // size), run)):
-            yield from fibers(k + 1, extend(level, table[k][d]),
-                              base + d * size, head + (d + 1,))
-
-    # level 0: node v's halves, reduced by the pinned rows (c = 1) after it
-    level = ([], e1[v] + [0] * k2, [0] * k1 + e2[v])
-    for j in range(v + 1, len(X.nodes)):
-        level = extend(level, table[j][0])
-    tail = (1,) * (len(X.nodes) - v - 1)
-    for base, head, (pivots, ra, rb) in fibers(0, level, 0, ()):
-        # h0 is top at c_v = jump (0: no such class) and low elsewhere
-        top = ncols - len(pivots)
-        for k, lead in enumerate(rb):
+        if k < v:
+            size = run ** (v - k)
+            for d in range(max(lo - base, 0) // size,
+                           min(-((base - hi) // size), run)):
+                yield from fibers(k + 1, extend(level, table[k][d]),
+                                  base + d * size, head + (d + 1,))
+            return
+        # fiber: h0 is top at c_v = jump (0: no such class), low elsewhere
+        pivots, ra, rb = level
+        top = ncols - rank
+        for i, lead in enumerate(rb):
             if lead:
                 low = top - 1
-                jump = ra[k] * pow(lead, p - 2, p) % p
+                jump = ra[i] * pow(lead, p - 2, p) % p
                 if any((x - jump * y) % p for x, y in zip(ra, rb)):
                     jump = 0
                 break
@@ -165,22 +169,79 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
         c0 = max(lo - base, 0) + 1
         c1 = min(hi - base, run) + 1
         if low >= at_least:
-            for c in range(c0, c1):
-                yield (*head, c, *tail), top if c == jump else low
+            yield head, c0, c1, low, top, jump
         elif c0 <= jump < c1:
-            yield (*head, jump, *tail), top
+            yield head, jump, jump + 1, top, top, jump
+
+    # level 0: node v's halves, reduced by the pinned row (c = 1) after it
+    level = extend(([], e1[v] + [0] * k2, [0] * k1 + e2[v]), table[v + 1][0])
+    yield from fibers(0, level, 0, ())
+
+
+def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
+    """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
+    h0 >= at_least, in bundle_at order.
+
+    Rank floor: row j of the gluing matrix is [E1(p_j) | -c_j·E2(q_j)], and
+    its rank is at least `rank_floor(md, n)` on every class (n = g+1
+    nodes). A torus whose floor exceeds ncols - at_least yields nothing at
+    once; when one block is empty (k1 = 0 or k2 = 0), or n <= 1, the rank
+    is the floor on every class, so h0 = ncols - floor is yielded by index.
+
+    Digit tree: otherwise class indices are base-(p-1) digits
+    c_0 - 1 .. c_{g-1} - 1, first node slowest, node g pinned to c_g = 1.
+    Level 0 holds the pinned row of node g in echelon form, and level k+1
+    extends level k by node k's row at one digit with one single-row
+    reduction against level k's pivots (each zero in the columns of the
+    pivots before it, leading entry 1). The recursive walk `fibers` builds
+    each level once per prefix and descends only into the digits whose
+    subtrees meet [lo, hi); at depth v = g-1, the fastest node, it solves
+    one fiber per prefix, so most fibers cost one row reduction. Each level
+    also carries the residuals ra, rb of node v's halves a = [E1(p_v) | 0]
+    and b = [0 | E2(q_v)]; extending a level reduces them against the new
+    pivot only.
+
+    Fiber solve: the p-1 classes of a fiber differ only in c_v, and node
+    v's row is a - c_v·b. With rf the rank of level v, reduction is linear,
+    so h0(c_v) = ncols - rf - [ra != c_v·rb]: constant over the fiber when
+    rb = 0, otherwise one less than ncols - rf except at the single
+    c_v = ra[k]/rb[k] (k the first nonzero of rb) where ra = c_v·rb holds.
+
+    Two bounds prune the tree. Rank only grows down the tree, so once a
+    level's rank exceeds ncols - at_least no class below that prefix
+    qualifies and the whole subtree is skipped in one step. Dually, a level
+    of rank rf at depth k has v - k + 1 rows still to come, each adding at
+    most 1, so when rf + v - k + 1 <= ncols - at_least every class below it
+    qualifies: `bn_enumerate` counts such a sure-hit subtree at once, while
+    this function, whose callers need exact h0, descends into it. Cuts
+    anywhere in the tree are allowed. The field and the range are checked
+    on the first iteration.
+    """
+    for head, a, b, low, top, jump in _torus_runs(X, md, lo, hi, at_least,
+                                                  False):
+        if head is None:
+            for i in range(a, b):
+                yield gluing_at(X, i), low
+        else:
+            for c in range(a, b):
+                yield (*head, c, 1), top if c == jump else low
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,
                  index_range=None) -> BNReport:
-    """Exhaustive W^r scan over one multidegree torus."""
+    """Exhaustive W^r scan over one multidegree torus: the count of classes
+    with h0 >= r+1 and the first witness_cap of them. Runs from the walk
+    of `torus_h0`, sure-hit subtrees included, are counted whole; only the
+    witnesses still under the cap are built, a subtree's from its indices.
+    """
     lo, hi = index_range if index_range is not None else (0, bundle_count(X))
     count = 0
     wits = []
-    for c, _ in torus_h0(X, tuple(q.md), lo, hi, at_least=q.r + 1):
-        count += 1
-        if len(wits) < witness_cap:
-            wits.append(c)
+    for head, a, b, _, _, _ in _torus_runs(X, tuple(q.md), lo, hi, q.r + 1,
+                                           True):
+        count += b - a
+        for c in range(a, min(b, a + witness_cap - len(wits))):
+            wits.append(gluing_at(X, c) if head is None else (*head, c, 1))
     return BNReport(q, X.ctx.p, count, tuple(wits), witness_cap, (lo, hi))
 
 
@@ -220,18 +281,15 @@ def rho(g: int, d: int, r: int) -> int:
 
 
 def predicted_empty(md, r: int, g: int) -> bool:
-    """Provably empty W^r cases from degree pigeonholing (sorted d1 <= d2):
-    d1 < 0 with d <= g+r, or 0 <= d1 <= r-1 with d <= g+r-1.
+    """Provably empty W^r cases: the rank floor of the gluing matrix
+    (`rank_floor`) leaves fewer than r+1 sections on every class. On
+    balanced md this is degree pigeonholing (sorted d1 <= d2): d1 < 0 with
+    d <= g+r, or 0 <= d1 <= r-1 with d <= g+r-1.
     """
     if not is_balanced(md, g):
         raise ValueError("only balanced multidegrees have emptiness verdicts")
-    d1, d2 = sorted(md)
-    d = d1 + d2
-    if d1 < 0 and d <= g + r:
-        return True
-    if 0 <= d1 <= r - 1 and d <= g + r - 1:
-        return True
-    return False
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    return rank_floor(md, g + 1) > ncols - (r + 1)
 
 
 @dataclass

@@ -126,29 +126,28 @@ def bundle_count(X: BinaryCurve) -> int:
     return (ctx.p - 1) ** max(X.genus, 0)
 
 
-def bundle_at(X: BinaryCurve, md, index: int) -> LineBundle:
-    """index -> class, base-(p-1) digits, first gluing coordinate slowest.
+def gluing_at(X: BinaryCurve, index: int) -> tuple:
+    """index -> canonical gluing tuple: base-(p-1) digits, first coordinate
+    slowest.
 
     The last coordinate is pinned to 1, so indices `0 .. (p-1)^g - 1`
     enumerate each isomorphism class exactly once (lexicographic in the
     free coordinates, units ascending 1..p-1).
     """
-    ctx = X.ctx
-    total = bundle_count(X)
-    if not (0 <= index < total):
+    if not (0 <= index < bundle_count(X)):
         raise ValueError("index out of range")
-    g = X.genus
-    u = ctx.p - 1
-    free = max(g, 0)
-    digits = []
-    for _ in range(free):
-        digits.append(index % u)
-        index //= u
-    digits.reverse()
-    c = [d + 1 for d in digits]
-    if g >= 0:
-        c.append(1)
-    return LineBundle(X, md, c)
+    u = X.ctx.p - 1
+    c = [1] if X.genus >= 0 else []
+    for _ in range(max(X.genus, 0)):
+        index, d = divmod(index, u)
+        c.append(d + 1)
+    c.reverse()
+    return tuple(c)
+
+
+def bundle_at(X: BinaryCurve, md, index: int) -> LineBundle:
+    """The class of torus index `index` in multidegree md (see gluing_at)."""
+    return LineBundle(X, md, gluing_at(X, index))
 
 
 def enumerate_bundles(X: BinaryCurve, md):

@@ -12,7 +12,7 @@ import inspect
 import json
 import sys
 
-from .brill_noether import (BNQuery, bn_enumerate, clifford_index,
+from .brill_noether import (BNQuery, BNReport, bn_enumerate, clifford_index,
                             abel_sample, merge_reports, split_ranges)
 from .bundles import LineBundle, bundle_from_json, bundle_count
 from .cache import JsonlCache, bn_key
@@ -239,12 +239,34 @@ def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
     return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 
+def _is_report_of(value: dict, X: BinaryCurve, q: BNQuery, cap: int) -> bool:
+    # a cached value is served only if it has exactly the fields of
+    # BNReport.to_json(), of the right types, and answers this request
+    want = BNReport(q, X.ctx.p, 0, (), cap, (0, bundle_count(X))).to_json()
+    fixed = ("query", "p", "witness_cap", "index_range")
+    if value.keys() != want.keys() or (
+            canonical_json([value[k] for k in fixed])
+            != canonical_json([want[k] for k in fixed])):
+        return False
+    count, wits = value["count"], value["witnesses"]
+    return (type(count) is int and isinstance(wits, list)
+            and len(wits) <= min(count, cap)
+            and all(isinstance(w, list) and len(w) == len(X.nodes)
+                    and all(isinstance(x, list) and len(x) == 2
+                            and isinstance(x[0], str) and x[1] == "1"
+                            for x in w)
+                    for w in wits))
+
+
 def cmd_bn(args) -> int:
     X = _load_curve(args)
     q = BNQuery(args.md, args.r)
     cache = None if args.no_cache else JsonlCache()
     key = bn_key(X.to_json(), q.md, q.r, args.witness_cap)
     payload = cache.lookup(key) if cache is not None else None
+    if payload is not None and not _is_report_of(payload, X, q,
+                                                 args.witness_cap):
+        payload = None  # a malformed entry is a miss: recompute and store
     audit = None
     if payload is not None and args.audit:
         fresh = _bn_compute(X, q, args.witness_cap, args.jobs).to_json()

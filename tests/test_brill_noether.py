@@ -2,14 +2,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bincurve.brill_noether import (BNQuery, MartensPrediction, abel_sample,
-                                    assemble_Wbar, bn_enumerate, bn_suite,
-                                    clifford_index,
+from bincurve.brill_noether import (BNQuery, MartensPrediction, _torus_runs,
+                                    abel_sample, assemble_Wbar, bn_enumerate,
+                                    bn_suite, clifford_index,
                                     clifford_zero_classification,
                                     estimate_dim, martens_bound,
                                     merge_reports, predicted_empty,
-                                    reduce_curve_mod, rho, split_ranges,
-                                    torus_h0)
+                                    rank_floor, reduce_curve_mod, rho,
+                                    split_ranges, torus_h0)
 from bincurve.bundles import (LineBundle, canonical_bundle, enumerate_bundles,
                               hyperelliptic_class)
 from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
@@ -208,6 +208,137 @@ def test_torus_h0_digit_tree_exhaustive():
                         [hit for hit in want[lo:hi] if hit[1] >= k]
                 n_cut += len(cuts) > 1
     assert n_cut > 0
+
+
+def _check_count(X, md, r, lo, hi, cap, want):
+    """bn_enumerate on [lo, hi) against generic h0 (want: (c, h0) for every
+    class of the torus) and against the class path torus_h0."""
+    hits = [c for c, n in want[lo:hi] if n >= r + 1]
+    rep = bn_enumerate(X, BNQuery(md, r), witness_cap=cap,
+                       index_range=(lo, hi))
+    assert rep.count == len(hits)
+    assert list(rep.witnesses) == hits[:cap]
+    assert [c for c, _ in torus_h0(X, md, lo, hi, at_least=r + 1)] == hits
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_cases(), st.data())
+def test_bn_enumerate_matches_generic_h0(case, data):
+    X, md, r = case
+    want = [(L.c, h0(L)) for L in enumerate_bundles(X, md)]
+    total = len(want)
+    cap = data.draw(st.integers(0, 8))
+    _check_count(X, md, r, 0, total, cap, want)
+    lo = data.draw(st.integers(0, total))
+    hi = data.draw(st.integers(lo, total))
+    _check_count(X, md, r, lo, hi, cap, want)
+
+
+def _sure_hit_subtrees(X, md, at_least, classes):
+    """Maximal subtrees of the digit tree above the fiber level (prefix depth
+    0 .. g-2, so at least (p-1)^2 classes) whose classes all qualify by the
+    rank count alone: the prefix rows and the pinned row of node g have rank
+    rf, the g - depth rows still to come add at most 1 each, and
+    rf + g - depth <= ncols - at_least."""
+    g, u = X.genus, X.ctx.p - 1
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    found = []
+    for depth in range(g - 1):
+        size = u ** (g - depth)
+        for start in range(0, len(classes), size):
+            if any(s <= start < e for s, e in found):
+                continue
+            rows = rows_for_gluing(classes[start])
+            rank = rank_rows(X.ctx, rows[:depth] + rows[g:])
+            if rank + g - depth <= ncols - at_least:
+                found.append((start, start + size))
+    return found
+
+
+def test_bn_enumerate_bounds_exhaustive():
+    """bn_enumerate against generic h0 and torus_h0 on every class of g=4,
+    p=5 (two curves, md in [-1, g+1]^2, r 0-3) and of g=5, p=5, md (2,2)
+    and (3,3), r 0-1, over the whole torus and over cuts and witness caps
+    placed inside sure-hit subtrees. The rank floor must hold on every
+    class and be exact on one-block tori, and the walk must cut off exactly
+    the sure-hit subtrees found here by rank counting. The grid must
+    contain each case the two bounds distinguish."""
+    seen = set()
+    tori = []
+    for g, seed, mds in ((4, 28, [(d1, d2) for d1 in range(-1, 6)
+                                  for d2 in range(-1, 6)]),
+                         (5, 42, [(2, 2), (3, 3)])):
+        ctx = PrimeField(5)
+        rng = Rng(seed)
+        pool = [ProjPoint.finite(ctx, a) for a in range(5)]
+        pool.append(ProjPoint.infinity(ctx))
+        curves = [BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                            rng.distinct(pool, g + 1))))]
+        if g == 4:
+            curves.append(standard_curve(g, ctx))
+        tori += [(X, md) for X in curves for md in mds]
+    for X, md in tori:
+        g, u = X.genus, X.ctx.p - 1
+        k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
+        ncols, floor = k1 + k2, rank_floor(md, g + 1)
+        classes = list(enumerate_bundles(X, md))
+        want = [(L.c, h0(L)) for L in classes]
+        total = len(want)
+        values = {n for _, n in want}
+        assert max(values) <= ncols - floor
+        one_block = not (k1 and k2)
+        if one_block:
+            assert values == {ncols - floor}
+        for r in range(4 if g == 4 else 2):
+            k = r + 1
+            hits = _check_count(X, md, r, 0, total, 5, want)
+            if floor > ncols - k:
+                assert hits == []
+                seen.add("floor-pruned" if not one_block else "one-block")
+                continue
+            if one_block:
+                seen.add("one-block")
+                continue
+            found = _sure_hit_subtrees(X, md, k, classes)
+            walked = [(a, b) for head, a, b, low, _, _
+                      in _torus_runs(X, md, 0, total, k, True)
+                      if head is None and b - a > u]
+            assert walked == found
+            for s, e in found:
+                assert all(n >= k for _, n in want[s:e])
+                if e - s < total:
+                    seen.add("sure-hit")
+                # cuts starting, ending, and both, inside the subtree; caps
+                # that fill up inside it
+                for lo, hi in ((s + u + 1, total), (0, e - u - 1),
+                               (s + 1, e - 1)):
+                    before = sum(n >= k for _, n in want[lo:max(s, lo)])
+                    inside = min(e, hi) - max(s, lo)
+                    for cap in (0, 5, before + 2):
+                        _check_count(X, md, r, lo, hi, cap, want)
+                        if before < cap < before + inside:
+                            seen.add("cap-inside")
+                    seen.add("cut-starts-inside" if s < lo else
+                             "cut-ends-inside")
+    assert seen == {"floor-pruned", "one-block", "sure-hit",
+                    "cut-starts-inside", "cut-ends-inside", "cap-inside"}
+
+
+def test_predicted_empty_is_the_rank_floor():
+    """Regression: the one rank-floor call equals the two pigeonhole clauses
+    it replaced (sorted d1 <= d2) on every balanced md for g 2-7, r 0-4."""
+    n_empty = 0
+    for g in range(2, 8):
+        for r in range(5):
+            for d in range(-g - 2, 3 * g + 3):
+                for md in balanced_set(d, g):
+                    d1, d2 = sorted(md)
+                    old = ((d1 < 0 and d <= g + r)
+                           or (0 <= d1 <= r - 1 and d <= g + r - 1))
+                    assert predicted_empty(md, r, g) == old
+                    n_empty += old
+    assert n_empty > 1000
 
 
 def test_torus_h0_without_free_coordinate():
@@ -489,6 +620,24 @@ def test_bn_suite_is_deterministic_and_shaped():
         bn_suite(6, 1, [7], 5, seed=1)      # desk-scale guard
     with pytest.raises(ValueError):
         bn_suite(3, 1, [17], 5, seed=1)
+
+
+def test_bn_suite_rows_recount_on_the_class_path():
+    """Every row of a small bn_suite run, recounted at the smallest prime
+    with torus_h0 (one yield per class with h0 >= r+1), matches its counts.
+    The curves are redrawn as bn_suite draws them: n_curves spawns of
+    Rng(seed) per prime, in the order the primes are given."""
+    g, r, n_curves, seed = 3, 1, 3, 9
+    rep = bn_suite(g, r, [7, 11], n_curves, seed=seed)
+    rng = Rng(seed)
+    curves = [random_curve(g, F7, rng.spawn()) for _ in range(n_curves)]
+    rows = [row for row in rep.rows if row.p == 7]
+    assert len(rows) == len(rep.mds) > 0
+    for row in rows:
+        assert row.counts == tuple(
+            sum(1 for _ in torus_h0(X, row.md, at_least=r + 1))
+            for X in curves)
+    assert any(sum(row.counts) for row in rows)
 
 
 def test_canonical_is_unique_rho_zero_witness():

@@ -265,6 +265,32 @@ def test_bn_skips_cache_lines_of_another_shape(capsys, shape):
     assert out.out == first and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda rep: {},
+    lambda rep: {"p": 7, "count": "x"},
+    lambda rep: dict(rep, p=11),
+    lambda rep: dict(rep, witness_cap=2),
+    lambda rep: dict(rep, query={"md": [1, 1], "r": 2}),
+    lambda rep: dict(rep, count=True),
+    lambda rep: dict(rep, count=1, witnesses=[["1", "1"]]),
+    lambda rep: dict(rep, seed=None),
+], ids=["empty", "str-count", "other-p", "other-cap", "other-query",
+        "bool-count", "bad-witness", "extra-field"])
+def test_bn_malformed_cache_value_is_a_miss(capsys, spoil):
+    # a value without exactly the report's fields, types and request is
+    # recomputed and stored again, and the output is a clean run's
+    argv = ["bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1"]
+    assert main(argv + ["--no-cache"]) == 0
+    clean = capsys.readouterr().out
+    report = json.loads(clean)["report"]
+    key = _bn_key_of(argv)
+    JsonlCache().store(key, spoil(report))
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == clean and "Traceback" not in out.err
+    assert JsonlCache().lookup(key) == report
+
+
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"),
                                         ("--witness-cap", "-1")])
 def test_bn_rejects_out_of_range_counts(capsys, flag, value):

@@ -7,12 +7,14 @@ Every exhaustive scan of the (p-1)^g torus is one walk with two front ends:
 the rank floor of the gluing matrix (its two Vandermonde blocks) empties a
 torus whose every class has too few sections, and gives h0 in closed form
 on every class when one block is empty. Otherwise the walk recurses down
-the tree of gluing digits with one echelon level per depth: a run of p-1
-classes differing only in the last free gluing coordinate usually costs one
-single-row reduction and a closed form, a prefix whose rows already exceed
-the rank bound is skipped with its whole subtree, and, for counting, a
-prefix whose remaining rows cannot push the rank past the bound is
-counted whole.
+the tree of gluing digits. Each level keeps its rank and the residual
+halves of every node still to place, so placing a node costs one row,
+read off its residual pair, and one reduction of the pairs left against
+that row's pivot; a run of p-1 classes differing only in the last free
+gluing coordinate is then solved in closed form from the last pair. A
+prefix whose rows already exceed the rank bound is skipped with its whole
+subtree, and, for counting, a prefix whose remaining rows cannot push the
+rank past the bound is counted whole.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -91,6 +93,26 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     is the classes of torus index [a, b): all of h0 = low when low is not
     None (a torus on which the rank floor is exact), else a sure-hit
     subtree, which is only cut off when sure_hit is set.
+
+    Row j of the gluing matrix is a_j - c_j·b_j, with a_j = [E1(p_j) | 0]
+    and b_j = [0 | E2(q_j)], and h0 is its nullity. Class indices are
+    base-(p-1) digits c_0 - 1 .. c_{n-2} - 1, first node slowest, node n-1
+    pinned to c = 1. Each level of the recursion holds its rank and the
+    pairs (a_j, b_j) of the nodes not yet placed, reduced against its
+    pivots. Placing a node at unit c forms its row from the first pair,
+    already reduced, and reduces the other pairs against the one new pivot
+    (if the row is nonzero); the pinned node is placed first. At depth
+    v = n-2 the one pair left is node v's (ra, rb), and by linearity the
+    fiber of its p-1 classes has h0(c) = ncols - rank - [ra != c·rb]:
+    constant when rb = 0, else one higher at the single c with ra = c·rb.
+
+    Two bounds prune the tree. Rank only grows, so a prefix whose rank
+    exceeds ncols - at_least is skipped with its subtree. A level at depth
+    k has v - k + 1 rows to come, each adding at most 1, so when its rank
+    plus those is at most ncols - at_least every class below qualifies: a
+    sure-hit subtree. Only subtrees that meet [lo, hi) are entered. Before
+    any of this, the rank floor (`rank_floor`) empties the torus or, when
+    it is exact, gives its one run in closed form.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -111,35 +133,30 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     run = p - 1
     v = n - 2  # the fastest free node; node n-1 is pinned to c = 1
     e1, e2 = cohomology.gluing_profile(X, md)
-    # each node's row per unit value, built once (node v enters as a, b)
-    table = [[ej + [(p - cj) * x % p for x in fj] for cj in range(1, p)]
-             for ej, fj in zip(e1, e2)]
+    pairs = [(ej + [0] * k2, [0] * k1 + fj) for ej, fj in zip(e1, e2)]
 
-    def reduce(vec, pivots):
-        # single-row reduction; pivots are (column, row) pairs, leading 1
-        for pc, row in pivots:
-            f = vec[pc]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        return vec
-
-    def extend(level, row):
-        # level plus one row: (pivots, ra, rb), never changed in place
-        pivots, ra, rb = level
-        row = reduce(row, pivots)
+    def extend(level, c):
+        # the level after placing its first pair's node at unit c; a level
+        # (rank, pairs) is never changed in place
+        rank, ((a, b), *rest) = level
+        row = [(x - c * y) % p for x, y in zip(a, b)]
         for pc, lead in enumerate(row):
             if lead:
                 break
         else:
-            return level
+            return rank, rest
         inv = pow(lead, p - 2, p)
-        new = [(pc, [x * inv % p for x in row])]
-        return pivots + new, reduce(ra, new), reduce(rb, new)
+        row = [x * inv % p for x in row]
+
+        def cut(vec):
+            f = vec[pc]
+            return [(x - f * y) % p for x, y in zip(vec, row)] if f else vec
+        return rank + 1, [(cut(a), cut(b)) for a, b in rest]
 
     def fibers(k, level, base, head):
         # runs below the prefix head (nodes 0 .. k-1), whose first class
         # has index base; only subtrees that meet [lo, hi) are entered
-        rank = len(level[0])
+        rank = level[0]
         if rank > max_rank:
             return  # rank only grows: no class below this prefix qualifies
         if sure_hit and rank + v - k < max_rank:
@@ -151,11 +168,12 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             size = run ** (v - k)
             for d in range(max(lo - base, 0) // size,
                            min(-((base - hi) // size), run)):
-                yield from fibers(k + 1, extend(level, table[k][d]),
+                yield from fibers(k + 1, extend(level, d + 1),
                                   base + d * size, head + (d + 1,))
             return
-        # fiber: h0 is top at c_v = jump (0: no such class), low elsewhere
-        pivots, ra, rb = level
+        # fiber: node v's pair is the last one left; h0 is top at
+        # c_v = jump (0: no such class), low elsewhere
+        (ra, rb), = level[1]
         top = ncols - rank
         for i, lead in enumerate(rb):
             if lead:
@@ -173,58 +191,34 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         elif c0 <= jump < c1:
             yield head, jump, jump + 1, top, top, jump
 
-    # level 0: node v's halves, reduced by the pinned row (c = 1) after it
-    level = extend(([], e1[v] + [0] * k2, [0] * k1 + e2[v]), table[v + 1][0])
-    yield from fibers(0, level, 0, ())
+    # the pinned node n-1 is placed first, at c = 1
+    yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
 
 
 def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     """Yield (gluing tuple, h0) for each class of torus index [lo, hi) with
     h0 >= at_least, in bundle_at order.
 
-    Rank floor: row j of the gluing matrix is [E1(p_j) | -c_j·E2(q_j)], and
-    its rank is at least `rank_floor(md, n)` on every class (n = g+1
-    nodes). A torus whose floor exceeds ncols - at_least yields nothing at
-    once; when one block is empty (k1 = 0 or k2 = 0), or n <= 1, the rank
-    is the floor on every class, so h0 = ncols - floor is yielded by index.
-
-    Digit tree: otherwise class indices are base-(p-1) digits
-    c_0 - 1 .. c_{g-1} - 1, first node slowest, node g pinned to c_g = 1.
-    Level 0 holds the pinned row of node g in echelon form, and level k+1
-    extends level k by node k's row at one digit with one single-row
-    reduction against level k's pivots (each zero in the columns of the
-    pivots before it, leading entry 1). The recursive walk `fibers` builds
-    each level once per prefix and descends only into the digits whose
-    subtrees meet [lo, hi); at depth v = g-1, the fastest node, it solves
-    one fiber per prefix, so most fibers cost one row reduction. Each level
-    also carries the residuals ra, rb of node v's halves a = [E1(p_v) | 0]
-    and b = [0 | E2(q_v)]; extending a level reduces them against the new
-    pivot only.
-
-    Fiber solve: the p-1 classes of a fiber differ only in c_v, and node
-    v's row is a - c_v·b. With rf the rank of level v, reduction is linear,
-    so h0(c_v) = ncols - rf - [ra != c_v·rb]: constant over the fiber when
-    rb = 0, otherwise one less than ncols - rf except at the single
-    c_v = ra[k]/rb[k] (k the first nonzero of rb) where ra = c_v·rb holds.
-
-    Two bounds prune the tree. Rank only grows down the tree, so once a
-    level's rank exceeds ncols - at_least no class below that prefix
-    qualifies and the whole subtree is skipped in one step. Dually, a level
-    of rank rf at depth k has v - k + 1 rows still to come, each adding at
-    most 1, so when rf + v - k + 1 <= ncols - at_least every class below it
-    qualifies: `bn_enumerate` counts such a sure-hit subtree at once, while
-    this function, whose callers need exact h0, descends into it. Cuts
-    anywhere in the tree are allowed. The field and the range are checked
-    on the first iteration.
+    The classes come from the walk `_torus_runs`, with sure-hit subtrees
+    descended, since callers need exact h0. The field and the range are
+    checked on the first iteration.
     """
     for head, a, b, low, top, jump in _torus_runs(X, md, lo, hi, at_least,
                                                   False):
-        if head is None:
-            for i in range(a, b):
-                yield gluing_at(X, i), low
-        else:
+        if head is not None:
             for c in range(a, b):
                 yield (*head, c, 1), top if c == jump else low
+            continue
+        # one-block torus: decode the first class, then step its digits
+        c, unit = list(gluing_at(X, a)), X.ctx.p - 1
+        for _ in range(a, b):
+            yield tuple(c), low
+            j = len(c) - 2  # the last node stays pinned at 1
+            while j >= 0 and c[j] == unit:
+                c[j] = 1
+                j -= 1
+            if j >= 0:
+                c[j] += 1
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,

@@ -239,22 +239,30 @@ def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
     return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 
+def _is_unit(s, p: int) -> bool:
+    # s is the decimal string of a unit of F_p, as BNReport.to_json writes it
+    return (isinstance(s, str) and 0 < len(s) <= len(str(p)) and s.isascii()
+            and s.isdigit() and s[0] != "0" and int(s) < p)
+
+
 def _is_report_of(value: dict, X: BinaryCurve, q: BNQuery, cap: int) -> bool:
     # a cached value is served only if it has exactly the fields of
     # BNReport.to_json(), of the right types, and answers this request
-    want = BNReport(q, X.ctx.p, 0, (), cap, (0, bundle_count(X))).to_json()
+    p, total = X.ctx.p, bundle_count(X)
+    want = BNReport(q, p, 0, (), cap, (0, total)).to_json()
     fixed = ("query", "p", "witness_cap", "index_range")
     if value.keys() != want.keys() or (
             canonical_json([value[k] for k in fixed])
             != canonical_json([want[k] for k in fixed])):
         return False
     count, wits = value["count"], value["witnesses"]
-    return (type(count) is int and isinstance(wits, list)
-            and len(wits) <= min(count, cap)
+    return (type(count) is int and 0 <= count <= total
+            and isinstance(wits, list) and len(wits) == min(count, cap)
             and all(isinstance(w, list) and len(w) == len(X.nodes)
                     and all(isinstance(x, list) and len(x) == 2
-                            and isinstance(x[0], str) and x[1] == "1"
+                            and _is_unit(x[0], p) and x[1] == "1"
                             for x in w)
+                    and (not w or w[-1] == ["1", "1"])  # the pinned node
                     for w in wits))
 
 

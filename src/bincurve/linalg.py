@@ -6,7 +6,7 @@ Q (p = 0, where plain ints are accepted too). The two fields differ only in
 the pivot inverse and in the reduction mod p. Kernel bases come from the
 echelon form by back-substitution. Matrices stay at desk scale (<= ~40x40)
 so fraction growth over Q is acceptable. The torus scan keeps its own
-incremental echelon (`brill_noether.torus_h0`).
+levels of residual rows, one pivot at a time (`brill_noether._torus_runs`).
 """
 from __future__ import annotations
 

@@ -56,18 +56,6 @@ def test_witness_cap_and_witnesses_have_sections():
         assert h0(LineBundle(X, (2, 2), list(c))) >= 1
 
 
-def test_serre_count_bijection():
-    """L -> w x L^-1 matches #W^r_md with #W^r'_md' for the dual data."""
-    X = random_curve(2, F7, Rng(15))
-    g, md, r = 2, (1, 0), 0
-    d = sum(md)
-    md_dual = (g - 1 - md[0], g - 1 - md[1])
-    r_dual = r - d + g - 1
-    n = bn_enumerate(X, BNQuery(md, r)).count
-    m = bn_enumerate(X, BNQuery(md_dual, r_dual)).count
-    assert n == m
-
-
 def test_sharding_matches_single_scan():
     X = random_curve(3, F7, Rng(16))
     q = BNQuery((1, 1), 1)

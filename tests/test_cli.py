@@ -103,13 +103,13 @@ def test_bn_audit_detects_poisoned_cache(tmp_path, capsys):
     args = ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1")
     code, rep, _ = run(capsys, *args)
     assert code == 0
-    # poison: overwrite the entry with a wrong count under the same key
+    # poison: overwrite the entry with a wrong count under the same key, of
+    # the report's shape (the true count is 0)
     cache = JsonlCache()
-    poisoned = dict(rep["report"])
-    poisoned["count"] = 999
+    poisoned = dict(rep["report"], count=1, witnesses=[_witness("1", "1")])
     cache.store(_bn_key_of(args), poisoned)
     code2, rep2, err = run(capsys, *args)        # un-audited hit: wrong count
-    assert rep2["report"]["count"] == 999
+    assert rep2["report"]["count"] == 1
     code3, rep3, err3 = run(capsys, *args, "--audit")
     assert code3 == 1
     assert rep3["report"]["audit"] == {"checked": True, "match": False}
@@ -223,10 +223,10 @@ def test_bn_cache_entry_of_other_code_is_a_miss(capsys, monkeypatch):
     _, rep, _ = run(capsys, *args)
     real = bincurve.cache.code_digest
     monkeypatch.setattr(bincurve.cache, "code_digest", lambda: "0" * 64)
-    stale = dict(rep["report"], count=999)
+    stale = dict(rep["report"], count=1, witnesses=[_witness("1", "1")])
     JsonlCache().store(_bn_key_of(args), stale)
     _, rep_old, _ = run(capsys, *args)
-    assert rep_old["report"]["count"] == 999   # served to its own code only
+    assert rep_old["report"]["count"] == 1   # served to its own code only
     # setattr, not undo(): undo would also drop the fixture's cache dir
     monkeypatch.setattr(bincurve.cache, "code_digest", real)
     _, rep_new, _ = run(capsys, *args)
@@ -265,6 +265,11 @@ def test_bn_skips_cache_lines_of_another_shape(capsys, shape):
     assert out.out == first and "Traceback" not in out.err
 
 
+def _witness(first, last):
+    # a g=3 witness as BNReport.to_json writes it, from its end coordinates
+    return [[first, "1"], ["1", "1"], ["1", "1"], [last, "1"]]
+
+
 @pytest.mark.parametrize("spoil", [
     lambda rep: {},
     lambda rep: {"p": 7, "count": "x"},
@@ -274,8 +279,16 @@ def test_bn_skips_cache_lines_of_another_shape(capsys, shape):
     lambda rep: dict(rep, count=True),
     lambda rep: dict(rep, count=1, witnesses=[["1", "1"]]),
     lambda rep: dict(rep, seed=None),
+    lambda rep: dict(rep, count=4, witnesses=rep["witnesses"][:1]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("99", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("x", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("0", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("1", "2")]),
+    lambda rep: dict(rep, count=217, witnesses=[_witness("1", "1")] * 64),
 ], ids=["empty", "str-count", "other-p", "other-cap", "other-query",
-        "bool-count", "bad-witness", "extra-field"])
+        "bool-count", "bad-witness", "extra-field", "short-witnesses",
+        "coordinate-99", "coordinate-x", "coordinate-0", "last-not-pinned",
+        "count-above-torus"])
 def test_bn_malformed_cache_value_is_a_miss(capsys, spoil):
     # a value without exactly the report's fields, types and request is
     # recomputed and stored again, and the output is a clean run's

@@ -311,11 +311,22 @@ class CliffordReport:
 def clifford_index(X: BinaryCurve) -> CliffordReport:
     """min(d - 2·h0 + 2) over balanced classes with h0 >= 2 and h1 >= 2.
 
-    Index 0 is equivalent to hyperellipticity and shows up as some
-    W^h_(h,h) being nonempty (h <= g-2); index 1 as some W^h on md
-    (h,h+1) or (h+1,h) with h <= g-3. Anything larger needs the full scan.
-    Genus 2 is unconditionally hyperelliptic: any three point pairs are
-    matched by a Moebius map.
+    One loop of existence questions, in order of the candidate index cl
+    (Clifford's bound h0 <= d/2 + 1 makes cl >= 0). A class of degree d has
+    index cl when h0 = h = (d-cl)/2 + 1, and then h1 = h - d + g - 1 >= 2
+    exactly when d <= 2g-4-cl; so d runs over cl+2, cl+4, ..., 2g-4-cl,
+    and cl <= g-3. For each md of `balanced_set(d, g)`, `torus_h0` is asked
+    for its first class with h0 >= h; the walk's rank floor and rank bound
+    make an empty probe cheap. The first hit is the answer. No smaller
+    index occurs, so its h0 is exactly h, and it is the first class of
+    least index in (d, md, torus index) order. No hit means that no class
+    qualifies ("undefined").
+
+    `method` is a label derived from the result: "genus2" for the genus-2
+    convention (any three point pairs are matched by a Moebius map, so the
+    curve is hyperelliptic); "pencil-scan" for index 0 or 1, which only md
+    (h,h) and (h,h±1) can show (lemma-e's bound on h0, on both sides);
+    "full-scan" for a larger index or none.
     """
     ctx = X.ctx
     g = X.genus
@@ -327,27 +338,15 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
     if g == 2:
         H = hyperelliptic_class(X)
         return CliffordReport(0, 2, (1, 1), H.c, "genus2", p)
-    for h in range(1, g - 1):
-        hit = next(torus_h0(X, (h, h), at_least=h + 1), None)
-        if hit is not None:
-            return CliffordReport(0, 2 * h, (h, h), hit[0], "pencil-scan", p)
-    for h in range(1, g - 2):
-        for md in ((h, h + 1), (h + 1, h)):
-            hit = next(torus_h0(X, md, at_least=h + 1), None)
-            if hit is not None:
-                return CliffordReport(1, 2 * h + 1, md, hit[0],
-                                      "pencil-scan", p)
-    best = None
-    for d in range(2, 2 * g - 1):
-        for md in balanced_set(d, g):
-            for c, n in torus_h0(X, md, at_least=2):
-                if n - d + g - 1 >= 2:
-                    cl = d - 2 * n + 2
-                    if best is None or cl < best[0]:
-                        best = (cl, d, md, c)
-    if best is None:
-        return CliffordReport(None, None, None, None, "full-scan", p)
-    return CliffordReport(best[0], best[1], best[2], best[3], "full-scan", p)
+    for cl in range(g - 2):
+        for d in range(cl + 2, 2 * g - 3 - cl, 2):
+            for md in balanced_set(d, g):
+                hit = next(torus_h0(X, md, at_least=(d - cl) // 2 + 1), None)
+                if hit is not None:
+                    return CliffordReport(
+                        cl, d, md, hit[0],
+                        "pencil-scan" if cl <= 1 else "full-scan", p)
+    return CliffordReport(None, None, None, None, "full-scan", p)
 
 
 @dataclass

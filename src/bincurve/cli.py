@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--g", type=int, help="restrict to one genus")
     p.add_argument("--p", type=int, help="restrict to one prime")
@@ -195,13 +195,13 @@ def cmd_strata(args) -> int:
 # sets none of a suite's parameters is an error. gs and ps get a 1-tuple.
 VERIFY_OVERRIDES = {"g": ("gs", "g"), "p": ("ps", "p"),
                     "n": ("n_curves", "n_random"), "trials": ("trials",),
-                    "primes": ("primes",)}
+                    "primes": ("primes",), "seed": ("seed",)}
 
 
 def cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     accepted = inspect.signature(fn).parameters
-    kwargs = {k: getattr(args, k) for k in ("seed", "jobs") if k in accepted}
+    kwargs = {"jobs": args.jobs} if "jobs" in accepted else {}
     for flag, params in VERIFY_OVERRIDES.items():
         value = getattr(args, flag)
         if value is None:

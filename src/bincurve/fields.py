@@ -172,8 +172,13 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 
 def field_from_json(obj: dict) -> FieldCtx:
-    if obj["type"] == "Fp":
-        return PrimeField(int(obj["p"]))
-    if obj["type"] == "Q":
+    """Inverse of field_to_json; malformed input raises ValueError."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "Fp":
+        p = obj.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"field 'p' must be an integer, got {p!r}")
+        return PrimeField(p)
+    if kind == "Q":
         return Rationals()
-    raise ValueError(f"unknown field type {obj!r}")
+    raise ValueError(f"unknown field {obj!r}")

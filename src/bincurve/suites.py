@@ -338,7 +338,7 @@ def _int_nonhyp_curve4() -> BinaryCurve:
 MARTENS_PRIMES = (13, 23)
 
 
-def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
+def suite_martens(primes=MARTENS_PRIMES):
     """Dimension predictions in the window 2 <= d <= g-1 via growth exponents:
     exactly d-2r on a hyperelliptic curve, at most d-2r-1 otherwise, and the
     r > min(d_i) cases are empty."""
@@ -374,12 +374,12 @@ def suite_martens(seed=DEFAULT_SEED, primes=MARTENS_PRIMES):
         problems.append({"kind": "empty-case"})
     return SuiteResult(
         "martens", not problems,
-        {"primes": list(primes), "seed": seed},
+        {"primes": list(primes)},
         {"hyperelliptic": est_h.to_json(), "non_hyperelliptic": est_n.to_json(),
          "problems": problems})
 
 
-def suite_theta(seed=DEFAULT_SEED, ps=(7, 11, 23)):
+def suite_theta(ps=(7, 11, 23)):
     """Hyperelliptic genus 3: the degree-2 pencil is the unique md-(1,1)
     class with two sections at every prime, i.e. a 0-dimensional locus
     (g-3 = 0); the two-prime exponent agrees."""
@@ -400,7 +400,7 @@ def suite_theta(seed=DEFAULT_SEED, ps=(7, 11, 23)):
         problems.append({"kind": "estimate", "estimate": est.to_json()})
     return SuiteResult(
         "theta", not problems,
-        {"ps": list(ps), "seed": seed},
+        {"ps": list(ps)},
         {"counts": {str(p): n for p, n in counts.items()},
          "estimate": est.to_json(), "problems": problems})
 

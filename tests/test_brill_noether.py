@@ -10,8 +10,8 @@ from bincurve.brill_noether import (BNQuery, MartensPrediction, _torus_runs,
                                     merge_reports, predicted_empty,
                                     rank_floor, reduce_curve_mod, rho,
                                     split_ranges, torus_h0)
-from bincurve.bundles import (LineBundle, canonical_bundle, enumerate_bundles,
-                              hyperelliptic_class)
+from bincurve.bundles import (LineBundle, canonical_bundle, dual,
+                              enumerate_bundles, hyperelliptic_class, tensor)
 from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
 from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
@@ -408,6 +408,57 @@ def test_clifford_index_hyperelliptic_vs_generic():
     assert rep2.to_json()["cliff"] == "undefined"
     g2 = standard_curve(2, F7)
     assert clifford_index(g2).cliff == 0
+
+
+def clifford_full_scan(X):
+    """The reference: every class with h0 >= 2 of every balanced md of
+    degree 2 .. 2g-2, filtered to h1 >= 2, keeping the first strict
+    improvement of d - 2·h0 + 2 (so ties keep the earliest class)."""
+    g = X.genus
+    best = (None, None, None, None)
+    for d in range(2, 2 * g - 1):
+        for md in balanced_set(d, g):
+            for c, n in torus_h0(X, md, at_least=2):
+                cl = d - 2 * n + 2
+                if n - d + g - 1 >= 2 and (best[0] is None or cl < best[0]):
+                    best = (cl, d, md, c)
+    return best
+
+
+# random_curve needs p >= g+3
+CLIFFORD_CURVES = [(g, p, hyp) for g in (3, 4) for p in (5, 7, 11)
+                   for hyp in (False, True) if hyp or p >= g + 3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CLIFFORD_CURVES), st.integers(0, 10 ** 6))
+def test_clifford_index_matches_the_full_scan(case, seed):
+    g, p, hyp = case
+    make = random_hyperelliptic_curve if hyp else random_curve
+    X = make(g, PrimeField(p), Rng(seed))
+    rep = clifford_index(X)
+    assert (rep.cliff, rep.d, rep.md, rep.witness) == clifford_full_scan(X)
+
+
+@pytest.mark.parametrize("X,cliff,method", [
+    (random_hyperelliptic_curve(4, F7, Rng(1)), 0, "pencil-scan"),
+    (random_curve(4, F7, Rng(2)), 1, "pencil-scan"),
+    (random_curve(4, F7, Rng(1)), None, "full-scan"),
+], ids=["hyperelliptic", "trigonal", "undefined"])
+def test_clifford_index_outcomes_on_fixed_curves(X, cliff, method):
+    rep = clifford_index(X)
+    assert (rep.cliff, rep.method) == (cliff, method)
+    assert (rep.cliff, rep.d, rep.md, rep.witness) == clifford_full_scan(X)
+
+
+def test_clifford_index_two_witness_has_the_sections():
+    # the full scan takes seconds here, so check the witness with generic h0
+    X = random_curve(5, F11, Rng(1))
+    rep = clifford_index(X)
+    assert (rep.cliff, rep.md, rep.method) == (2, (1, 3), "full-scan")
+    L = LineBundle(X, rep.md, rep.witness)
+    assert h0(L) == (rep.d - rep.cliff) // 2 + 1
+    assert h0(tensor(canonical_bundle(X), dual(L))) >= 2  # h1, by duality
 
 
 def test_clifford_zero_classification():

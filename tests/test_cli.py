@@ -180,16 +180,23 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("doc", [
-    {"field": {"type": "Fp", "p": 7}, "nodes": [[["0"]]]},
-    {"field": {"type": "Fp", "p": 7}, "nodes": 5},
-    [{"field": {"type": "Fp", "p": 7}}],
-], ids=["short-node", "nodes-not-a-list", "top-level-list"])
-def test_malformed_curve_json_exits_2(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc,message", [
+    ({"field": {"type": "Fp", "p": 7}, "nodes": [[["0"]]]}, "each node"),
+    ({"field": {"type": "Fp", "p": 7}, "nodes": 5}, "curve JSON"),
+    ([{"field": {"type": "Fp", "p": 7}}], "curve JSON"),
+    ({"field": {"type": "Fp", "p": [7]}, "nodes": []}, "field 'p'"),
+    ({"field": {"type": "Fp", "p": 7.9}, "nodes": []}, "field 'p'"),
+    # bool is an int in Python, and int(True) = 1 is not prime either
+    ({"field": {"type": "Fp", "p": True}, "nodes": []}, "field 'p'"),
+    ({"field": {"type": "Fp"}, "nodes": []}, "field 'p'"),
+], ids=["short-node", "nodes-not-a-list", "top-level-list", "p-a-list",
+        "p-a-float", "p-a-bool", "p-missing"])
+def test_malformed_curve_json_exits_2(tmp_path, capsys, doc, message):
     cf = tmp_path / "c.json"
     cf.write_text(json.dumps(doc))
     assert main(["h0", "--curve", str(cf), "--md", "1,1"]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
 
 
 ONES = [["1", "1"]] * 3   # a valid gluing vector on a genus-2 curve
@@ -333,6 +340,7 @@ def test_count_flags_reject_zero_and_negative(capsys, argv):
     (("verify", "martens", "--g", "3"), "--g"),
     (("verify", "riemann", "--n", "5"), "--n"),
     (("verify", "wbar", "--trials", "2"), "--trials"),
+    (("verify", "theta", "--seed", "3"), "--seed"),
 ])
 def test_verify_rejects_flags_the_suite_does_not_take(capsys, argv, flag):
     assert main(list(argv)) == 2

@@ -123,15 +123,14 @@ def h1(L: LineBundle) -> int:
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """Kernel basis of the gluing (+ vanishing) matrix, split into (f, h) parts."""
+    """Kernel basis of the gluing matrix, split into (f, h) parts."""
 
     bundle: LineBundle
-    vanishing: EffectiveDivisor | None = None
     basis: tuple = field(init=False)
 
     def __post_init__(self):
         L = self.bundle
-        rows, k1, k2 = _section_matrix(L, self.vanishing)
+        rows, k1, k2 = _section_matrix(L)
         vecs = kernel_basis(L.ctx, rows, k1 + k2)
         object.__setattr__(
             self, "basis",

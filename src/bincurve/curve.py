@@ -282,8 +282,8 @@ def standard_curve(g: int, ctx: FieldCtx) -> BinaryCurve:
     g >= 2 (the matching map is the identity). Handy as a deterministic
     fixture; needs p >= g over a prime field.
     """
-    if g < 1:
-        raise ValueError("needs g >= 1")
+    if g < 0:
+        raise ValueError("needs g >= 0")
     if ctx.is_prime_field() and ctx.p < g:
         raise ValueError("field too small")
     pts = [ProjPoint.finite(ctx, ctx.from_int(i)) for i in range(g)]

@@ -7,6 +7,8 @@ are byte-identical across reruns and worker counts.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,6 +43,30 @@ class SuiteResult:
                 "config": self.config, "summary": self.summary}
 
 
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register in SUITES, under `name`, a suite that returns (passed,
+    summary). Its SuiteResult's config is the call's arguments over the
+    signature's defaults, tuples as lists, less the plumbing `jobs`."""
+    def register(fn):
+        sig = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            config = {k: list(v) if isinstance(v, tuple) else v
+                      for k, v in bound.arguments.items() if k != "jobs"}
+            passed, summary = fn(*bound.args, **bound.kwargs)
+            return SuiteResult(name, passed, config, summary)
+
+        SUITES[name] = run
+        return run
+    return register
+
+
 def pool_map(fn, items, jobs: int, chunksize: int = 1) -> list:
     """[fn(x) for x in items], in order; spread over one process pool of
     `jobs` workers when jobs > 1. fn and the items must pickle."""
@@ -50,160 +76,141 @@ def pool_map(fn, items, jobs: int, chunksize: int = 1) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _suite_curves(g: int, ctx, rng: Rng):
-    """Deterministic fixtures: the standard (hyperelliptic) curve plus, for
-    g >= 3, one seeded random curve (generically not hyperelliptic)."""
-    if g == 0:
-        inf = ProjPoint.infinity(ctx)
-        return [BinaryCurve(ctx, [(inf, inf)])]
-    curves = [standard_curve(g, ctx)]
-    if g >= 3 and (not ctx.is_prime_field() or ctx.p >= g + 3):
-        curves.append(random_curve(g, ctx, rng))
-    return curves
-
-
-def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
-    """h0 = d-g+1 for every balanced class with d >= 2g-1 (grid d <= 2g+2)."""
+def _curve_grid(gs, ps, seed):
+    """(where, X) per fixture, where = {"g", "p", "curve"}: per (g, p) the
+    standard (hyperelliptic) curve and, if g >= 3 and p >= g + 3, a random
+    one drawn from the cell's child rng, which every cell spawns."""
     rng = Rng(seed)
-    checked = 0
-    violations = []
     for g in gs:
         for p in ps:
             ctx = PrimeField(p)
-            for ci, X in enumerate(_suite_curves(g, ctx, rng.spawn())):
-                for d in range(2 * g - 1, 2 * g + 3):
-                    for md in balanced_set(d, g):
-                        for c, n in torus_h0(X, md):
-                            checked += 1
-                            if n != d - g + 1:
-                                violations.append(
-                                    {"g": g, "p": p, "curve": ci,
-                                     "md": list(md),
-                                     "c": [str(x) for x in c],
-                                     "h0": n, "expected": d - g + 1})
-    return SuiteResult(
-        "riemann", not violations,
-        {"gs": list(gs), "ps": list(ps), "seed": seed},
-        {"classes_checked": checked, "violations": violations[:10],
-         "n_violations": len(violations)})
+            crng = rng.spawn()
+            curves = [standard_curve(g, ctx)]
+            if g >= 3 and p >= g + 3:
+                curves.append(random_curve(g, ctx, crng))
+            for ci, X in enumerate(curves):
+                yield {"g": g, "p": p, "curve": ci}, X
 
 
+@_suite("riemann")
+def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
+    """h0 = d-g+1 for every balanced class with d >= 2g-1 (grid d <= 2g+2)."""
+    checked = 0
+    violations = []
+    for where, X in _curve_grid(gs, ps, seed):
+        g = X.genus
+        for d in range(2 * g - 1, 2 * g + 3):
+            for md in balanced_set(d, g):
+                for c, n in torus_h0(X, md):
+                    checked += 1
+                    if n != d - g + 1:
+                        violations.append(
+                            {**where, "md": list(md),
+                             "c": [str(x) for x in c],
+                             "h0": n, "expected": d - g + 1})
+    return not violations, {"classes_checked": checked,
+                            "violations": violations[:10],
+                            "n_violations": len(violations)}
+
+
+@_suite("clifford")
 def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0 <= d/2+1 on 0 <= d <= 2g, with both equality cases pinned to the
     unique expected class; plus index-0 <=> hyperelliptic cross-checks."""
-    rng = Rng(seed)
     checked = 0
     problems = []
-    for g in gs:
-        for p in ps:
-            ctx = PrimeField(p)
-            for ci, X in enumerate(_suite_curves(g, ctx, rng.spawn())):
-                where = {"g": g, "p": p, "curve": ci}
-                d0_hits = []
-                omega_hits = []
-                for d in range(0, 2 * g + 1):
-                    for md in balanced_set(d, g):
-                        for c, n in torus_h0(X, md):
-                            checked += 1
-                            if 2 * n > d + 2:
-                                problems.append({**where, "kind": "bound",
-                                                 "md": list(md), "h0": n})
-                            if d == 0 and n == 1:
-                                d0_hits.append((md, c))
-                            if d == 2 * g - 2 and n == g:
-                                omega_hits.append((md, c))
-                triv = trivial(X)
-                if len(d0_hits) != 1 or d0_hits[0] != (triv.md, triv.c):
-                    problems.append({**where, "kind": "degree0-equality",
-                                     "n_hits": len(d0_hits)})
-                if g >= 1:
-                    w = canonical_bundle(X)
-                    if len(omega_hits) != 1 or omega_hits[0] != (w.md, w.c):
-                        problems.append({**where, "kind": "canonical-equality",
-                                         "n_hits": len(omega_hits)})
-                if g >= 2:
-                    hyp, _ = is_hyperelliptic_fast(X)
-                    rep = clifford_index(X)
-                    if (rep.cliff == 0) != hyp:
-                        problems.append({**where, "kind": "index-vs-pencil",
-                                         "cliff": rep.cliff, "hyp": hyp})
-                    if hyp:
-                        for d in range(0, 2 * g - 1, 2):
-                            zc = clifford_zero_classification(X, d)
-                            if not zc.passed:
-                                problems.append({**where,
-                                                 "kind": "zero-classification",
-                                                 "d": d,
-                                                 "n_found": zc.n_found})
-    return SuiteResult(
-        "clifford", not problems,
-        {"gs": list(gs), "ps": list(ps), "seed": seed},
-        {"classes_checked": checked, "problems": problems[:10],
-         "n_problems": len(problems)})
+    for where, X in _curve_grid(gs, ps, seed):
+        g = X.genus
+        d0_hits = []
+        omega_hits = []
+        for d in range(0, 2 * g + 1):
+            for md in balanced_set(d, g):
+                for c, n in torus_h0(X, md):
+                    checked += 1
+                    if 2 * n > d + 2:
+                        problems.append({**where, "kind": "bound",
+                                         "md": list(md), "h0": n})
+                    if d == 0 and n == 1:
+                        d0_hits.append((md, c))
+                    if d == 2 * g - 2 and n == g:
+                        omega_hits.append((md, c))
+        triv = trivial(X)
+        if len(d0_hits) != 1 or d0_hits[0] != (triv.md, triv.c):
+            problems.append({**where, "kind": "degree0-equality",
+                             "n_hits": len(d0_hits)})
+        if g >= 1:
+            w = canonical_bundle(X)
+            if len(omega_hits) != 1 or omega_hits[0] != (w.md, w.c):
+                problems.append({**where, "kind": "canonical-equality",
+                                 "n_hits": len(omega_hits)})
+        if g >= 2:
+            hyp, _ = is_hyperelliptic_fast(X)
+            rep = clifford_index(X)
+            if (rep.cliff == 0) != hyp:
+                problems.append({**where, "kind": "index-vs-pencil",
+                                 "cliff": rep.cliff, "hyp": hyp})
+            if hyp:
+                for d in range(0, 2 * g - 1, 2):
+                    zc = clifford_zero_classification(X, d)
+                    if not zc.passed:
+                        problems.append({**where,
+                                         "kind": "zero-classification",
+                                         "d": d, "n_found": zc.n_found})
+    return not problems, {"classes_checked": checked,
+                          "problems": problems[:10],
+                          "n_problems": len(problems)}
 
 
+@_suite("serre")
 def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0(w ⊗ L^-1) = h0(L) - d + g - 1 on the full exhaustive grid; ties the
     residue-formula w to Riemann-Roch. The left side takes the generic h0,
     the right side the torus scan's, so the two h0 paths are compared on
     every class too."""
-    rng = Rng(seed)
     checked = 0
     violations = []
-    for g in gs:
-        for p in ps:
-            ctx = PrimeField(p)
-            for ci, X in enumerate(_suite_curves(g, ctx, rng.spawn())):
-                w = canonical_bundle(X)
-                for d in range(0, 2 * g + 3):
-                    for md in balanced_set(d, g):
-                        for c, n in torus_h0(X, md):
-                            L = LineBundle(X, md, c)
-                            lhs = cohomology.h0(tensor(w, dual(L)))
-                            rhs = n - d + g - 1
-                            checked += 1
-                            if lhs != rhs:
-                                violations.append(
-                                    {"g": g, "p": p, "curve": ci,
-                                     "md": list(md),
-                                     "c": [str(x) for x in c],
-                                     "lhs": lhs, "rhs": rhs})
-    return SuiteResult(
-        "serre", not violations,
-        {"gs": list(gs), "ps": list(ps), "seed": seed},
-        {"classes_checked": checked, "violations": violations[:10],
-         "n_violations": len(violations)})
+    for where, X in _curve_grid(gs, ps, seed):
+        g = X.genus
+        w = canonical_bundle(X)
+        for d in range(0, 2 * g + 3):
+            for md in balanced_set(d, g):
+                for c, n in torus_h0(X, md):
+                    L = LineBundle(X, md, c)
+                    lhs = cohomology.h0(tensor(w, dual(L)))
+                    rhs = n - d + g - 1
+                    checked += 1
+                    if lhs != rhs:
+                        violations.append(
+                            {**where, "md": list(md),
+                             "c": [str(x) for x in c],
+                             "lhs": lhs, "rhs": rhs})
+    return not violations, {"classes_checked": checked,
+                            "violations": violations[:10],
+                            "n_violations": len(violations)}
 
 
+@_suite("empty")
 def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
     """Every provably-empty (md, r) case scans to an exact zero count."""
-    rng = Rng(seed)
     cases = 0
     violations = []
-    for g in gs:
-        for p in ps:
-            ctx = PrimeField(p)
-            for ci, X in enumerate(_suite_curves(g, ctx, rng.spawn())):
-                for d in range(-1, g + 3):
-                    for md in balanced_set(d, g):
-                        for r in range(0, 3):
-                            if not predicted_empty(md, r, g):
-                                continue
-                            cases += 1
-                            rep = bn_enumerate(X, BNQuery(md, r),
-                                               witness_cap=2)
-                            if rep.count != 0:
-                                violations.append(
-                                    {"g": g, "p": p, "curve": ci,
-                                     "md": list(md), "r": r,
-                                     "count": rep.count})
-    return SuiteResult(
-        "empty", not violations,
-        {"gs": list(gs), "ps": list(ps), "seed": seed},
-        {"cases": cases, "violations": violations[:10],
-         "n_violations": len(violations)})
+    for where, X in _curve_grid(gs, ps, seed):
+        g = X.genus
+        for d in range(-1, g + 3):
+            for md in balanced_set(d, g):
+                for r in range(0, 3):
+                    if not predicted_empty(md, r, g):
+                        continue
+                    cases += 1
+                    rep = bn_enumerate(X, BNQuery(md, r), witness_cap=2)
+                    if rep.count != 0:
+                        violations.append({**where, "md": list(md), "r": r,
+                                           "count": rep.count})
+    return not violations, {"cases": cases, "violations": violations[:10],
+                            "n_violations": len(violations)}
 
 
+@_suite("lemma-e")
 def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
     """Degree-split bound h0 <= d1+d2+1-min(d2,g), its equality regime
     d2 >= g, and the descent dictionary on one-node regluings: the fiber
@@ -259,11 +266,8 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
                                          "fiber": len(fiber),
                                          "exists": res.exists,
                                          "unique": res.unique})
-    return SuiteResult(
-        "lemma-e", not problems,
-        {"g": g, "ps": list(ps), "seed": seed},
-        {"checked": checked, "problems": problems[:10],
-         "n_problems": len(problems)})
+    return not problems, {"checked": checked, "problems": problems[:10],
+                          "n_problems": len(problems)}
 
 
 def _hyp_check(X: BinaryCurve) -> dict:
@@ -280,6 +284,7 @@ def _hyp_check(X: BinaryCurve) -> dict:
             "witness_ok": witness_ok}
 
 
+@_suite("hyperelliptic")
 def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
                         seed=DEFAULT_SEED, jobs=1):
     """Matching-map hyperellipticity test vs exhaustive degree-2 pencil scan.
@@ -313,11 +318,7 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
         summary.append({"g": g, "p": p, "n": len(results),
                         "n_hyperelliptic": sum(r["hyp"] for r in results),
                         "failures": bad[:10], "n_failures": len(bad)})
-    return SuiteResult(
-        "hyperelliptic", failures == 0,
-        {"gs": list(gs), "ps": list(ps), "n_random": n_random,
-         "n_special": n_special, "seed": seed},
-        {"combos": summary})
+    return failures == 0, {"combos": summary}
 
 
 # Frozen integer-coordinate genus-4 fixtures for the dimension suites.
@@ -338,6 +339,7 @@ def _int_nonhyp_curve4() -> BinaryCurve:
 MARTENS_PRIMES = (13, 23)
 
 
+@_suite("martens")
 def suite_martens(primes=MARTENS_PRIMES):
     """Dimension predictions in the window 2 <= d <= g-1 via growth exponents:
     exactly d-2r on a hyperelliptic curve, at most d-2r-1 otherwise, and the
@@ -372,13 +374,12 @@ def suite_martens(primes=MARTENS_PRIMES):
         Xp, BNQuery((0, 3), 1), witness_cap=1).count == 0
     if not empty_ok:
         problems.append({"kind": "empty-case"})
-    return SuiteResult(
-        "martens", not problems,
-        {"primes": list(primes)},
-        {"hyperelliptic": est_h.to_json(), "non_hyperelliptic": est_n.to_json(),
-         "problems": problems})
+    return not problems, {
+        "hyperelliptic": est_h.to_json(), "non_hyperelliptic": est_n.to_json(),
+        "problems": problems}
 
 
+@_suite("theta")
 def suite_theta(ps=(7, 11, 23)):
     """Hyperelliptic genus 3: the degree-2 pencil is the unique md-(1,1)
     class with two sections at every prime, i.e. a 0-dimensional locus
@@ -398,13 +399,11 @@ def suite_theta(ps=(7, 11, 23)):
     est = estimate_dim(X, BNQuery((1, 1), 1), list(ps)[:2])
     if not (est.kind == "ok" and est.rounded == 0):
         problems.append({"kind": "estimate", "estimate": est.to_json()})
-    return SuiteResult(
-        "theta", not problems,
-        {"ps": list(ps)},
-        {"counts": {str(p): n for p, n in counts.items()},
-         "estimate": est.to_json(), "problems": problems})
+    return not problems, {"counts": {str(p): n for p, n in counts.items()},
+                          "estimate": est.to_json(), "problems": problems}
 
 
+@_suite("bn")
 def suite_bn(seed=DEFAULT_SEED, n_curves=100):
     """Sampled existence/emptiness verdicts for r <= 2 against rho."""
     neg = bn_suite(4, 1, [11], n_curves, seed, mds=[(1, 1)])
@@ -426,13 +425,12 @@ def suite_bn(seed=DEFAULT_SEED, n_curves=100):
             omega_ok = False
     passed = (neg.passed and pos.passed and zero.passed
               and bool(pos_rows) and omega_ok)
-    return SuiteResult(
-        "bn", passed,
-        {"seed": seed, "n_curves": n_curves},
-        {"rho_negative": neg.to_json(), "rho_positive": pos.to_json(),
-         "rho_zero": zero.to_json(), "canonical_pinned": omega_ok})
+    return passed, {
+        "rho_negative": neg.to_json(), "rho_positive": pos.to_json(),
+        "rho_zero": zero.to_json(), "canonical_pinned": omega_ok}
 
 
+@_suite("very-ample")
 def suite_very_ample(seed=DEFAULT_SEED, gs=(3, 4), p=11, trials=15,
                      n_curves=2):
     """Canonical embedding separates points/tangents iff not hyperelliptic."""
@@ -454,11 +452,7 @@ def suite_very_ample(seed=DEFAULT_SEED, gs=(3, 4), p=11, trials=15,
                              "hyperelliptic": rep.hyperelliptic,
                              "very_ample": rep.very_ample,
                              "passed": rep.passed})
-    return SuiteResult(
-        "very-ample", ok,
-        {"gs": list(gs), "p": p, "trials": trials, "n_curves": n_curves,
-         "seed": seed},
-        {"rows": rows})
+    return ok, {"rows": rows}
 
 
 def _check_partial_order(strata) -> bool:
@@ -477,6 +471,7 @@ def _check_partial_order(strata) -> bool:
     return True
 
 
+@_suite("wbar")
 def suite_wbar(seed=DEFAULT_SEED, p=7):
     """Stratum combinatorics and boundary-locus assembly."""
     rng = Rng(seed)
@@ -503,24 +498,8 @@ def suite_wbar(seed=DEFAULT_SEED, p=7):
     wbn = assemble_Wbar(X2, 2, 1)
     if wbn.ell0_excluded is not None:
         problems.append({"kind": "neron-ell0"})
-    return SuiteResult(
-        "wbar", not problems,
-        {"p": p, "seed": seed},
-        {"g2_d2_strata": len(s22), "g2_d1_strata": len(s21) - 1,
-         "wbar_g2_d1_total": wb.total, "wbar_g3_d2_total": wb3.total,
-         "problems": problems})
+    return not problems, {
+        "g2_d2_strata": len(s22), "g2_d1_strata": len(s21) - 1,
+        "wbar_g2_d1_total": wb.total, "wbar_g3_d2_total": wb3.total,
+        "problems": problems}
 
-
-SUITES = {
-    "riemann": suite_riemann,
-    "clifford": suite_clifford,
-    "serre": suite_serre,
-    "empty": suite_empty,
-    "lemma-e": suite_lemma_e,
-    "hyperelliptic": suite_hyperelliptic,
-    "martens": suite_martens,
-    "theta": suite_theta,
-    "bn": suite_bn,
-    "very-ample": suite_very_ample,
-    "wbar": suite_wbar,
-}

@@ -35,6 +35,8 @@ def test_genus_counts_nodes():
     assert curve(F7, [("oo", "oo")]).genus == 0
     assert curve(F7, [(0, 0), (1, 1), ("oo", "oo")]).genus == 2
     assert standard_curve(4, F11).genus == 4
+    # genus 0: the one node (oo, oo), the empty suite's first fixture
+    assert standard_curve(0, F7).same_curve(curve(F7, [("oo", "oo")]))
 
 
 def test_nodes_must_be_distinct_per_side():

@@ -1,5 +1,8 @@
+from bincurve.curve import random_curve, standard_curve
+from bincurve.fields import PrimeField
 from bincurve.reports import canonical_json, envelope, text_table
-from bincurve.suites import SUITES, SuiteResult
+from bincurve.rng import Rng
+from bincurve.suites import SUITES, SuiteResult, _curve_grid
 
 
 EXPECTED_SUITES = {"riemann", "clifford", "serre", "empty", "lemma-e",
@@ -9,6 +12,26 @@ EXPECTED_SUITES = {"riemann", "clifford", "serre", "empty", "lemma-e",
 
 def test_registry_is_complete():
     assert set(SUITES) == EXPECTED_SUITES
+
+
+def test_curve_grid_order_and_labels():
+    # a passing report does not show which random curve a suite drew, so
+    # pin the fixtures: every (g, p) cell spawns a child rng, and only
+    # g=3, p=7 draws from its own, the 4th
+    seed = 3
+    F5, F7 = PrimeField(5), PrimeField(7)
+    rng = Rng(seed)
+    children = [rng.spawn() for _ in range(4)]
+    want = [({"g": 2, "p": 5, "curve": 0}, standard_curve(2, F5)),
+            ({"g": 2, "p": 7, "curve": 0}, standard_curve(2, F7)),
+            ({"g": 3, "p": 5, "curve": 0}, standard_curve(3, F5)),
+            ({"g": 3, "p": 7, "curve": 0}, standard_curve(3, F7)),
+            ({"g": 3, "p": 7, "curve": 1}, random_curve(3, F7, children[3]))]
+    got = list(_curve_grid((2, 3), (5, 7), seed))
+    assert [where for where, _ in got] == [where for where, _ in want]
+    assert all(X.same_curve(Y) for (_, X), (_, Y) in zip(got, want))
+    # a grid that spawned only where it draws would use the 1st child
+    assert not got[-1][1].same_curve(random_curve(3, F7, Rng(seed).spawn()))
 
 
 def test_envelope_shape():
@@ -35,26 +58,31 @@ def test_riemann_suite_small_and_deterministic():
     assert isinstance(r1, SuiteResult) and r1.passed
     assert canonical_json(r1.to_json()) == canonical_json(r2.to_json())
     assert r1.summary["classes_checked"] > 0
+    assert r1.config == {"gs": [2], "ps": [7], "seed": 3}
 
 
 def test_clifford_suite_small():
     res = SUITES["clifford"](gs=(2,), ps=(5,), seed=3)
     assert res.passed and res.summary["n_problems"] == 0
+    assert res.config == {"gs": [2], "ps": [5], "seed": 3}
 
 
 def test_serre_suite_small():
     res = SUITES["serre"](gs=(1,), ps=(5,), seed=3)
     assert res.passed
+    assert res.config == {"gs": [1], "ps": [5], "seed": 3}
 
 
 def test_empty_suite_small():
     res = SUITES["empty"](gs=(2,), ps=(7,), seed=3)
     assert res.passed and res.summary["cases"] > 0
+    assert res.config == {"gs": [2], "ps": [7], "seed": 3}
 
 
 def test_lemma_e_suite_small():
     res = SUITES["lemma-e"](ps=(7,), seed=3)
     assert res.passed and res.summary["checked"] > 0
+    assert res.config == {"ps": [7], "seed": 3, "g": 3}
 
 
 def test_hyperelliptic_suite_small_jobs_identical():
@@ -64,6 +92,10 @@ def test_hyperelliptic_suite_small_jobs_identical():
     r2 = SUITES["hyperelliptic"](jobs=2, **kw)
     assert r1.passed
     assert canonical_json(r1.to_json()) == canonical_json(r2.to_json())
+    # jobs is plumbing: no config records it
+    assert r1.config == r2.config == {"gs": [3], "ps": [7, 11],
+                                      "n_random": 6, "n_special": 3,
+                                      "seed": 3}
     combos = r1.summary["combos"]
     assert [(c["g"], c["p"]) for c in combos] == [(3, 7), (3, 11)]
     for combo in combos:
@@ -74,6 +106,7 @@ def test_bn_suite_small():
     res = SUITES["bn"](n_curves=8, seed=3)
     assert res.passed
     assert res.summary["rho_negative"]["rows"][0]["verdict"] == "pass"
+    assert res.config == {"seed": 3, "n_curves": 8}
 
 
 def test_very_ample_suite_small():
@@ -81,18 +114,22 @@ def test_very_ample_suite_small():
     assert res.passed
     kinds = {(r["kind"], r["hyperelliptic"]) for r in res.summary["rows"]}
     assert ("hyperelliptic", True) in kinds
+    assert res.config == {"seed": 3, "gs": [3], "p": 11, "trials": 5,
+                          "n_curves": 1}
 
 
 def test_wbar_suite():
     res = SUITES["wbar"](seed=3)
     assert res.passed
     assert res.summary["g2_d2_strata"] == 12
+    assert res.config == {"seed": 3, "p": 7}
 
 
 def test_theta_suite():
     res = SUITES["theta"](ps=(7, 11))
     assert res.passed
     assert res.summary["counts"] == {"7": 1, "11": 1}
+    assert res.config == {"ps": [7, 11]}
 
 
 def test_martens_suite():
@@ -100,3 +137,4 @@ def test_martens_suite():
     assert res.passed
     assert res.summary["hyperelliptic"]["rounded"] == 1
     assert res.summary["non_hyperelliptic"]["rounded"] <= 0
+    assert res.config == {"primes": [13, 23]}

@@ -22,8 +22,8 @@ from .picard import (Ell0, PicardPoint, Stratum, balanced_set, bounds,
                      is_balanced_blowup, is_strictly_balanced, picard_type,
                      strata_to_json, stratum_points, strict_set)
 from .brill_noether import (BNQuery, BNReport, abel_sample, assemble_Wbar,
-                            bn_enumerate, bn_suite, clifford_index,
-                            clifford_zero_classification, estimate_dim,
+                            bn_enumerate, bn_suite, clifford_equality_classes,
+                            clifford_index, estimate_dim,
                             martens_bound, merge_reports, predicted_empty,
                             reduce_curve_mod, rho, split_ranges,
                             verify_canonical_very_ample)

@@ -28,7 +28,8 @@ from fractions import Fraction
 from . import cohomology
 from .bundles import (EffectiveDivisor, bundle_count,
                       canonical_bundle, from_divisor, gluing_at,
-                      hyperelliptic_class, power, restrict_to_normalization)
+                      hyperelliptic_class, power, restrict_to_normalization,
+                      trivial)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
 from .fields import PrimeField
 from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
@@ -87,11 +88,11 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     """The one walk of the torus behind `torus_h0` and `bn_enumerate`.
 
     Yields, in index order, runs of classes of [lo, hi) that all have
-    h0 >= at_least, as (head, a, b, low, top, jump). With head a tuple the
-    run is the classes (*head, c, 1) for c in [a, b), of h0 top at c = jump
-    and low elsewhere (one fiber of the digit tree). With head None the run
-    is the classes of torus index [a, b): all of h0 = low when low is not
-    None (a torus on which the rank floor is exact), else a sure-hit
+    h0 >= at_least, as (head, a, b, low, jump). With head a tuple the run
+    is the classes (*head, c, 1) for c in [a, b), of h0 low + (c == jump)
+    (one fiber of the digit tree; jump 0 matches no class). With head None
+    the run is the classes of torus index [a, b): all of h0 = low when low
+    is not None (a torus on which the rank floor is exact), else a sure-hit
     subtree, which is only cut off when sure_hit is set.
 
     Row j of the gluing matrix is a_j - c_j·b_j, with a_j = [E1(p_j) | 0]
@@ -127,7 +128,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     if floor > max_rank or lo == hi:
         return  # every class has rank >= floor: none qualifies
     if not (k1 and k2) or n <= 1:
-        yield None, lo, hi, ncols - floor, ncols - floor, 0
+        yield None, lo, hi, ncols - floor, 0
         return
     p = X.ctx.p
     run = p - 1
@@ -162,7 +163,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         if sure_hit and rank + v - k < max_rank:
             # v - k + 1 rows to come, each adding at most 1 to the rank
             yield (None, max(lo, base), min(hi, base + run ** (v - k + 1)),
-                   None, None, 0)
+                   None, 0)
             return
         if k < v:
             size = run ** (v - k)
@@ -187,9 +188,9 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         c0 = max(lo - base, 0) + 1
         c1 = min(hi - base, run) + 1
         if low >= at_least:
-            yield head, c0, c1, low, top, jump
+            yield head, c0, c1, low, jump
         elif c0 <= jump < c1:
-            yield head, jump, jump + 1, top, top, jump
+            yield head, jump, jump + 1, low, jump
 
     # the pinned node n-1 is placed first, at c = 1
     yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
@@ -203,11 +204,10 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
     descended, since callers need exact h0. The field and the range are
     checked on the first iteration.
     """
-    for head, a, b, low, top, jump in _torus_runs(X, md, lo, hi, at_least,
-                                                  False):
+    for head, a, b, low, jump in _torus_runs(X, md, lo, hi, at_least, False):
         if head is not None:
             for c in range(a, b):
-                yield (*head, c, 1), top if c == jump else low
+                yield (*head, c, 1), low + (c == jump)
             continue
         # one-block torus: decode the first class, then step its digits
         c, unit = list(gluing_at(X, a)), X.ctx.p - 1
@@ -231,8 +231,8 @@ def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,
     lo, hi = index_range if index_range is not None else (0, bundle_count(X))
     count = 0
     wits = []
-    for head, a, b, _, _, _ in _torus_runs(X, tuple(q.md), lo, hi, q.r + 1,
-                                           True):
+    for head, a, b, _, _ in _torus_runs(X, tuple(q.md), lo, hi, q.r + 1,
+                                        True):
         count += b - a
         for c in range(a, min(b, a + witness_cap - len(wits))):
             wits.append(gluing_at(X, c) if head is None else (*head, c, 1))
@@ -349,54 +349,25 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
     return CliffordReport(None, None, None, None, "full-scan", p)
 
 
-@dataclass
-class CliffordZeroReport:
-    d: int
-    p: int
-    passed: bool
-    expected: tuple      # (md, c) of the expected unique class
-    found: tuple         # (md, c) pairs with h0 = d/2 + 1, capped
-    n_found: int
-
-    def to_json(self):
-        return {
-            "d": self.d, "p": self.p, "passed": self.passed,
-            "expected": [list(self.expected[0]),
-                         [[str(x), "1"] for x in self.expected[1]]],
-            "found": [[list(md), [[str(x), "1"] for x in c]]
-                      for md, c in self.found],
-            "n_found": self.n_found,
-        }
-
-
-# classes kept in CliffordZeroReport.found; n_found counts them all
-ZERO_CLASS_CAP = 16
-
-
-def clifford_zero_classification(X: BinaryCurve, d: int) -> CliffordZeroReport:
-    """On a hyperelliptic curve, the Clifford-equality classes of even degree
-    0 <= d <= 2g-2 should be exactly the d/2 power of the degree-2 pencil.
-    Exhaustive over all balanced multidegrees of total degree d.
+def clifford_equality_classes(X: BinaryCurve, d: int) -> list:
+    """The classes that Clifford's theorem names as attaining h0 = d/2 + 1,
+    for even 0 <= d <= 2g-2, as distinct (md, c) pairs in naming order:
+    the trivial class at d = 0, the dualizing class at d = 2g-2 and, on a
+    hyperelliptic curve, H^(d/2) for the degree-2 pencil H. A class named
+    twice (H^0 = O, H^(g-1) = w, or w = O at g = 1) is listed once, so two
+    entries mean the names disagree; no entry means no class attains it.
     """
     g = X.genus
     if d % 2 != 0 or not (0 <= d <= 2 * g - 2):
         raise ValueError("need even d with 0 <= d <= 2g-2")
-    flag, _ = is_hyperelliptic_fast(X)
-    if not flag:
-        raise ValueError("curve is not hyperelliptic")
-    H = hyperelliptic_class(X)
-    target = power(H, d // 2)
-    found = []
-    n_found = 0
-    for md in balanced_set(d, g):
-        for c, n in torus_h0(X, md, at_least=d // 2 + 1):
-            if n == d // 2 + 1:
-                n_found += 1
-                if len(found) < ZERO_CLASS_CAP:
-                    found.append((md, c))
-    passed = (n_found == 1 and found[0] == (target.md, target.c))
-    return CliffordZeroReport(d, X.ctx.p, passed,
-                              (target.md, target.c), tuple(found), n_found)
+    named = []
+    if d == 0:
+        named.append(trivial(X))
+    if d == 2 * g - 2:
+        named.append(canonical_bundle(X))
+    if g >= 2 and is_hyperelliptic_fast(X)[0]:
+        named.append(power(hyperelliptic_class(X), d // 2))
+    return list(dict.fromkeys((L.md, L.c) for L in named))
 
 
 @dataclass(frozen=True)
@@ -623,8 +594,6 @@ def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
 
 @dataclass
 class VeryAmpleReport:
-    g: int
-    p: int
     hyperelliptic: bool
     very_ample: bool
     passed: bool
@@ -676,8 +645,7 @@ def verify_canonical_very_ample(X: BinaryCurve, rng: Rng,
         cohomology.h0_vanishing(w, cohomology.point_divisor(X, [a, b])) == g - 2
         for a, b in samples)
     very_ample = separates_points and all(separates(j) for j in range(g + 1))
-    return VeryAmpleReport(g, ctx.p, hyp, very_ample,
-                           passed=(very_ample == (not hyp)))
+    return VeryAmpleReport(hyp, very_ample, passed=(very_ample == (not hyp)))
 
 
 @dataclass

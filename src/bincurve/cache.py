@@ -3,7 +3,8 @@
 One line per entry: {"key": sha256-hex, "value": report}. Later lines win,
 so corrections are appends, never rewrites. A lookup parses only the lines
 that contain the key's JSON text, then compares the parsed key; a line that
-does not parse, or is not an object whose value is an object, is skipped.
+does not parse as ASCII JSON, or is not an object whose value is an object,
+is skipped.
 The key hashes every input of the report (the curve JSON, which carries the
 field, md, r and the witness cap) together with a digest of this package's
 sources, so an entry written by other code is never served.
@@ -59,21 +60,23 @@ class JsonlCache:
 
     def lookup(self, key: str) -> dict | None:
         try:
-            fh = open(self.path, "r", encoding="ascii")
+            fh = open(self.path, "rb")
         except FileNotFoundError:
             return None
         # store writes the key as canonical JSON text, so a line without
         # that text cannot be its entry; only candidates are parsed
-        needle = json.dumps(key, ensure_ascii=True)
+        needle = json.dumps(key, ensure_ascii=True).encode("ascii")
         value = None
         with fh:
             for line in fh:
                 if needle not in line:
                     continue
                 try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write; later entries still count
+                    entry = json.loads(line.decode("ascii"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    # a torn write, or a non-ASCII byte, which store never
+                    # writes; later entries still count
+                    continue
                 # a line of another shape is skipped like a torn one
                 if (isinstance(entry, dict) and entry.get("key") == key
                         and isinstance(entry.get("value"), dict)):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from . import cohomology
 from .brill_noether import (BNQuery, assemble_Wbar, bn_enumerate, bn_suite,
-                            clifford_index, clifford_zero_classification,
+                            clifford_equality_classes, clifford_index,
                             estimate_dim, martens_bound, predicted_empty,
                             reduce_curve_mod, torus_h0,
                             verify_canonical_very_ample)
 from .bundles import (LineBundle, canonical_bundle, dual, hyperelliptic_class,
-                      tensor, trivial)
+                      tensor)
 from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
                     normalize_at, random_curve, random_hyperelliptic_curve,
                     standard_curve)
@@ -115,47 +115,38 @@ def suite_riemann(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
 
 @_suite("clifford")
 def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
-    """h0 <= d/2+1 on 0 <= d <= 2g, with both equality cases pinned to the
-    unique expected class; plus index-0 <=> hyperelliptic cross-checks."""
+    """h0 <= d/2+1 on 0 <= d <= 2g. For even d <= 2g-2 the classes with
+    equality are exactly those `clifford_equality_classes` names, which
+    must be at most one: O, w, or H^(d/2) on a hyperelliptic curve. Plus
+    index-0 <=> hyperelliptic cross-checks."""
     checked = 0
     problems = []
     for where, X in _curve_grid(gs, ps, seed):
         g = X.genus
-        d0_hits = []
-        omega_hits = []
         for d in range(0, 2 * g + 1):
+            hits = []
             for md in balanced_set(d, g):
                 for c, n in torus_h0(X, md):
                     checked += 1
                     if 2 * n > d + 2:
                         problems.append({**where, "kind": "bound",
                                          "md": list(md), "h0": n})
-                    if d == 0 and n == 1:
-                        d0_hits.append((md, c))
-                    if d == 2 * g - 2 and n == g:
-                        omega_hits.append((md, c))
-        triv = trivial(X)
-        if len(d0_hits) != 1 or d0_hits[0] != (triv.md, triv.c):
-            problems.append({**where, "kind": "degree0-equality",
-                             "n_hits": len(d0_hits)})
-        if g >= 1:
-            w = canonical_bundle(X)
-            if len(omega_hits) != 1 or omega_hits[0] != (w.md, w.c):
-                problems.append({**where, "kind": "canonical-equality",
-                                 "n_hits": len(omega_hits)})
+                    elif 2 * n == d + 2 and d <= 2 * g - 2:
+                        hits.append((md, c))
+            # every class of degree 2g attains d/2+1 (Riemann): no equality
+            # statement there
+            if d % 2 == 0 and d <= 2 * g - 2:
+                named = clifford_equality_classes(X, d)
+                if hits != named or len(named) > 1:
+                    problems.append({**where, "kind": "equality", "d": d,
+                                     "n_hits": len(hits),
+                                     "n_named": len(named)})
         if g >= 2:
             hyp, _ = is_hyperelliptic_fast(X)
             rep = clifford_index(X)
             if (rep.cliff == 0) != hyp:
                 problems.append({**where, "kind": "index-vs-pencil",
                                  "cliff": rep.cliff, "hyp": hyp})
-            if hyp:
-                for d in range(0, 2 * g - 1, 2):
-                    zc = clifford_zero_classification(X, d)
-                    if not zc.passed:
-                        problems.append({**where,
-                                         "kind": "zero-classification",
-                                         "d": d, "n_found": zc.n_found})
     return not problems, {"classes_checked": checked,
                           "problems": problems[:10],
                           "n_problems": len(problems)}

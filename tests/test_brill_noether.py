@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 from bincurve.brill_noether import (BNQuery, MartensPrediction, _torus_runs,
                                     abel_sample, assemble_Wbar, bn_enumerate,
-                                    bn_suite, clifford_index,
-                                    clifford_zero_classification,
-                                    estimate_dim, martens_bound,
+                                    bn_suite, clifford_equality_classes,
+                                    clifford_index, estimate_dim,
+                                    martens_bound,
                                     merge_reports, predicted_empty,
                                     rank_floor, reduce_curve_mod, rho,
                                     split_ranges, torus_h0)
 from bincurve.bundles import (LineBundle, canonical_bundle, dual,
-                              enumerate_bundles, hyperelliptic_class, tensor)
+                              enumerate_bundles, hyperelliptic_class, tensor,
+                              trivial)
 from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
 from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
@@ -289,7 +290,7 @@ def test_bn_enumerate_bounds_exhaustive():
                 seen.add("one-block")
                 continue
             found = _sure_hit_subtrees(X, md, k, classes)
-            walked = [(a, b) for head, a, b, low, _, _
+            walked = [(a, b) for head, a, b, low, _
                       in _torus_runs(X, md, 0, total, k, True)
                       if head is None and b - a > u]
             assert walked == found
@@ -461,16 +462,18 @@ def test_clifford_index_two_witness_has_the_sections():
     assert h0(tensor(canonical_bundle(X), dual(L))) >= 2  # h1, by duality
 
 
-def test_clifford_zero_classification():
+def test_clifford_equality_classes():
     X = standard_curve(3, F7)
-    for d in (0, 2, 4):
-        rep = clifford_zero_classification(X, d)
-        assert rep.passed and rep.n_found == 1
-    with pytest.raises(ValueError):
-        clifford_zero_classification(X, 3)   # odd degree
+    H = hyperelliptic_class(X)
+    for d, L in ((0, trivial(X)), (2, H), (4, canonical_bundle(X))):
+        assert clifford_equality_classes(X, d) == [(L.md, L.c)]
+    for d in (3, -2, 6):  # odd, or outside 0 <= d <= 2g-2
+        with pytest.raises(ValueError):
+            clifford_equality_classes(X, d)
     Xn = random_curve(3, F7, Rng(19))
-    with pytest.raises(ValueError):
-        clifford_zero_classification(Xn, 2)  # not hyperelliptic
+    assert clifford_equality_classes(Xn, 2) == []  # not hyperelliptic
+    triv = trivial(standard_curve(1, F7))  # g = 1: w = O, named once
+    assert clifford_equality_classes(triv.curve, 0) == [(triv.md, triv.c)]
 
 
 def test_martens_bound_window():

@@ -34,6 +34,9 @@ def test_torn_and_blank_lines_are_skipped(tmp_path):
     with open(c.path, "a") as fh:
         fh.write("\n{\"key\": \"k\", \"val")   # torn write
     assert c.lookup("k") == {"count": 5}
+    with open(c.path, "ab") as fh:
+        fh.write(b'\n{"key": "k", "value": {"count": "\xff"}}\n')  # not ASCII
+    assert c.lookup("k") == {"count": 5}
     c.store("k", {"count": 6})
     assert c.lookup("k") == {"count": 6}
 

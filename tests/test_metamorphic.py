@@ -82,8 +82,8 @@ def test_serre_duality_counts(g, p, seed):
             seen.add("floor")
         elif "sure-hit" not in seen and any(
                 head is None and low is None and b - a < total
-                for head, a, b, low, _, _ in _torus_runs(X, md, 0, None,
-                                                         r + 1, True)):
+                for head, a, b, low, _ in _torus_runs(X, md, 0, None,
+                                                      r + 1, True)):
             seen.add("sure-hit")
     if g >= 4:
         assert seen == {"floor", "sure-hit"}

@@ -1,3 +1,4 @@
+from bincurve import suites
 from bincurve.curve import random_curve, standard_curve
 from bincurve.fields import PrimeField
 from bincurve.reports import canonical_json, envelope, text_table
@@ -65,6 +66,17 @@ def test_clifford_suite_small():
     res = SUITES["clifford"](gs=(2,), ps=(5,), seed=3)
     assert res.passed and res.summary["n_problems"] == 0
     assert res.config == {"gs": [2], "ps": [5], "seed": 3}
+
+
+def test_clifford_suite_catches_a_dropped_name(monkeypatch):
+    # a planted fault: every degree loses the first class the theorem names
+    real = suites.clifford_equality_classes
+    monkeypatch.setattr(suites, "clifford_equality_classes",
+                        lambda X, d: real(X, d)[1:])
+    res = suites.suite_clifford(gs=(2,), ps=(5,))
+    assert not res.passed
+    assert [(pr["kind"], pr["d"]) for pr in res.summary["problems"]] == [
+        ("equality", 0), ("equality", 2)]
 
 
 def test_serre_suite_small():

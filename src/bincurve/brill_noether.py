@@ -507,6 +507,10 @@ def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
     if md[0] < 0 or md[1] < 0:
         raise ValueError("multidegree must be effective")
     pools = {1: X.smooth_points(1), 2: X.smooth_points(2)}
+    for comp in (1, 2):
+        if md[comp - 1] and not pools[comp]:
+            raise ValueError(f"component {comp} has no F_{X.ctx.p}-rational "
+                             "smooth point")
     hist = {}
     ones = 0
     for _ in range(trials):
@@ -523,45 +527,16 @@ def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
     return AbelStats(tuple(md), X.ctx.p, trials, ones, hist)
 
 
-# witnesses kept per stratum in a WbarReport
-WBAR_WITNESS_CAP = 8
-
-
-@dataclass
-class WbarStratum:
-    S: tuple
-    md: tuple
-    dim: int
-    count: int
-    witnesses: tuple
-
-    def to_json(self):
-        return {"S": list(self.S), "md": list(self.md), "dim": self.dim,
-                "count": self.count,
-                "witnesses": [[[str(x), "1"] for x in w]
-                              for w in self.witnesses]}
-
-
 @dataclass
 class WbarReport:
-    d: int
-    r: int
-    p: int
     picard_type: str
-    strata: tuple            # WbarStratum, enumeration order
+    counts: dict             # Stratum -> W^r points on it, enumeration order
     ell0_h0: int | None      # degeneration type only
     ell0_excluded: bool | None
 
     @property
     def total(self) -> int:
-        return sum(s.count for s in self.strata)
-
-    def to_json(self):
-        return {"d": self.d, "r": self.r, "p": self.p,
-                "picard_type": self.picard_type,
-                "strata": [s.to_json() for s in self.strata],
-                "total": self.total,
-                "ell0_h0": self.ell0_h0, "ell0_excluded": self.ell0_excluded}
+        return sum(self.counts.values())
 
 
 def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
@@ -575,7 +550,7 @@ def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
     if d > r + g - 1:
         raise ValueError(
             f"need d <= r+g-1 = {r + g - 1} (boundary h0 control fails past it)")
-    rows = []
+    counts = {}
     ell0_h0 = None
     ell0_excluded = None
     for st in enumerate_strata(X, d):
@@ -584,12 +559,8 @@ def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
             ell0_excluded = ell0_h0 < r + 1
             continue
         Y, _ = normalize_at(X, st.S)
-        rep = bn_enumerate(Y, BNQuery(st.md, r),
-                           witness_cap=WBAR_WITNESS_CAP)
-        rows.append(WbarStratum(st.S, st.md, st.dim, rep.count,
-                                rep.witnesses))
-    return WbarReport(d, r, X.ctx.p, picard_type(d, g), tuple(rows),
-                      ell0_h0, ell0_excluded)
+        counts[st] = bn_enumerate(Y, BNQuery(st.md, r), witness_cap=0).count
+    return WbarReport(picard_type(d, g), counts, ell0_h0, ell0_excluded)
 
 
 @dataclass
@@ -721,7 +692,7 @@ def bn_suite(g: int, r: int, primes, n_curves: int, seed: int,
         d = md[0] + md[1]
         rh = rho(g, d, r)
         for p in primes:
-            counts = tuple(bn_enumerate(Xp, BNQuery(md, r), witness_cap=4).count
+            counts = tuple(bn_enumerate(Xp, BNQuery(md, r), witness_cap=0).count
                            for Xp in curves[p])
             n_empty = sum(1 for n in counts if n == 0)
             n_nonempty = n_curves - n_empty

@@ -205,11 +205,6 @@ class EffectiveDivisor:
         return EffectiveDivisor(self.curve,
                                 [(c, pt, m) for (c, pt), m in acc.items()])
 
-    def to_json(self):
-        ctx = self.curve.ctx
-        return [[comp, [ctx.fmt(pt.a), ctx.fmt(pt.b)], mult]
-                for comp, pt, mult in self.entries]
-
     def __repr__(self):
         return f"EffectiveDivisor({list(self.entries)!r})"
 

@@ -78,10 +78,6 @@ class Stratum:
     dim: int        # g - e
     strict: bool    # strictly balanced on Y_S
 
-    @property
-    def e(self) -> int:
-        return len(self.S)
-
 
 @dataclass(frozen=True)
 class Ell0:

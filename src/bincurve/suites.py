@@ -193,10 +193,10 @@ def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
                     if not predicted_empty(md, r, g):
                         continue
                     cases += 1
-                    rep = bn_enumerate(X, BNQuery(md, r), witness_cap=2)
-                    if rep.count != 0:
+                    n = bn_enumerate(X, BNQuery(md, r), witness_cap=0).count
+                    if n != 0:
                         violations.append({**where, "md": list(md), "r": r,
-                                           "count": rep.count})
+                                           "count": n})
     return not violations, {"cases": cases, "violations": violations[:10],
                             "n_violations": len(violations)}
 
@@ -362,7 +362,7 @@ def suite_martens(primes=MARTENS_PRIMES):
     empty_ok = pred_e.kind == "empty"
     Xp = reduce_curve_mod(Xh, primes[0])
     empty_ok = empty_ok and bn_enumerate(
-        Xp, BNQuery((0, 3), 1), witness_cap=1).count == 0
+        Xp, BNQuery((0, 3), 1), witness_cap=0).count == 0
     if not empty_ok:
         problems.append({"kind": "empty-case"})
     return not problems, {

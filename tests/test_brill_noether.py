@@ -18,7 +18,8 @@ from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
                             random_hyperelliptic_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.linalg import rank_rows
-from bincurve.picard import balanced_set
+from bincurve.picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
+                             stratum_points)
 from bincurve.rng import Rng
 
 F7 = PrimeField(7)
@@ -650,6 +651,21 @@ def test_wbar_neron_type_has_no_ell0_fields():
     rep = assemble_Wbar(X, 2, 1)
     assert rep.picard_type == "neron"
     assert rep.ell0_h0 is None and rep.ell0_excluded is None
+
+
+@pytest.mark.parametrize("X,d,r", [
+    (standard_curve(2, F7), 1, 0),               # degeneration type
+    (standard_curve(2, F7), 2, 1),               # Neron type
+    (random_curve(3, F7, Rng(5)), 2, 1),         # no g^1_2: all counts 0
+    (random_curve(3, F7, Rng(5)), 3, 1),
+], ids=["g2-d1-r0", "g2-d2-r1", "g3-d2-r1", "g3-d3-r1"])
+def test_wbar_counts_equal_generic_h0_on_every_point(X, d, r):
+    rep = assemble_Wbar(X, d, r)
+    strata = [s for s in enumerate_strata(X, d) if not isinstance(s, Ell0)]
+    assert list(rep.counts) == strata
+    for s in strata:
+        want = sum(1 for pt in stratum_points(X, s) if h0_bar(pt) >= r + 1)
+        assert rep.counts[s] == want, s
 
 
 def test_bn_suite_is_deterministic_and_shaped():

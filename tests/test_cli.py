@@ -142,6 +142,27 @@ def test_abel_command(capsys):
     assert rep["report"]["fraction"] == 1.0
 
 
+def test_abel_when_branch_points_fill_the_line(tmp_path, capsys):
+    # g = p = 5: every point of P^1(F_5) is a node, so there is no smooth
+    # point to sample a divisor from
+    cf = tmp_path / "c.json"
+    cf.write_text(json.dumps(standard_curve(5, PrimeField(5)).to_json()))
+    assert main(["abel", "--curve", str(cf), "--md", "1,1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "component 1 has no F_5-rational smooth point" in out.err
+
+
+def test_negative_md_needs_the_equals_form(capsys):
+    # argparse reads "-1,4" after a space as an option, not as the value
+    base = ("bn", "--random-genus", "3", "--p", "7", "--r", "0", "--no-cache")
+    assert main([*base, "--md", "-1,4"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, rep, _ = run(capsys, *base, "--md=-1,4")
+    assert code == 0
+    assert rep["report"]["count"] == 216   # the whole (p-1)^g torus
+
+
 def test_clifford_command(capsys):
     code, rep, _ = run(capsys, "clifford", "--random-genus", "2", "--p", "7")
     assert code == 0

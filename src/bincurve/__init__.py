@@ -19,11 +19,11 @@ from .cohomology import (BaseLocus, DescentResult, SectionSpace, base_locus,
                          neutral_pair, point_divisor)
 from .picard import (Ell0, PicardPoint, Stratum, balanced_set, bounds,
                      closure_leq, enumerate_strata, h0_bar, is_balanced,
-                     is_balanced_blowup, is_strictly_balanced, picard_type,
-                     strata_to_json, stratum_points, strict_set)
+                     is_strictly_balanced, picard_type, strata_to_json,
+                     stratum_points, strict_set)
 from .brill_noether import (BNQuery, BNReport, abel_sample, assemble_Wbar,
                             bn_enumerate, bn_suite, clifford_equality_classes,
-                            clifford_index, estimate_dim,
+                            clifford_index, estimate_dim, growth_estimate,
                             martens_bound, merge_reports, predicted_empty,
                             reduce_curve_mod, rho, split_ranges,
                             verify_canonical_very_ample)

@@ -370,30 +370,6 @@ def clifford_equality_classes(X: BinaryCurve, d: int) -> list:
     return list(dict.fromkeys((L.md, L.c) for L in named))
 
 
-@dataclass(frozen=True)
-class MartensPrediction:
-    kind: str          # "empty" | "exact" | "le"
-    value: int | None
-
-
-def martens_bound(g: int, md, r: int, hyperelliptic: bool) -> MartensPrediction:
-    """Predicted dimension of W^r on md: exact d-2r when hyperelliptic,
-    else at most d-2r-1; empty where predicted_empty says so, which
-    rejects an unbalanced md with ValueError. Only meaningful in the window
-    2 <= d <= g-1, 0 < 2r <= d.
-    """
-    d = md[0] + md[1]
-    if not (2 <= d <= g - 1):
-        raise ValueError("need 2 <= d <= g-1")
-    if not (0 < 2 * r <= d):
-        raise ValueError("need 0 < 2r <= d")
-    if predicted_empty(md, r, g):
-        return MartensPrediction("empty", None)
-    if hyperelliptic:
-        return MartensPrediction("exact", d - 2 * r)
-    return MartensPrediction("le", d - 2 * r - 1)
-
-
 def reduce_curve_mod(X: BinaryCurve, p: int) -> BinaryCurve:
     """Reduce a rational-coordinate curve mod p; collisions are an error."""
     if X.ctx.is_prime_field():
@@ -422,14 +398,6 @@ def reduce_curve_mod(X: BinaryCurve, p: int) -> BinaryCurve:
 GROWTH_TOL_HUNDREDTHS = 35
 
 
-def _growth_exponent_ok(p1, n1, p2, n2, k) -> bool:
-    # |log(n2/n1)/log(p2/p1) - k| <= tol, decided in exact integer arithmetic
-    base = Fraction(p2, p1)
-    ratio = Fraction(n2, n1) ** 100
-    return (base ** (100 * k - GROWTH_TOL_HUNDREDTHS) <= ratio
-            <= base ** (100 * k + GROWTH_TOL_HUNDREDTHS))
-
-
 @dataclass
 class DimEstimate:
     primes: tuple
@@ -445,9 +413,9 @@ class DimEstimate:
                 "rounded": self.rounded, "residual": self.residual}
 
 
-def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
-    """Growth-exponent dimension proxy from counts at >= 2 distinct primes
-    (a repeated prime is scanned once).
+def growth_estimate(primes, count) -> DimEstimate:
+    """Growth-exponent dimension proxy from a locus's point counts
+    `count(p)` at >= 2 distinct primes (a repeated prime is counted once).
 
     Uses the widest prime pair for the headline exponent. The rounding
     verdict is computed in exact arithmetic; the float fields are display
@@ -456,11 +424,7 @@ def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
     primes = sorted(set(primes))
     if len(primes) < 2:
         raise ValueError("need at least two distinct primes")
-    counts = []
-    for p in primes:
-        Xp = reduce_curve_mod(X, p)
-        counts.append(bn_enumerate(Xp, q, witness_cap=0).count)
-    counts = tuple(counts)
+    counts = tuple(count(p) for p in primes)
     if all(n == 0 for n in counts):
         return DimEstimate(tuple(primes), counts, "empty", None, None, None)
     if any(n == 0 for n in counts):
@@ -470,9 +434,49 @@ def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
     n1, n2 = counts[0], counts[-1]
     est = math.log(n2 / n1) / math.log(p2 / p1)
     k = round(est)
-    ok = _growth_exponent_ok(p1, n1, p2, n2, k)
+    # |est - k| <= tol, decided in exact integer arithmetic
+    base, ratio = Fraction(p2, p1), Fraction(n2, n1) ** 100
+    ok = (base ** (100 * k - GROWTH_TOL_HUNDREDTHS) <= ratio
+          <= base ** (100 * k + GROWTH_TOL_HUNDREDTHS))
     return DimEstimate(tuple(primes), counts, "ok" if ok else "inconclusive",
                        est, k, abs(est - k))
+
+
+def estimate_dim(X: BinaryCurve, q: BNQuery, primes) -> DimEstimate:
+    """`growth_estimate` of the W^r count on md's open torus of X mod p."""
+    return growth_estimate(primes, lambda p: bn_enumerate(
+        reduce_curve_mod(X, p), q, witness_cap=0).count)
+
+
+@dataclass(frozen=True)
+class DimPrediction:
+    kind: str  # "empty" | "point" (one at every prime) | "exact" | "le"
+    value: int | None = None
+
+    def holds(self, est: DimEstimate) -> bool:
+        if self.kind == "point":
+            return all(n == 1 for n in est.counts)
+        if est.kind != "ok":
+            return est.kind == "empty" and self.kind in ("empty", "le")
+        return (est.rounded == self.value if self.kind == "exact"
+                else self.kind == "le" and est.rounded <= self.value)
+
+
+def martens_bound(g: int, d: int, r: int, hyperelliptic: bool) -> DimPrediction:
+    """Martens, 2 <= d <= g-1 and 0 < 2r <= d: dim W^r_d is exactly d-2r on a
+    hyperelliptic curve, else at most d-2r-1 (empty at d = 2r). At d = 2r a
+    hyperelliptic W̄ is one point, rH: Clifford's equality case, and Clifford
+    on Y_S (genus g-e, degree d-e) leaves a boundary point h0 < r+1.
+    """
+    if not (2 <= d <= g - 1):
+        raise ValueError("need 2 <= d <= g-1")
+    if not (0 < 2 * r <= d):
+        raise ValueError("need 0 < 2r <= d")
+    if hyperelliptic:
+        return DimPrediction("point" if d == 2 * r else "exact", d - 2 * r)
+    if d == 2 * r:
+        return DimPrediction("empty")
+    return DimPrediction("le", d - 2 * r - 1)
 
 
 @dataclass

@@ -58,19 +58,6 @@ def picard_type(d: int, g: int) -> str:
     return "degeneration" if bounds(d, g).is_integral else "neron"
 
 
-def is_balanced_blowup(dhat, g: int) -> bool:
-    """Multidegree on the blow-up at e nodes: (d1, d2, e exceptional degrees).
-
-    Admissible iff every exceptional degree is 1 and (d1, d2) is balanced
-    for the normalized genus g - e.
-    """
-    d1, d2, *exc = dhat
-    e = len(exc)
-    if any(x != 1 for x in exc):
-        return False
-    return is_balanced((d1, d2), g - e)
-
-
 @dataclass(frozen=True)
 class Stratum:
     S: tuple        # node indices removed, ascending

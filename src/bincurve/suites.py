@@ -10,13 +10,13 @@ from __future__ import annotations
 import functools
 import inspect
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import cohomology
-from .brill_noether import (BNQuery, assemble_Wbar, bn_enumerate, bn_suite,
-                            clifford_equality_classes, clifford_index,
-                            estimate_dim, martens_bound, predicted_empty,
-                            reduce_curve_mod, torus_h0,
+from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
+                            bn_enumerate, bn_suite, clifford_equality_classes,
+                            clifford_index, growth_estimate, martens_bound,
+                            predicted_empty, reduce_curve_mod, rho, torus_h0,
                             verify_canonical_very_ample)
 from .bundles import (LineBundle, canonical_bundle, dual, hyperelliptic_class,
                       tensor)
@@ -312,91 +312,96 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
     return failures == 0, {"combos": summary}
 
 
-# Frozen integer-coordinate genus-4 fixtures for the dimension suites.
-# The second differs from the first by swapping two branch points on one
-# side only, which breaks the single matching map.
-def _int_hyp_curve(g: int) -> BinaryCurve:
-    return standard_curve(g, Rationals())
+# W̄ dimension fixtures over Q: the branch points a_j and b_j of the two
+# lines (None is oo), and whether the curve is hyperelliptic. "nonhyp4"
+# swaps two of "hyp4"'s points on one side, breaking the matching map.
+DIM_FIXTURES = {
+    "hyp3": ((0, 1, 2, None), (0, 1, 2, None), True),
+    "hyp4": ((0, 1, 2, 3, None), (0, 1, 2, 3, None), True),
+    "nonhyp4": ((0, 1, 2, 3, None), (0, 1, 3, 2, None), False),
+    "bn3": ((0, 1, 3, None), (2, 5, 9, 4), False),
+    "bn4": ((0, 1, 3, 7, None), (2, 5, 9, 4, 11), False),
+}
+# One table of W̄ dimension rows, (fixture, d, r) under their suite. A
+# row's prediction is `martens_bound` for martens and theta, rho for bn.
+DIM_ROWS = {
+    "martens": (("hyp4", 2, 1), ("hyp4", 3, 1),
+                ("nonhyp4", 2, 1), ("nonhyp4", 3, 1)),
+    "theta": (("hyp3", 2, 1),),
+    "bn": (("bn3", 2, 1), ("bn3", 3, 1), ("bn3", 4, 2), ("bn4", 2, 1),
+           ("bn4", 3, 1), ("bn4", 4, 1), ("bn4", 4, 2), ("bn4", 5, 2)),
+}
+DIM_PRIMES = (13, 23)
 
 
-def _int_nonhyp_curve4() -> BinaryCurve:
-    ctx = Rationals()
-    a = [ProjPoint.finite(ctx, ctx.from_int(i)) for i in range(4)]
-    a.append(ProjPoint.infinity(ctx))
-    b = [a[0], a[1], a[3], a[2], a[4]]
-    return BinaryCurve(ctx, list(zip(a, b)))
+def dim_fixture(name: str) -> tuple:
+    """(X over Q, hyperelliptic) for a DIM_FIXTURES name."""
+    a, b, hyp = DIM_FIXTURES[name]
+    Q = Rationals()
+
+    def pt(v):
+        return (ProjPoint.infinity(Q) if v is None
+                else ProjPoint.finite(Q, Q.from_int(v)))
+    return BinaryCurve(Q, [(pt(x), pt(y)) for x, y in zip(a, b)]), hyp
 
 
-MARTENS_PRIMES = (13, 23)
+def check_dim_row(X: BinaryCurve, hyperelliptic: bool, d: int, r: int,
+                  primes, pred: DimPrediction):
+    """(estimate, problems): at each prime the reduced X must be as
+    hyperelliptic as stated, and the `assemble_Wbar(Xp, d, r)` totals'
+    `growth_estimate` must bear out `pred`."""
+    problems = []
+
+    def total(p):
+        Xp = reduce_curve_mod(X, p)
+        if is_hyperelliptic_fast(Xp)[0] != hyperelliptic:
+            problems.append({"kind": "fixture", "p": p})
+        return assemble_Wbar(Xp, d, r).total
+
+    est = growth_estimate(primes, total)
+    if not pred.holds(est):
+        problems.append({"kind": "dimension"})
+    return est, problems
+
+
+def _dim_rows(suite: str, primes):
+    rows, problems = [], []
+    for name, d, r in DIM_ROWS[suite]:
+        X, hyp = dim_fixture(name)
+        g = X.genus
+        if suite == "bn":
+            k = rho(g, d, r)
+            pred = DimPrediction("exact", k) if k >= 0 else DimPrediction("empty")
+        else:
+            pred = martens_bound(g, d, r, hyp)
+        est, found = check_dim_row(X, hyp, d, r, primes, pred)
+        where = {"fixture": name, "g": g, "d": d, "r": r}
+        rows.append({**where, "prediction": asdict(pred),
+                     "estimate": est.to_json()})
+        problems += [{**where, **p} for p in found]
+    return not problems, {"rows": rows, "problems": problems}
 
 
 @_suite("martens")
-def suite_martens(primes=MARTENS_PRIMES):
-    """Dimension predictions in the window 2 <= d <= g-1 via growth exponents:
-    exactly d-2r on a hyperelliptic curve, at most d-2r-1 otherwise, and the
-    r > min(d_i) cases are empty."""
-    problems = []
-    md, r = (1, 2), 1
-    Xh = _int_hyp_curve(4)
-    Xn = _int_nonhyp_curve4()
-    if is_hyperelliptic_fast(reduce_curve_mod(Xh, primes[0]))[0] is not True:
-        problems.append({"kind": "fixture", "detail": "hyp fixture broken"})
-    if is_hyperelliptic_fast(reduce_curve_mod(Xn, primes[0]))[0] is not False:
-        problems.append({"kind": "fixture", "detail": "nonhyp fixture broken"})
-
-    pred_h = martens_bound(4, md, r, hyperelliptic=True)
-    est_h = estimate_dim(Xh, BNQuery(md, r), primes)
-    if not (pred_h.kind == "exact" and est_h.kind == "ok"
-            and est_h.rounded == pred_h.value):
-        problems.append({"kind": "hyperelliptic-dim",
-                         "prediction": pred_h.value,
-                         "estimate": est_h.to_json()})
-    pred_n = martens_bound(4, md, r, hyperelliptic=False)
-    est_n = estimate_dim(Xn, BNQuery(md, r), primes)
-    nonhyp_ok = (est_n.kind == "empty"
-                 or (est_n.kind == "ok" and est_n.rounded <= pred_n.value))
-    if not nonhyp_ok:
-        problems.append({"kind": "nonhyp-dim", "bound": pred_n.value,
-                         "estimate": est_n.to_json()})
-    pred_e = martens_bound(4, (0, 3), 1, hyperelliptic=True)
-    empty_ok = pred_e.kind == "empty"
-    Xp = reduce_curve_mod(Xh, primes[0])
-    empty_ok = empty_ok and bn_enumerate(
-        Xp, BNQuery((0, 3), 1), witness_cap=0).count == 0
-    if not empty_ok:
-        problems.append({"kind": "empty-case"})
-    return not problems, {
-        "hyperelliptic": est_h.to_json(), "non_hyperelliptic": est_n.to_json(),
-        "problems": problems}
+def suite_martens(primes=DIM_PRIMES):
+    """`martens_bound` on W̄, the whole compactified Jacobian, for g = 4.
+    Pairs with p = 7 stay inconclusive or read 1 on the non-hyperelliptic
+    d = 3 row, whose W̄ goes 1 -> 2 from p = 7 to 11."""
+    return _dim_rows("martens", primes)
 
 
 @_suite("theta")
 def suite_theta(ps=(7, 11, 23)):
-    """Hyperelliptic genus 3: the degree-2 pencil is the unique md-(1,1)
-    class with two sections at every prime, i.e. a 0-dimensional locus
-    (g-3 = 0); the two-prime exponent agrees."""
-    X = _int_hyp_curve(3)
-    counts = {}
-    problems = []
-    for p in ps:
-        Xp = reduce_curve_mod(X, p)
-        rep = bn_enumerate(Xp, BNQuery((1, 1), 1), witness_cap=2)
-        counts[p] = rep.count
-        if rep.count != 1:
-            problems.append({"kind": "count", "p": p, "count": rep.count})
-        H = hyperelliptic_class(Xp)
-        if rep.witnesses[0] != H.c:
-            problems.append({"kind": "witness", "p": p})
-    est = estimate_dim(X, BNQuery((1, 1), 1), list(ps)[:2])
-    if not (est.kind == "ok" and est.rounded == 0):
-        problems.append({"kind": "estimate", "estimate": est.to_json()})
-    return not problems, {"counts": {str(p): n for p, n in counts.items()},
-                          "estimate": est.to_json(), "problems": problems}
+    """Hyperelliptic genus 3: W̄^1_2 is the one point H at every prime, the
+    Martens row g = 3, d = 2, r = 1."""
+    return _dim_rows("theta", ps)
 
 
 @_suite("bn")
 def suite_bn(seed=DEFAULT_SEED, n_curves=100):
-    """Sampled existence/emptiness verdicts for r <= 2 against rho."""
+    """Sampled existence/emptiness verdicts for r <= 2 against rho, and rho
+    as the W̄ dimension at DIM_PRIMES. rho is the dimension on a general
+    curve, while the rows' fixtures are fixed curves."""
     neg = bn_suite(4, 1, [11], n_curves, seed, mds=[(1, 1)])
     pos = bn_suite(3, 1, [7], n_curves, seed, mds=balanced_set(3, 3))
     pos_rows = [row for row in pos.rows
@@ -414,11 +419,13 @@ def suite_bn(seed=DEFAULT_SEED, n_curves=100):
         w = canonical_bundle(X)
         if rep.count != 1 or rep.witnesses[0] != w.c:
             omega_ok = False
+    dims_ok, dims = _dim_rows("bn", DIM_PRIMES)
     passed = (neg.passed and pos.passed and zero.passed
-              and bool(pos_rows) and omega_ok)
+              and bool(pos_rows) and omega_ok and dims_ok)
     return passed, {
         "rho_negative": neg.to_json(), "rho_positive": pos.to_json(),
-        "rho_zero": zero.to_json(), "canonical_pinned": omega_ok}
+        "rho_zero": zero.to_json(), "canonical_pinned": omega_ok,
+        "rho_dimensions": dims}
 
 
 @_suite("very-ample")

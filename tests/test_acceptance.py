@@ -141,18 +141,22 @@ def test_06_predicted_empty_loci_scan_to_zero():
 def test_07_dimension_estimates():
     theta = suites.suite_theta(ps=(7, 11, 23))
     martens = suites.suite_martens()
-    hyp = martens.summary["hyperelliptic"]
-    non = martens.summary["non_hyperelliptic"]
+    [theta_row] = theta.summary["rows"]
+    rows = {(row["fixture"], row["d"]): row["estimate"]
+            for row in martens.summary["rows"]}
+    hyp, non = rows["hyp4", 3], rows["nonhyp4", 3]
     ok = (theta.passed and martens.passed
-          and theta.summary["counts"] == {"7": 1, "11": 1, "23": 1}
+          and theta_row["estimate"]["primes"] == [7, 11, 23]
+          and theta_row["estimate"]["counts"] == [1, 1, 1]
           and hyp["kind"] == "ok" and hyp["rounded"] == 1
           and hyp["residual"] <= 0.35
           and (non["kind"] == "empty"
                or (non["kind"] == "ok" and non["rounded"] <= 0)))
     line = _verdict(
         7, "dimension-estimates", ok,
-        f"theta counts {theta.summary['counts']}, "
-        f"hyp est {hyp['estimate']:.3f}, non-hyp est {non['estimate']:.3f}")
+        f"theta counts {theta_row['estimate']['counts']}, "
+        f"hyp W̄ {hyp['counts']} -> {hyp['rounded']}, "
+        f"non-hyp W̄ {non['counts']} -> {non['rounded']}")
     assert ok, (line + f" theta={theta.summary['problems']}"
                 f" martens={martens.summary['problems']}")
 

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bincurve.brill_noether import (BNQuery, MartensPrediction, _torus_runs,
-                                    abel_sample, assemble_Wbar, bn_enumerate,
-                                    bn_suite, clifford_equality_classes,
+from bincurve.brill_noether import (BNQuery, DimEstimate, DimPrediction,
+                                    _torus_runs, abel_sample, assemble_Wbar,
+                                    bn_enumerate, bn_suite,
+                                    clifford_equality_classes,
                                     clifford_index, estimate_dim,
-                                    martens_bound,
+                                    growth_estimate, martens_bound,
                                     merge_reports, predicted_empty,
                                     rank_floor, reduce_curve_mod, rho,
                                     split_ranges, torus_h0)
@@ -478,28 +479,48 @@ def test_clifford_equality_classes():
 
 
 def test_martens_bound_window():
-    assert martens_bound(4, (1, 2), 1, hyperelliptic=True).kind == "exact"
-    assert martens_bound(4, (1, 2), 1, hyperelliptic=True).value == 1
-    assert martens_bound(4, (1, 2), 1, hyperelliptic=False).kind == "le"
-    assert martens_bound(4, (1, 2), 1, hyperelliptic=False).value == 0
-    assert martens_bound(4, (0, 3), 1, True).kind == "empty"
-    # 2r = d degenerates to dimension zero, still inside the window
-    assert martens_bound(4, (1, 1), 1, True) == MartensPrediction("exact", 0)
+    assert martens_bound(4, 3, 1, hyperelliptic=True) == DimPrediction(
+        "exact", 1)
+    assert martens_bound(4, 3, 1, hyperelliptic=False) == DimPrediction(
+        "le", 0)
+    # 2r = d: the one point rH on a hyperelliptic curve, else bound -1
+    assert martens_bound(4, 2, 1, True) == DimPrediction("point", 0)
+    assert martens_bound(6, 4, 2, True) == DimPrediction("point", 0)
+    assert martens_bound(4, 2, 1, False) == DimPrediction("empty")
     with pytest.raises(ValueError):
-        martens_bound(4, (2, 3), 1, True)    # d = 5 > g-1
+        martens_bound(4, 5, 1, True)    # d = 5 > g-1
     with pytest.raises(ValueError):
-        martens_bound(4, (1, 2), 0, True)    # r must be positive
-    # an unbalanced md has no emptiness verdict: on a g = 5 curve every
-    # class of the (-3, 7) torus has h0 = 2, so "empty" would be wrong
+        martens_bound(4, 3, 0, True)    # r must be positive
     with pytest.raises(ValueError):
-        martens_bound(5, (-3, 7), 1, True)
-    # on balanced md the verdict is r > min(md) throughout the window
+        martens_bound(4, 3, 2, True)    # 2r > d
+    # inside the window, an md is provably empty exactly when r > min(md)
     for g in range(3, 12):
         for d in range(2, g):
             for r in range(1, d // 2 + 1):
                 for md in balanced_set(d, g):
-                    empty = martens_bound(g, md, r, True).kind == "empty"
-                    assert empty == (r > min(md))
+                    assert predicted_empty(md, r, g) == (r > min(md))
+
+
+def test_dim_prediction_holds():
+    def est(counts, kind, rounded=None):
+        return DimEstimate((13, 23), counts, kind, None, rounded, None)
+    one, line = est((1, 1), "ok", 0), est((23, 43), "ok", 1)
+    empty, unsure = est((0, 0), "empty"), est((1, 2), "inconclusive", 1)
+    assert DimPrediction("point", 0).holds(one)
+    assert not DimPrediction("point", 0).holds(est((2, 2), "ok", 0))
+    assert DimPrediction("exact", 1).holds(line)
+    for wrong in (0, 2):
+        assert not DimPrediction("exact", wrong).holds(line)
+    assert DimPrediction("le", 1).holds(line)
+    assert not DimPrediction("le", 0).holds(line)
+    assert DimPrediction("le", 0).holds(empty)
+    assert DimPrediction("empty").holds(empty)
+    for e in (one, line, unsure):
+        assert not DimPrediction("empty").holds(e)
+    for kind in ("exact", "le"):
+        assert not DimPrediction(kind, 1).holds(unsure)
+        assert not DimPrediction(kind, 0).holds(est((0, 3), "inconclusive"))
+    assert not DimPrediction("exact", 0).holds(empty)
 
 
 def test_reduce_curve_mod():
@@ -530,6 +551,23 @@ def test_estimate_dim_verdicts():
         estimate_dim(X, BNQuery((1, 1), 1), (13, 13))
     # a repeated prime is scanned once
     assert estimate_dim(X, BNQuery((1, 1), 1), [11, 7, 7]) == est
+
+
+def test_growth_estimate_verdicts():
+    seen = []
+
+    def count(p):
+        seen.append(p)
+        return {13: 9, 23: 19, 11: 7, 7: 0}[p]
+    est = growth_estimate((23, 13, 13), count)
+    assert seen == [13, 23] and est.counts == (9, 19)
+    assert est.kind == "ok" and est.rounded == 1
+    # 7 -> 19 from 11 to 23 is exponent 1.354, past the 0.35 residual
+    assert growth_estimate((11, 23), count).kind == "inconclusive"
+    assert growth_estimate((7, 13), count).kind == "inconclusive"
+    assert growth_estimate((7, 13), lambda p: 0).kind == "empty"
+    with pytest.raises(ValueError, match="two distinct primes"):
+        growth_estimate((13, 13), count)
 
 
 @st.composite

@@ -381,6 +381,19 @@ def test_verify_martens_needs_two_distinct_primes(capsys, primes, message):
     assert message in out.err
 
 
+@pytest.mark.parametrize("primes,hyp_counts", [
+    ("11,23", [19, 43]), ("11,13", [19, 23])])
+def test_verify_martens_at_other_prime_pairs(capsys, primes, hyp_counts):
+    # the one-md count of the old check went 7 -> 19 and 7 -> 9 here and
+    # read inconclusive; the W̄ totals round to 1 at every pair
+    code, rep, err = run(capsys, "verify", "martens", "--primes", primes)
+    assert code == 0, err
+    row = rep["report"]["summary"]["rows"][1]
+    assert (row["fixture"], row["d"]) == ("hyp4", 3)
+    assert row["estimate"]["counts"] == hyp_counts
+    assert row["estimate"]["rounded"] == 1
+
+
 def test_verify_clifford_when_branch_points_fill_the_line(capsys):
     # g = p = 5: each side's six branch points are all of P^1(F_5), and the
     # suite pins its result to the canonical bundle

@@ -9,8 +9,7 @@ from bincurve.curve import standard_curve
 from bincurve.fields import PrimeField
 from bincurve.picard import (Ell0, PicardPoint, Stratum, balanced_set, bounds,
                              closure_leq, enumerate_strata, h0_bar,
-                             is_balanced, is_balanced_blowup,
-                             is_strictly_balanced, picard_type,
+                             is_balanced, is_strictly_balanced, picard_type,
                              strata_to_json, stratum_points, strict_set)
 
 F7 = PrimeField(7)
@@ -52,13 +51,6 @@ def test_picard_type_parity():
     assert picard_type(3, 2) == "degeneration"   # m = 0 integral
     assert picard_type(2, 3) == "degeneration"
     assert picard_type(3, 3) == "neron"
-
-
-def test_balanced_blowup_checks_exceptional_degrees():
-    # blown-up multidegrees carry one extra entry of 1 per separated node
-    assert is_balanced_blowup((1, 1, 1), 2)       # e=1: (1,1) balanced for g=1
-    assert not is_balanced_blowup((3, 0, 1), 2)   # (3,0) not balanced for g=1
-    assert not is_balanced_blowup((1, 1, 2), 2)   # exceptional degree must be 1
 
 
 def test_strata_count_g2_d2():

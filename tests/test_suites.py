@@ -1,4 +1,5 @@
 from bincurve import suites
+from bincurve.brill_noether import DimPrediction
 from bincurve.curve import random_curve, standard_curve
 from bincurve.fields import PrimeField
 from bincurve.reports import canonical_json, envelope, text_table
@@ -119,6 +120,16 @@ def test_bn_suite_small():
     assert res.passed
     assert res.summary["rho_negative"]["rows"][0]["verdict"] == "pass"
     assert res.config == {"seed": 3, "n_curves": 8}
+    # the W̄ rows on fixed curves: empty for rho < 0, dimension rho else
+    dims = res.summary["rho_dimensions"]
+    assert dims["problems"] == []
+    got = {(row["fixture"], row["d"], row["r"]):
+           (row["prediction"], row["estimate"]["counts"])
+           for row in dims["rows"]}
+    assert len(got) == 8
+    assert got["bn4", 4, 1] == ({"kind": "exact", "value": 2}, [497, 1567])
+    assert got["bn3", 4, 2] == ({"kind": "exact", "value": 0}, [1, 1])
+    assert got["bn4", 4, 2] == ({"kind": "empty", "value": None}, [0, 0])
 
 
 def test_very_ample_suite_small():
@@ -140,13 +151,39 @@ def test_wbar_suite():
 def test_theta_suite():
     res = SUITES["theta"](ps=(7, 11))
     assert res.passed
-    assert res.summary["counts"] == {"7": 1, "11": 1}
+    [row] = res.summary["rows"]
+    assert (row["fixture"], row["g"], row["d"], row["r"]) == ("hyp3", 3, 2, 1)
+    assert row["prediction"] == {"kind": "point", "value": 0}
+    assert row["estimate"]["counts"] == [1, 1]
     assert res.config == {"ps": [7, 11]}
 
 
 def test_martens_suite():
     res = SUITES["martens"]()
-    assert res.passed
-    assert res.summary["hyperelliptic"]["rounded"] == 1
-    assert res.summary["non_hyperelliptic"]["rounded"] <= 0
+    assert res.passed and res.summary["problems"] == []
+    rows = {(row["fixture"], row["d"]): row for row in res.summary["rows"]}
+    hyp, non = rows["hyp4", 3], rows["nonhyp4", 3]
+    assert hyp["prediction"] == {"kind": "exact", "value": 1}
+    assert hyp["estimate"]["counts"] == [23, 43]
+    assert hyp["estimate"]["rounded"] == 1
+    assert non["prediction"] == {"kind": "le", "value": 0}
+    assert non["estimate"]["counts"] == [2, 2]
+    assert rows["hyp4", 2]["estimate"]["counts"] == [1, 1]
+    assert rows["nonhyp4", 2]["estimate"]["kind"] == "empty"
     assert res.config == {"primes": [13, 23]}
+
+
+def test_check_dim_row_catches_a_wrong_prediction():
+    X, hyp = suites.dim_fixture("hyp4")  # W̄^1_3: 23 -> 43, dimension 1
+    est, problems = suites.check_dim_row(X, hyp, 3, 1, (13, 23),
+                                         DimPrediction("exact", 1))
+    assert problems == [] and est.counts == (23, 43)
+    for wrong in (DimPrediction("exact", 2), DimPrediction("exact", 0),
+                  DimPrediction("le", 0), DimPrediction("empty")):
+        _, problems = suites.check_dim_row(X, hyp, 3, 1, (13, 23), wrong)
+        assert problems == [{"kind": "dimension"}]
+    # a fixture stated with the wrong hyperellipticity is named per prime
+    _, problems = suites.check_dim_row(X, False, 3, 1, (13, 23),
+                                       DimPrediction("exact", 1))
+    assert problems == [{"kind": "fixture", "p": 13},
+                        {"kind": "fixture", "p": 23}]

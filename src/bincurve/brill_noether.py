@@ -14,13 +14,17 @@ that row's pivot; a run of p-1 classes differing only in the last free
 gluing coordinate is then solved in closed form from the last pair. A
 prefix whose rows already exceed the rank bound is skipped with its whole
 subtree, and, for counting, a prefix whose remaining rows cannot push the
-rank past the bound is counted whole.
+rank past the bound is counted whole. A prefix whose rank equals the bound
+is closed without descending: every row still to come must vanish, so each
+remaining node admits all units, one or none, and the qualifying classes
+are the product of those sets.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,13 +111,19 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     fiber of its p-1 classes has h0(c) = ncols - rank - [ra != c·rb]:
     constant when rb = 0, else one higher at the single c with ra = c·rb.
 
-    Two bounds prune the tree. Rank only grows, so a prefix whose rank
-    exceeds ncols - at_least is skipped with its subtree. A level at depth
-    k has v - k + 1 rows to come, each adding at most 1, so when its rank
-    plus those is at most ncols - at_least every class below qualifies: a
-    sure-hit subtree. Only subtrees that meet [lo, hi) are entered. Before
-    any of this, the rank floor (`rank_floor`) empties the torus or, when
-    it is exact, gives its one run in closed form.
+    Two bounds prune the tree, and a tight level closes it. Rank only
+    grows, so a prefix whose rank exceeds ncols - at_least is skipped with
+    its subtree. A level at depth k has v - k + 1 rows to come, each adding
+    at most 1, so when its rank plus those is at most ncols - at_least every
+    class below qualifies: a sure-hit subtree. A level at depth k < v whose
+    rank equals ncols - at_least is tight: every pair left must give a zero
+    row, so node j admits every unit (ra_j = rb_j = 0), the one unit c with
+    ra_j = c·rb_j, or none, and the qualifying classes (h0 = at_least) are
+    the product of those sets, one run per prefix over nodes k .. v-1.
+    Only subtrees that meet [lo, hi) are entered, and a tight one is closed
+    only when it lies inside, so a cut descends along its boundary paths.
+    Before any of this, the rank floor (`rank_floor`) empties the torus or,
+    when it is exact, gives its one run in closed form.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -154,6 +164,15 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             return [(x - f * y) % p for x, y in zip(vec, row)] if f else vec
         return rank + 1, [(cut(a), cut(b)) for a, b in rest]
 
+    def zeroing(ra, rb):
+        # the units c with ra = c·rb: None for all of them (ra = rb = 0),
+        # else the one such unit, or 0 when there is none
+        for i, lead in enumerate(rb):
+            if lead:
+                c = ra[i] * pow(lead, p - 2, p) % p
+                return 0 if any((x - c * y) % p for x, y in zip(ra, rb)) else c
+        return 0 if any(ra) else None
+
     def fibers(k, level, base, head):
         # runs below the prefix head (nodes 0 .. k-1), whose first class
         # has index base; only subtrees that meet [lo, hi) are entered
@@ -167,6 +186,19 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             return
         if k < v:
             size = run ** (v - k)
+            if rank == max_rank and lo <= base and base + size * run <= hi:
+                # tight: a class qualifies iff every pair left gives a zero
+                # row, and each node admits its units independently
+                units = []
+                for ra, rb in level[1]:
+                    c = zeroing(ra, rb)
+                    if c == 0:
+                        return
+                    units.append(range(1, p) if c is None else range(c, c + 1))
+                last = units.pop()
+                for prefix in itertools.product(*units):
+                    yield head + prefix, last.start, last.stop, ncols - rank, 0
+                return
             for d in range(max(lo - base, 0) // size,
                            min(-((base - hi) // size), run)):
                 yield from fibers(k + 1, extend(level, d + 1),
@@ -174,17 +206,9 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             return
         # fiber: node v's pair is the last one left; h0 is top at
         # c_v = jump (0: no such class), low elsewhere
-        (ra, rb), = level[1]
+        jump = zeroing(*level[1][0])
         top = ncols - rank
-        for i, lead in enumerate(rb):
-            if lead:
-                low = top - 1
-                jump = ra[i] * pow(lead, p - 2, p) % p
-                if any((x - jump * y) % p for x, y in zip(ra, rb)):
-                    jump = 0
-                break
-        else:
-            low, jump = (top - 1 if any(ra) else top), 0
+        low, jump = (top, 0) if jump is None else (top - 1, jump)
         c0 = max(lo - base, 0) + 1
         c1 = min(hi - base, run) + 1
         if low >= at_least:
@@ -317,10 +341,11 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
     exactly when d <= 2g-4-cl; so d runs over cl+2, cl+4, ..., 2g-4-cl,
     and cl <= g-3. For each md of `balanced_set(d, g)`, `torus_h0` is asked
     for its first class with h0 >= h; the walk's rank floor and rank bound
-    make an empty probe cheap. The first hit is the answer. No smaller
-    index occurs, so its h0 is exactly h, and it is the first class of
-    least index in (d, md, torus index) order. No hit means that no class
-    qualifies ("undefined").
+    make an empty probe cheap, and its tight levels (rank at the bound)
+    close their subtrees as product sets instead of descending. The first
+    hit is the answer. No smaller index occurs, so its h0 is exactly h, and
+    it is the first class of least index in (d, md, torus index) order. No
+    hit means that no class qualifies ("undefined").
 
     `method` is a label derived from the result: "genus2" for the genus-2
     convention (any three point pairs are matched by a Moebius map, so the

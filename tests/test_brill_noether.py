@@ -1,3 +1,6 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -247,15 +250,42 @@ def _sure_hit_subtrees(X, md, at_least, classes):
     return found
 
 
-def test_bn_enumerate_bounds_exhaustive():
-    """bn_enumerate against generic h0 and torus_h0 on every class of g=4,
-    p=5 (two curves, md in [-1, g+1]^2, r 0-3) and of g=5, p=5, md (2,2)
-    and (3,3), r 0-1, over the whole torus and over cuts and witness caps
-    placed inside sure-hit subtrees. The rank floor must hold on every
-    class and be exact on one-block tori, and the walk must cut off exactly
-    the sure-hit subtrees found here by rank counting. The grid must
-    contain each case the two bounds distinguish."""
-    seen = set()
+def _tight_subtrees(X, md, at_least, classes):
+    """Maximal subtrees of the digit tree above the fiber level (prefix depth
+    0 .. g-2) whose prefix rows and the pinned row of node g have rank
+    exactly ncols - at_least, each as (start, stop, depth, units): units[i]
+    lists the c at which node depth + i's row, alone, keeps that rank. A
+    class below qualifies iff every remaining row keeps it, so the hits of
+    the subtree are the product of these lists."""
+    g, u = X.genus, X.ctx.p - 1
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    found = []
+    for depth in range(g - 1):
+        size = u ** (g - depth)
+        for start in range(0, len(classes), size):
+            if any(s <= start < e for s, e, _, _ in found):
+                continue
+            c = classes[start].c
+            rows = rows_for_gluing(classes[start])
+            fixed = rows[:depth] + rows[g:]
+            rank = rank_rows(X.ctx, fixed)
+            if rank != ncols - at_least:
+                continue
+
+            def row(j, cj):  # node j's row at unit cj
+                return rows_for_gluing(
+                    LineBundle(X, md, c[:j] + (cj,) + c[j + 1:]))[j]
+            units = [[cj for cj in range(1, u + 1)
+                      if rank_rows(X.ctx, fixed + [row(j, cj)]) == rank]
+                     for j in range(depth, g)]
+            found.append((start, start + size, depth, units))
+    return found
+
+
+@lru_cache(maxsize=None)
+def _bounds_tori():
+    """(X, md, classes, generic (c, h0) of every class) for g=4, p=5 (two
+    curves, md in [-1, g+1]^2) and g=5, p=5, md (2,2) and (3,3)."""
     tori = []
     for g, seed, mds in ((4, 28, [(d1, d2) for d1 in range(-1, 6)
                                   for d2 in range(-1, 6)]),
@@ -268,13 +298,32 @@ def test_bn_enumerate_bounds_exhaustive():
                                             rng.distinct(pool, g + 1))))]
         if g == 4:
             curves.append(standard_curve(g, ctx))
-        tori += [(X, md) for X in curves for md in mds]
-    for X, md in tori:
+        for X in curves:
+            for md in mds:
+                classes = list(enumerate_bundles(X, md))
+                tori.append((X, md, classes,
+                             [(L.c, h0(L)) for L in classes]))
+    return tori
+
+
+def _cuts_inside(s, e, u, total):
+    # cuts starting, ending, and both, inside the subtree [s, e)
+    return ((s + u + 1, total), (0, e - u - 1), (s + 1, e - 1))
+
+
+def test_bn_enumerate_bounds_exhaustive():
+    """bn_enumerate against generic h0 and torus_h0 on every class of g=4,
+    p=5 (two curves, md in [-1, g+1]^2, r 0-3) and of g=5, p=5, md (2,2)
+    and (3,3), r 0-1, over the whole torus and over cuts and witness caps
+    placed inside sure-hit subtrees. The rank floor must hold on every
+    class and be exact on one-block tori, and the walk must cut off exactly
+    the sure-hit subtrees found here by rank counting. The grid must
+    contain each case the two bounds distinguish."""
+    seen = set()
+    for X, md, classes, want in _bounds_tori():
         g, u = X.genus, X.ctx.p - 1
         k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
         ncols, floor = k1 + k2, rank_floor(md, g + 1)
-        classes = list(enumerate_bundles(X, md))
-        want = [(L.c, h0(L)) for L in classes]
         total = len(want)
         values = {n for _, n in want}
         assert max(values) <= ncols - floor
@@ -300,10 +349,8 @@ def test_bn_enumerate_bounds_exhaustive():
                 assert all(n >= k for _, n in want[s:e])
                 if e - s < total:
                     seen.add("sure-hit")
-                # cuts starting, ending, and both, inside the subtree; caps
-                # that fill up inside it
-                for lo, hi in ((s + u + 1, total), (0, e - u - 1),
-                               (s + 1, e - 1)):
+                # cuts inside the subtree; caps that fill up inside it
+                for lo, hi in _cuts_inside(s, e, u, total):
                     before = sum(n >= k for _, n in want[lo:max(s, lo)])
                     inside = min(e, hi) - max(s, lo)
                     for cap in (0, 5, before + 2):
@@ -313,6 +360,60 @@ def test_bn_enumerate_bounds_exhaustive():
                     seen.add("cut-starts-inside" if s < lo else
                              "cut-ends-inside")
     assert seen == {"floor-pruned", "one-block", "sure-hit",
+                    "cut-starts-inside", "cut-ends-inside", "cap-inside"}
+
+
+def test_tight_subtrees_exhaustive():
+    """On the grid of test_bn_enumerate_bounds_exhaustive, at_least 0-4
+    (g=4) or 0-2 (g=5): below a prefix whose rank already equals ncols -
+    at_least, the hits are exactly the product of each remaining node's
+    admissible units (found here by rank counting, one node at a time), all
+    of h0 = at_least, and the walk closes the subtree without a fiber solve
+    (every run in it has low = at_least and no jump). Cuts starting or
+    ending inside a tight subtree, one class past its first hit or at its
+    last, and caps that fill up inside one, are checked against generic h0
+    and torus_h0 (at_least 0 has no W^r count). The grid must contain nodes
+    admitting every unit, one unit and none, and tight subtrees at the root
+    and below it."""
+    seen = set()
+    for X, md, classes, want in _bounds_tori():
+        g, u = X.genus, X.ctx.p - 1
+        total = len(want)
+        for k in range(5 if g == 4 else 3):
+            runs = list(_torus_runs(X, md, 0, total, k, False))
+            n_cut = 0
+            for s, e, depth, units in _tight_subtrees(X, md, k, classes):
+                seen.add("tight-root" if depth == 0 else "tight-below")
+                seen.update("all" if len(us) == u else
+                            "one" if len(us) == 1 else "none" for us in units)
+                assert all(len(us) in (0, 1, u) for us in units)
+                prefix = classes[s].c[:depth]
+                product = [prefix + rest + (1,)
+                           for rest in itertools.product(*units)]
+                assert [(c, n) for c, n in want[s:e] if n >= k] == \
+                    [(c, k) for c in product]
+                inside = [(low, jump) for head, a, b, low, jump in runs
+                          if head is not None and head[:depth] == prefix]
+                assert set(inside) <= {(k, 0)}
+                if len(product) < 2 or n_cut >= 2:
+                    continue
+                n_cut += 1
+                first = s + want[s:e].index((product[0], k))
+                last = s + want[s:e].index((product[-1], k))
+                for lo, hi in _cuts_inside(s, e, u, total) + (
+                        (first + 1, total), (0, last)):
+                    seen.add("cut-starts-inside" if s < lo else
+                             "cut-ends-inside")
+                    if k == 0:
+                        assert list(torus_h0(X, md, lo, hi)) == want[lo:hi]
+                        continue
+                    before = sum(n >= k for _, n in want[lo:max(s, lo)])
+                    hits = sum(n >= k for _, n in want[max(s, lo):min(e, hi)])
+                    for cap in (0, 5, before + 1):
+                        _check_count(X, md, k - 1, lo, hi, cap, want)
+                        if before < cap < before + hits:
+                            seen.add("cap-inside")
+    assert seen == {"tight-root", "tight-below", "all", "one", "none",
                     "cut-starts-inside", "cut-ends-inside", "cap-inside"}
 
 

@@ -1,8 +1,9 @@
 """Metamorphic oracles for the torus walk: identities of the paper's objects
 that relate W^r counts on two different tori or curves. The two walks of
 each pair differ in digit order, in the k1/k2 split and in which subtrees
-the rank floor and the sure-hit bound prune, so they check each other on
-tori too large for generic h0 over every class.
+the rank floor and the sure-hit bound prune or the tight closure solves,
+so they check each other on tori too large for generic h0 over every
+class.
 """
 from functools import lru_cache
 
@@ -10,10 +11,13 @@ import pytest
 
 from bincurve.brill_noether import (BNQuery, _torus_runs, bn_enumerate,
                                     rank_floor)
-from bincurve.bundles import (LineBundle, apply_moebius, bundle_count,
-                              canonical_bundle, dual, tensor, trivial)
+from bincurve.bundles import (LineBundle, apply_moebius, bundle_at,
+                              bundle_count, canonical_bundle, dual, tensor,
+                              trivial)
+from bincurve.cohomology import rows_for_gluing
 from bincurve.curve import BinaryCurve, ProjPoint, random_curve, random_moebius
 from bincurve.fields import PrimeField
+from bincurve.linalg import rank_rows
 from bincurve.rng import Rng
 
 # (g, p, seed), (p-1)^g up to 10^4 classes; g = 2 at seed 15 is the curve
@@ -56,6 +60,23 @@ def _count(curve, md, r):
     return bn_enumerate(X, BNQuery(md, r), witness_cap=0).count
 
 
+def _tight_below_root(X, md, at_least):
+    # a prefix c_0 .. c_{depth-1}, 1 <= depth <= g-2, whose rows and the
+    # pinned row of node g have rank ncols - at_least while the pinned row
+    # alone has less: the walk closes its subtree in closed form
+    g, u = X.genus, X.ctx.p - 1
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    rows = rows_for_gluing(bundle_at(X, md, 0))
+    if rank_rows(X.ctx, rows[g:]) >= ncols - at_least:
+        return False
+    for depth in range(1, g - 1):
+        for start in range(0, bundle_count(X), u ** (g - depth)):
+            rows = rows_for_gluing(bundle_at(X, md, start))
+            if rank_rows(X.ctx, rows[:depth] + rows[g:]) == ncols - at_least:
+                return True
+    return False
+
+
 def _grid(g):
     # md in [-1, g]^2: one-block tori, full-rank blocks and everything
     # between; r 0-2
@@ -68,8 +89,8 @@ def test_serre_duality_counts(g, p, seed):
     """L -> w x L^-1 maps the md torus onto the (g-1-d1, g-1-d2) torus with
     h0 dropping by d - g + 1, so #W^r_md = #W^(r+g-d-1)_md*, the whole
     torus when r+g-d-1 < 0. On the larger tori the grid must contain a
-    torus emptied by the rank floor and a sure-hit subtree below the
-    root."""
+    torus emptied by the rank floor, and a sure-hit subtree and a tight
+    subtree (closed as a product set) below the root."""
     curve = (g, p, seed)
     X, total = _curve(*curve), (p - 1) ** g
     seen = set()
@@ -80,13 +101,16 @@ def test_serre_duality_counts(g, p, seed):
         ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
         if rank_floor(md, g + 1) > ncols - (r + 1):
             seen.add("floor")
-        elif "sure-hit" not in seen and any(
+            continue
+        if "sure-hit" not in seen and any(
                 head is None and low is None and b - a < total
                 for head, a, b, low, _ in _torus_runs(X, md, 0, None,
                                                       r + 1, True)):
             seen.add("sure-hit")
+        if "tight" not in seen and _tight_below_root(X, md, r + 1):
+            seen.add("tight")
     if g >= 4:
-        assert seen == {"floor", "sure-hit"}
+        assert seen == {"floor", "sure-hit", "tight"}
 
 
 @pytest.mark.parametrize("change", ["rotate", "swap", "moebius"])

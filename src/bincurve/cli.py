@@ -4,25 +4,21 @@ Exit codes: 0 success, 1 verification/audit failure, 2 usage or bad input.
 JSON goes to stdout (or --out); human-readable tables go to stderr. The
 config echoed into each report deliberately omits --jobs, --out and
 --no-cache so that reruns with different plumbing stay byte-identical.
+
+Each request pays its imports in a fresh interpreter, so module scope holds
+only what every command uses and each command imports its own modules:
+`verify` loads them all, and only `--jobs N` > 1 loads the process pool.
 """
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
-from .brill_noether import (BNQuery, BNReport, bn_enumerate, clifford_index,
-                            abel_sample, merge_reports, split_ranges)
-from .bundles import LineBundle, bundle_from_json, bundle_count
-from .cache import JsonlCache, bn_key
-from .cohomology import base_locus, h0, h1
 from .curve import BinaryCurve, random_curve
 from .fields import PrimeField, Rationals, field_to_json
-from .picard import enumerate_strata, picard_type, strata_to_json
 from .reports import canonical_json, envelope, text_table
-from .rng import Rng
-from .suites import DEFAULT_SEED, SUITES, pool_map
+from .rng import DEFAULT_SEED, Rng
 
 
 def _parse_md(text: str):
@@ -74,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", help="suite name, e.g. riemann")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--g", type=int, help="restrict to one genus")
@@ -142,6 +138,8 @@ def _emit(obj: dict, out: str | None, table: str | None = None) -> None:
 
 
 def cmd_h0(args) -> int:
+    from .bundles import LineBundle, bundle_from_json
+    from .cohomology import base_locus, h0, h1
     X = _load_curve(args)
     if args.bundle:
         with open(args.bundle, encoding="utf-8") as fh:
@@ -171,6 +169,7 @@ def cmd_h0(args) -> int:
 
 
 def cmd_strata(args) -> int:
+    from .picard import enumerate_strata, picard_type, strata_to_json
     X = _load_curve(args)
     strata = enumerate_strata(X, args.d)
     payload = {"d": args.d, "genus": X.genus,
@@ -199,7 +198,12 @@ VERIFY_OVERRIDES = {"g": ("gs", "g"), "p": ("ps", "p"),
 
 
 def cmd_verify(args) -> int:
-    fn = SUITES[args.suite]
+    import inspect
+    from .suites import SUITES
+    fn = SUITES.get(args.suite)
+    if fn is None:
+        raise ValueError(f"no suite {args.suite!r}; the suites are "
+                         + ", ".join(sorted(SUITES)))
     accepted = inspect.signature(fn).parameters
     kwargs = {"jobs": args.jobs} if "jobs" in accepted else {}
     for flag, params in VERIFY_OVERRIDES.items():
@@ -220,6 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_clifford(args) -> int:
+    from .brill_noether import clifford_index
     X = _load_curve(args)
     rep = clifford_index(X)
     cfg = _curve_config(args, X)
@@ -229,13 +234,18 @@ def cmd_clifford(args) -> int:
 
 
 def _bn_shard(job):
+    from .brill_noether import bn_enumerate
     X, q, cap, index_range = job
     return bn_enumerate(X, q, witness_cap=cap, index_range=index_range)
 
 
-def _bn_compute(X: BinaryCurve, q: BNQuery, cap: int, jobs: int):
-    # --jobs 1 runs the same shard and merge code, in this process
+def _bn_compute(X: BinaryCurve, q, cap: int, jobs: int):
+    from .brill_noether import merge_reports, split_ranges
+    from .bundles import bundle_count
     shards = [(X, q, cap, rg) for rg in split_ranges(bundle_count(X), jobs)]
+    if jobs == 1:  # the same shard and merge code, without the pool
+        return merge_reports([_bn_shard(shards[0])])
+    from .suites import pool_map
     return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 
@@ -245,9 +255,11 @@ def _is_unit(s, p: int) -> bool:
             and s.isdigit() and s[0] != "0" and int(s) < p)
 
 
-def _is_report_of(value: dict, X: BinaryCurve, q: BNQuery, cap: int) -> bool:
+def _is_report_of(value: dict, X: BinaryCurve, q, cap: int) -> bool:
     # a cached value is served only if it has exactly the fields of
     # BNReport.to_json(), of the right types, and answers this request
+    from .brill_noether import BNReport
+    from .bundles import bundle_count
     p, total = X.ctx.p, bundle_count(X)
     want = BNReport(q, p, 0, (), cap, (0, total)).to_json()
     fixed = ("query", "p", "witness_cap", "index_range")
@@ -267,6 +279,8 @@ def _is_report_of(value: dict, X: BinaryCurve, q: BNQuery, cap: int) -> bool:
 
 
 def cmd_bn(args) -> int:
+    from .brill_noether import BNQuery
+    from .cache import JsonlCache, bn_key
     X = _load_curve(args)
     q = BNQuery(args.md, args.r)
     cache = None if args.no_cache else JsonlCache()
@@ -300,6 +314,7 @@ def cmd_bn(args) -> int:
 
 
 def cmd_abel(args) -> int:
+    from .brill_noether import abel_sample
     X = _load_curve(args)
     stats = abel_sample(X, args.md, Rng(args.seed), args.trials)
     cfg = {**_curve_config(args, X), "md": list(args.md),

@@ -5,6 +5,8 @@ reproducible across platforms and reimplementations. Not cryptographic.
 """
 from __future__ import annotations
 
+DEFAULT_SEED = 20260814  # seed of the CLI and of every suite, unless given
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 

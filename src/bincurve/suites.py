@@ -26,9 +26,7 @@ from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
 from .fields import PrimeField, Rationals
 from .picard import (Ell0, Stratum, balanced_set, closure_leq,
                      enumerate_strata, picard_type)
-from .rng import Rng
-
-DEFAULT_SEED = 20260814
+from .rng import DEFAULT_SEED, Rng
 
 
 @dataclass
@@ -385,8 +383,9 @@ def _dim_rows(suite: str, primes):
 @_suite("martens")
 def suite_martens(primes=DIM_PRIMES):
     """`martens_bound` on W̄, the whole compactified Jacobian, for g = 4.
-    Pairs with p = 7 stay inconclusive or read 1 on the non-hyperelliptic
-    d = 3 row, whose W̄ goes 1 -> 2 from p = 7 to 11."""
+    A pair mixing p <= 7 with p >= 11 fails on the non-hyperelliptic d = 3
+    row, whose W̄ goes 1 -> 2 from p = 7 to 11; pairs on one side (5, 7 or
+    11, 23) pass."""
     return _dim_rows("martens", primes)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,13 @@ def test_verify_suite_passes_and_fails_exit_codes(capsys):
     code, rep, _ = run(capsys, "verify", "wbar")
     assert code == 0 and rep["report"]["passed"] is True
     assert rep["command"] == "verify" and rep["label"] == "wbar"
+
+
+def test_verify_unknown_suite_exits_2_naming_the_suites(capsys):
+    assert main(["verify", "nosuch"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "'nosuch'" in out.err and "riemann" in out.err
 
 
 def test_verify_accepts_overrides(capsys):
@@ -418,3 +428,69 @@ def test_random_curve_needs_field_but_file_does_not(tmp_path, capsys):
     code, rep, _ = run(capsys, "h0", "--curve", str(cf), "--md", "1,1")
     assert code == 0
     assert rep["config"]["field"] == {"type": "Fp", "p": 11}
+
+
+MODULES_AFTER = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from bincurve.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+else:
+    import bincurve
+    code = 0
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _modules_after(argv):
+    """Exit code and sys.modules of a fresh interpreter after main(argv);
+    with no argv, after `import bincurve` alone."""
+    import bincurve
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bincurve.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, json.dumps(list(argv))],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_import_bincurve_loads_no_submodule():
+    _, modules = _modules_after([])
+    assert "bincurve" in modules
+    assert not {m for m in modules if m.startswith("bincurve.")}
+
+
+@pytest.mark.parametrize("argv", [
+    ("h0", "--random-genus", "3", "--p", "7", "--md", "2,2"),
+    ("strata", "--random-genus", "3", "--p", "7", "--d", "2"),
+], ids=["h0", "strata"])
+def test_h0_and_strata_load_no_scan_modules(argv):
+    code, modules = _modules_after(argv)
+    assert code == 0
+    assert not modules & {"bincurve.brill_noether", "bincurve.suites",
+                          "bincurve.cache"}
+
+
+def test_bn_at_jobs_1_loads_no_pool(isolated_cache):
+    argv = ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1")
+    for _ in ("miss", "hit"):
+        code, modules = _modules_after(argv)
+        assert code == 0
+        assert "bincurve.brill_noether" in modules
+        assert not modules & {"bincurve.suites", "multiprocessing"}
+    lines = (isolated_cache / "cache" / "bn.jsonl").read_text().splitlines()
+    assert len(lines) == 1  # the second run was a hit
+
+
+@pytest.mark.parametrize("argv", [
+    ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1",
+     "--jobs", "2"),
+    ("verify", "riemann", "--g", "1", "--p", "5"),
+], ids=["bn-jobs-2", "verify"])
+def test_pool_and_verify_load_suites(argv):
+    code, modules = _modules_after(argv)
+    assert code == 0 and "bincurve.suites" in modules

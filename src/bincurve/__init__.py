@@ -25,7 +25,7 @@ _EXPORTS = {
               "enumerate_strata h0_bar is_balanced is_strictly_balanced "
               "picard_type strata_to_json stratum_points strict_set",
     "brill_noether": "BNQuery BNReport abel_sample assemble_Wbar "
-                     "bn_enumerate bn_suite clifford_equality_classes "
+                     "bn_enumerate clifford_equality_classes "
                      "clifford_index estimate_dim growth_estimate "
                      "martens_bound merge_reports predicted_empty "
                      "reduce_curve_mod rho split_ranges "

@@ -34,7 +34,7 @@ from .bundles import (EffectiveDivisor, bundle_count,
                       canonical_bundle, from_divisor, gluing_at,
                       hyperelliptic_class, power, restrict_to_normalization,
                       trivial)
-from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at, random_curve
+from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at
 from .fields import PrimeField
 from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
                      is_balanced, picard_type)
@@ -647,96 +647,3 @@ def verify_canonical_very_ample(X: BinaryCurve, rng: Rng,
     very_ample = separates_points and all(separates(j) for j in range(g + 1))
     return VeryAmpleReport(hyp, very_ample, passed=(very_ample == (not hyp)))
 
-
-@dataclass
-class BNSuiteRow:
-    d: int
-    md: tuple
-    p: int
-    rho: int
-    n_curves: int
-    n_empty: int
-    n_nonempty: int
-    counts: tuple
-    verdict: str     # "pass" | "fail" | "report"
-
-    def to_json(self):
-        return {"d": self.d, "md": list(self.md), "p": self.p,
-                "rho": self.rho, "n_curves": self.n_curves,
-                "n_empty": self.n_empty, "n_nonempty": self.n_nonempty,
-                "counts": list(self.counts), "verdict": self.verdict}
-
-
-# sampled verdict thresholds: the share of curves that must agree with rho
-EMPTY_THRESHOLD_PCT = 90
-NONEMPTY_THRESHOLD_PCT = 80
-
-
-@dataclass
-class BNSuiteReport:
-    g: int
-    r: int
-    primes: tuple
-    n_curves: int
-    seed: int
-    mds: tuple
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(row.verdict != "fail" for row in self.rows)
-
-    def to_json(self):
-        return {"g": self.g, "r": self.r, "primes": list(self.primes),
-                "n_curves": self.n_curves, "seed": self.seed,
-                "mds": [list(md) for md in self.mds],
-                "empty_threshold_pct": EMPTY_THRESHOLD_PCT,
-                "nonempty_threshold_pct": NONEMPTY_THRESHOLD_PCT,
-                "rows": [row.to_json() for row in self.rows],
-                "passed": self.passed}
-
-
-def bn_suite(g: int, r: int, primes, n_curves: int, seed: int,
-             mds=None) -> BNSuiteReport:
-    """Sampled existence/emptiness verdicts against the expected dimension.
-
-    rho < 0: at least EMPTY_THRESHOLD_PCT % of random curves should have an
-    empty locus (the statement excludes a thin special set, so unanimity is
-    not expected). rho >= 1: at least NONEMPTY_THRESHOLD_PCT % nonempty.
-    rho = 0: counts are reported with no verdict, since finitely many
-    geometric points need not be rational. Curves are drawn once per prime
-    and shared across all rows; everything is determined by the seed.
-    """
-    if g > 5 or any(p > 13 for p in primes):
-        raise ValueError("desk-scale parameters only (g <= 5, p <= 13)")
-    if mds is None:
-        mds = [md for d in range(2, max(2, g) + 1)
-               for md in balanced_set(d, g)]
-    mds = [tuple(md) for md in mds]
-    rng = Rng(seed)
-    curves = {p: [random_curve(g, PrimeField(p), rng.spawn())
-                  for _ in range(n_curves)] for p in primes}
-    rows = []
-    for md in mds:
-        d = md[0] + md[1]
-        rh = rho(g, d, r)
-        for p in primes:
-            counts = tuple(bn_enumerate(Xp, BNQuery(md, r), witness_cap=0).count
-                           for Xp in curves[p])
-            n_empty = sum(1 for n in counts if n == 0)
-            n_nonempty = n_curves - n_empty
-            if predicted_empty(md, r, g):
-                # provably empty regardless of rho; demand exact zeros
-                verdict = "pass" if n_nonempty == 0 else "fail"
-            elif rh < 0:
-                ok = 100 * n_empty >= EMPTY_THRESHOLD_PCT * n_curves
-                verdict = "pass" if ok else "fail"
-            elif rh >= 1:
-                ok = 100 * n_nonempty >= NONEMPTY_THRESHOLD_PCT * n_curves
-                verdict = "pass" if ok else "fail"
-            else:
-                verdict = "report"
-            rows.append(BNSuiteRow(d, md, p, rh, n_curves,
-                                   n_empty, n_nonempty, counts, verdict))
-    return BNSuiteReport(g, r, tuple(primes), n_curves, seed, tuple(mds),
-                         tuple(rows))

@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass
 
 from . import cohomology
 from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
-                            bn_enumerate, bn_suite, clifford_equality_classes,
+                            bn_enumerate, clifford_equality_classes,
                             clifford_index, growth_estimate, martens_bound,
                             predicted_empty, reduce_curve_mod, rho, torus_h0,
                             verify_canonical_very_ample)
-from .bundles import (LineBundle, canonical_bundle, dual, hyperelliptic_class,
-                      tensor)
+from .bundles import (LineBundle, canonical_bundle, dual, enumerate_bundles,
+                      hyperelliptic_class, tensor)
 from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
                     normalize_at, random_curve, random_hyperelliptic_curve,
                     standard_curve)
@@ -180,18 +180,22 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
 
 @_suite("empty")
 def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
-    """Every provably-empty (md, r) case scans to an exact zero count."""
+    """Every provably-empty (md, r) case has no class with h0 >= r+1, by the
+    generic h0 of every class. The torus walk cannot be the oracle: it stops
+    at the very rank floor `predicted_empty` reads, so it cannot disagree."""
     cases = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):
         g = X.genus
         for d in range(-1, g + 3):
             for md in balanced_set(d, g):
-                for r in range(0, 3):
-                    if not predicted_empty(md, r, g):
-                        continue
+                rs = [r for r in range(0, 3) if predicted_empty(md, r, g)]
+                if not rs:
+                    continue
+                hs = [cohomology.h0(L) for L in enumerate_bundles(X, md)]
+                for r in rs:
                     cases += 1
-                    n = bn_enumerate(X, BNQuery(md, r), witness_cap=0).count
+                    n = sum(1 for h in hs if h >= r + 1)
                     if n != 0:
                         violations.append({**where, "md": list(md), "r": r,
                                            "count": n})
@@ -396,35 +400,78 @@ def suite_theta(ps=(7, 11, 23)):
     return _dim_rows("theta", ps)
 
 
+# sampled verdict thresholds: the share of curves that must agree with rho
+EMPTY_THRESHOLD_PCT = 90
+NONEMPTY_THRESHOLD_PCT = 80
+
+
+def _sampled(g, r, p, n_curves, seed, mds):
+    """(block, scans): W^r verdicts per md on n_curves random genus-g
+    curves over F_p, spawned from Rng(seed); scans holds (X, one report per
+    md), each md scanned once per curve. A provably empty md must count zero
+    on every curve. rho < 0: at least EMPTY_THRESHOLD_PCT % of the curves
+    should have an empty locus (the statement excludes a thin special set,
+    so unanimity is not expected). rho >= 1: at least NONEMPTY_THRESHOLD_PCT
+    % nonempty. rho = 0: counts are reported with no verdict, since finitely
+    many geometric points need not be rational."""
+    rng = Rng(seed)
+    ctx = PrimeField(p)
+    scans = []
+    for _ in range(n_curves):
+        X = random_curve(g, ctx, rng.spawn())
+        scans.append((X, [bn_enumerate(X, BNQuery(md, r), witness_cap=1)
+                          for md in mds]))
+    rows = []
+    for j, md in enumerate(mds):
+        d = md[0] + md[1]
+        rh = rho(g, d, r)
+        counts = [reports[j].count for _, reports in scans]
+        n_empty = counts.count(0)
+        n_nonempty = n_curves - n_empty
+        if predicted_empty(md, r, g):
+            ok = n_nonempty == 0
+        elif rh < 0:
+            ok = 100 * n_empty >= EMPTY_THRESHOLD_PCT * n_curves
+        elif rh >= 1:
+            ok = 100 * n_nonempty >= NONEMPTY_THRESHOLD_PCT * n_curves
+        else:
+            ok = None
+        verdict = "report" if ok is None else "pass" if ok else "fail"
+        rows.append({"d": d, "md": list(md), "p": p, "rho": rh,
+                     "n_curves": n_curves, "n_empty": n_empty,
+                     "n_nonempty": n_nonempty, "counts": counts,
+                     "verdict": verdict})
+    block = {"g": g, "r": r, "primes": [p], "n_curves": n_curves,
+             "seed": seed, "mds": [list(md) for md in mds],
+             "empty_threshold_pct": EMPTY_THRESHOLD_PCT,
+             "nonempty_threshold_pct": NONEMPTY_THRESHOLD_PCT,
+             "rows": rows,
+             "passed": all(row["verdict"] != "fail" for row in rows)}
+    return block, scans
+
+
 @_suite("bn")
 def suite_bn(seed=DEFAULT_SEED, n_curves=100):
     """Sampled existence/emptiness verdicts for r <= 2 against rho, and rho
     as the W̄ dimension at DIM_PRIMES. rho is the dimension on a general
     curve, while the rows' fixtures are fixed curves."""
-    neg = bn_suite(4, 1, [11], n_curves, seed, mds=[(1, 1)])
-    pos = bn_suite(3, 1, [7], n_curves, seed, mds=balanced_set(3, 3))
-    pos_rows = [row for row in pos.rows
-                if row.rho >= 1 and not predicted_empty(row.md, 1, 3)
-                and row.verdict == "pass"]
-    zero = bn_suite(3, 2, [7], min(n_curves, 50), seed, mds=[(2, 2)])
+    neg, _ = _sampled(4, 1, 11, n_curves, seed, [(1, 1)])
+    pos, _ = _sampled(3, 1, 7, n_curves, seed, balanced_set(3, 3))
+    pos_rows = [row for row in pos["rows"]
+                if row["rho"] >= 1 and not predicted_empty(row["md"], 1, 3)
+                and row["verdict"] == "pass"]
+    zero, zero_scans = _sampled(3, 2, 7, min(n_curves, 50), seed, [(2, 2)])
     # rho = 0 gets no verdict from sampling, but this particular locus is
     # pinned: the only class with three sections in degree 2g-2 is canonical
-    rng = Rng(seed)
-    ctx = PrimeField(7)
-    omega_ok = True
-    for _ in range(min(n_curves, 50)):
-        X = random_curve(3, ctx, rng.spawn())
-        rep = bn_enumerate(X, BNQuery((2, 2), 2), witness_cap=2)
-        w = canonical_bundle(X)
-        if rep.count != 1 or rep.witnesses[0] != w.c:
-            omega_ok = False
+    omega_ok = all(rep.count == 1
+                   and rep.witnesses[0] == canonical_bundle(X).c
+                   for X, (rep,) in zero_scans)
     dims_ok, dims = _dim_rows("bn", DIM_PRIMES)
-    passed = (neg.passed and pos.passed and zero.passed
+    passed = (neg["passed"] and pos["passed"] and zero["passed"]
               and bool(pos_rows) and omega_ok and dims_ok)
     return passed, {
-        "rho_negative": neg.to_json(), "rho_positive": pos.to_json(),
-        "rho_zero": zero.to_json(), "canonical_pinned": omega_ok,
-        "rho_dimensions": dims}
+        "rho_negative": neg, "rho_positive": pos, "rho_zero": zero,
+        "canonical_pinned": omega_ok, "rho_dimensions": dims}
 
 
 @_suite("very-ample")

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bincurve.brill_noether import (BNQuery, DimEstimate, DimPrediction,
                                     _torus_runs, abel_sample, assemble_Wbar,
-                                    bn_enumerate, bn_suite,
-                                    clifford_equality_classes,
+                                    bn_enumerate, clifford_equality_classes,
                                     clifford_index, estimate_dim,
                                     growth_estimate, martens_bound,
                                     merge_reports, predicted_empty,
@@ -494,12 +493,15 @@ def test_predicted_empty_cases():
 
 
 def test_predicted_empty_agrees_with_scan():
+    # by generic h0: the torus walk stops at the rank floor predicted_empty
+    # reads, so a scan through it would agree by construction
     X = random_curve(3, F7, Rng(17))
     for d in range(0, 4):
         for md in balanced_set(d, 3):
-            for r in (0, 1, 2):
-                if predicted_empty(md, r, 3):
-                    assert bn_enumerate(X, BNQuery(md, r)).count == 0
+            rs = [r for r in (0, 1, 2) if predicted_empty(md, r, 3)]
+            if rs:
+                top = max(h0(L) for L in enumerate_bundles(X, md))
+                assert top < min(rs) + 1, (md, rs)
 
 
 def test_clifford_index_hyperelliptic_vs_generic():
@@ -805,36 +807,6 @@ def test_wbar_counts_equal_generic_h0_on_every_point(X, d, r):
     for s in strata:
         want = sum(1 for pt in stratum_points(X, s) if h0_bar(pt) >= r + 1)
         assert rep.counts[s] == want, s
-
-
-def test_bn_suite_is_deterministic_and_shaped():
-    rep = bn_suite(3, 1, [7], 10, seed=4, mds=[(1, 2)])
-    rep2 = bn_suite(3, 1, [7], 10, seed=4, mds=[(1, 2)])
-    assert rep.to_json() == rep2.to_json()
-    assert rep.rows[0].n_curves == 10
-    assert rep.rows[0].verdict in ("pass", "fail", "report")
-    with pytest.raises(ValueError):
-        bn_suite(6, 1, [7], 5, seed=1)      # desk-scale guard
-    with pytest.raises(ValueError):
-        bn_suite(3, 1, [17], 5, seed=1)
-
-
-def test_bn_suite_rows_recount_on_the_class_path():
-    """Every row of a small bn_suite run, recounted at the smallest prime
-    with torus_h0 (one yield per class with h0 >= r+1), matches its counts.
-    The curves are redrawn as bn_suite draws them: n_curves spawns of
-    Rng(seed) per prime, in the order the primes are given."""
-    g, r, n_curves, seed = 3, 1, 3, 9
-    rep = bn_suite(g, r, [7, 11], n_curves, seed=seed)
-    rng = Rng(seed)
-    curves = [random_curve(g, F7, rng.spawn()) for _ in range(n_curves)]
-    rows = [row for row in rep.rows if row.p == 7]
-    assert len(rows) == len(rep.mds) > 0
-    for row in rows:
-        assert row.counts == tuple(
-            sum(1 for _ in torus_h0(X, row.md, at_least=r + 1))
-            for X in curves)
-    assert any(sum(row.counts) for row in rows)
 
 
 def test_canonical_is_unique_rho_zero_witness():

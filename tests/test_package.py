@@ -31,18 +31,18 @@ EXPORTS = {
                "is_strictly_balanced", "picard_type", "strata_to_json",
                "stratum_points", "strict_set"],
     "brill_noether": ["BNQuery", "BNReport", "abel_sample", "assemble_Wbar",
-                      "bn_enumerate", "bn_suite",
-                      "clifford_equality_classes", "clifford_index",
-                      "estimate_dim", "growth_estimate", "martens_bound",
-                      "merge_reports", "predicted_empty", "reduce_curve_mod",
-                      "rho", "split_ranges", "verify_canonical_very_ample"],
+                      "bn_enumerate", "clifford_equality_classes",
+                      "clifford_index", "estimate_dim", "growth_estimate",
+                      "martens_bound", "merge_reports", "predicted_empty",
+                      "reduce_curve_mod", "rho", "split_ranges",
+                      "verify_canonical_very_ample"],
     "suites": ["SUITES", "SuiteResult"],
 }
 NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 87  # 78 re-exports and 9 modules
+    assert len(NAMES) == 86  # 77 re-exports and 9 modules
     assert sorted(bincurve.__all__) == NAMES
 
 

@@ -1,7 +1,10 @@
-from bincurve import suites
-from bincurve.brill_noether import DimPrediction
+import hashlib
+
+from bincurve import brill_noether, suites
+from bincurve.brill_noether import DimPrediction, torus_h0
 from bincurve.curve import random_curve, standard_curve
 from bincurve.fields import PrimeField
+from bincurve.picard import balanced_set
 from bincurve.reports import canonical_json, envelope, text_table
 from bincurve.rng import Rng
 from bincurve.suites import SUITES, SuiteResult, _curve_grid
@@ -92,6 +95,17 @@ def test_empty_suite_small():
     assert res.config == {"gs": [2], "ps": [7], "seed": 3}
 
 
+def test_empty_suite_catches_a_raised_floor(monkeypatch):
+    # a planted fault: the rank floor of every two-block torus rises by one,
+    # so predicted_empty names loci that are not empty; a walk stopping at
+    # the same floor would count them all zero
+    real = brill_noether.rank_floor
+    monkeypatch.setattr(brill_noether, "rank_floor",
+                        lambda md, n: real(md, n) + (min(md) >= 0))
+    res = SUITES["empty"](gs=(2,), ps=(7,))
+    assert not res.passed and res.summary["n_violations"] > 0
+
+
 def test_lemma_e_suite_small():
     res = SUITES["lemma-e"](ps=(7,), seed=3)
     assert res.passed and res.summary["checked"] > 0
@@ -130,6 +144,33 @@ def test_bn_suite_small():
     assert got["bn4", 4, 1] == ({"kind": "exact", "value": 2}, [497, 1567])
     assert got["bn3", 4, 2] == ({"kind": "exact", "value": 0}, [1, 1])
     assert got["bn4", 4, 2] == ({"kind": "empty", "value": None}, [0, 0])
+
+
+def test_bn_suite_golden():
+    # the whole report, sampled blocks and W̄ rows, pinned by its digest
+    res = SUITES["bn"](n_curves=8, seed=3)
+    digest = hashlib.sha256(canonical_json(res.to_json()).encode())
+    assert digest.hexdigest() == (
+        "bd1f687d4ea88903dafdc367c6b24069ee9a24d8742acf231e085ca36a4a85f9")
+
+
+def test_bn_rho_positive_rows_recount_on_the_class_path():
+    """Every rho_positive row, recounted with torus_h0 (one yield per class
+    with h0 >= 2), matches its counts. The curves are redrawn as the suite
+    draws them: n_curves spawns of Rng(seed), genus 3 over F_7."""
+    n_curves, seed = 3, 9
+    block = SUITES["bn"](n_curves=n_curves, seed=seed).summary["rho_positive"]
+    rng = Rng(seed)
+    curves = [random_curve(3, PrimeField(7), rng.spawn())
+              for _ in range(n_curves)]
+    rows = block["rows"]
+    assert [row["md"] for row in rows] == [list(md)
+                                           for md in balanced_set(3, 3)]
+    for row in rows:
+        assert row["counts"] == [
+            sum(1 for _ in torus_h0(X, row["md"], at_least=2))
+            for X in curves]
+    assert any(sum(row["counts"]) for row in rows)
 
 
 def test_very_ample_suite_small():

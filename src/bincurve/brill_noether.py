@@ -144,7 +144,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     run = p - 1
     v = n - 2  # the fastest free node; node n-1 is pinned to c = 1
     e1, e2 = cohomology.gluing_profile(X, md)
-    pairs = [(ej + [0] * k2, [0] * k1 + fj) for ej, fj in zip(e1, e2)]
+    pairs = [(ej + (0,) * k2, (0,) * k1 + fj) for ej, fj in zip(e1, e2)]
 
     def extend(level, c):
         # the level after placing its first pair's node at unit c; a level

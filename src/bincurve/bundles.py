@@ -8,6 +8,8 @@ is literal equality and each md-torus is exactly (k*)^g.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .curve import (BinaryCurve, MoebiusMap, det, is_hyperelliptic_fast,
                     normalize_at)
 from .fields import FieldCtx
@@ -20,12 +22,19 @@ class LineBundle:
     def __init__(self, curve: BinaryCurve, md, c):
         ctx = curve.ctx
         d1, d2 = int(md[0]), int(md[1])
-        c = tuple(c)
+        # into the field first: over F_p, x and x + p are one element and a
+        # multiple of p is zero, so it is caught as a non-unit below
+        if ctx.is_prime_field():
+            p = ctx.p
+            c = tuple([x % p for x in c])
+        else:
+            c = tuple([Fraction(x) for x in c])
         if len(c) != len(curve.nodes):
             raise ValueError("gluing vector length != number of nodes")
-        if any(x == ctx.zero for x in c):
+        if ctx.zero in c:
             raise ValueError("gluing coordinates must be units")
-        if c:  # canonical form: divide through by the last coordinate
+        if c and c[-1] != ctx.one:
+            # canonical form: divide through by the last coordinate
             last_inv = ctx.inv(c[-1])
             c = tuple(ctx.mul(x, last_inv) for x in c)
         self.curve = curve

@@ -3,12 +3,17 @@
 Everything reduces to one matrix: row j expresses the gluing condition
 f(p_j) = c_j·h(q_j) on the monomial coefficients of the form pair (f, h).
 h0 is its nullity; twists down by effective divisors add vanishing rows.
+The monomial evaluations at the nodes depend only on (curve, md), so
+`gluing_profile` builds them once per pair and every generic h0, section
+space and torus walk on that torus reads the same table; an h0 call is then
+one row assembly and one `rank_rows` elimination.
 h1 comes from Riemann-Roch by definition, which keeps Serre duality an
 actual cross-check of the canonical-bundle construction rather than a
 tautology.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
@@ -60,22 +65,43 @@ def derivative_row(ctx: FieldCtx, d: int, pt: ProjPoint, order: int):
     return row
 
 
+# curve -> {md: profile}; an entry lives only as long as its curve object,
+# and none is kept on the curve, so pickles and JSON of curves never see it
+_PROFILES = weakref.WeakKeyDictionary()
+
+
 def gluing_profile(X: BinaryCurve, md):
-    """Per-node monomial evaluations (E1[j], E2[j]) shared by a whole md-torus."""
-    d1, d2 = md
-    e1 = [monomial_values(X.ctx, d1, p) for p, _ in X.nodes]
-    e2 = [monomial_values(X.ctx, d2, q) for _, q in X.nodes]
-    return e1, e2
+    """Per-node monomial evaluations (E1[j], E2[j]) shared by a whole md-torus.
+
+    Built once per (curve object, md) and shared by generic h0, h0_vanishing,
+    SectionSpace and the torus walk; the table is tuples, so no caller can
+    change it.
+    """
+    md = (md[0], md[1])
+    per_curve = _PROFILES.get(X)
+    if per_curve is None:
+        per_curve = _PROFILES[X] = {}
+    profile = per_curve.get(md)
+    if profile is None:
+        d1, d2 = md
+        profile = per_curve[md] = (
+            tuple(tuple(monomial_values(X.ctx, d1, p)) for p, _ in X.nodes),
+            tuple(tuple(monomial_values(X.ctx, d2, q)) for _, q in X.nodes))
+    return profile
 
 
 def rows_for_gluing(L: LineBundle):
     """Gluing matrix rows: row j = [E_{d1}(p_j) | -c_j · E_{d2}(q_j)]."""
     ctx = L.ctx
     e1, e2 = gluing_profile(L.curve, L.md)
+    if ctx.is_prime_field():
+        p = ctx.p
+        return [[*a, *[-cj * v % p for v in b]]
+                for a, b, cj in zip(e1, e2, L.c)]
     rows = []
-    for j, cj in enumerate(L.c):
+    for a, b, cj in zip(e1, e2, L.c):
         neg = ctx.neg(cj)
-        rows.append(e1[j] + [ctx.mul(neg, v) for v in e2[j]])
+        rows.append([*a, *[ctx.mul(neg, v) for v in b]])
     return rows
 
 

@@ -108,7 +108,8 @@ class BinaryCurve:
         return [pt for pt in pts if pt not in branch]
 
     def same_curve(self, other: "BinaryCurve") -> bool:
-        return self.ctx == other.ctx and self.nodes == other.nodes
+        return self is other or (self.ctx == other.ctx
+                                  and self.nodes == other.nodes)
 
     def to_json(self) -> dict:
         return {

@@ -103,8 +103,8 @@ def enumerate_strata(X: BinaryCurve, d: int):
 
 def closure_leq(a: Stratum, b: Stratum) -> bool:
     """True iff stratum b lies in the closure of stratum a."""
-    return (set(a.S) <= set(b.S)
-            and a.md[0] >= b.md[0] and a.md[1] >= b.md[1])
+    return (a.md[0] >= b.md[0] and a.md[1] >= b.md[1]
+            and set(a.S) <= set(b.S))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,27 @@ def test_gluing_must_be_units():
         LineBundle(X, (0, 0), [0, 1, 1])
     with pytest.raises(ValueError):
         LineBundle(X, (0, 0), [1, 1])      # wrong length
+
+
+def test_gluing_coordinates_reduce_into_the_field():
+    X = standard_curve(2, F7)
+    # over F_p a multiple of p is zero, even in a vector already ending in 1
+    for c in ([7, 3, 1], [2, 3, 14], [0, 3, 1], [2, 3, 0]):
+        with pytest.raises(ValueError, match="units"):
+            LineBundle(X, (1, 1), c)
+    # an unreduced unit is the same class as its residue
+    assert LineBundle(X, (1, 1), [8, 3, 1]) == LineBundle(X, (1, 1), [1, 3, 1])
+    assert LineBundle(X, (1, 1), [8, -4, 15]).c == (1, 3, 1)
+    Q = Rationals()
+    Y = standard_curve(2, Q)
+    for c in ([0, 3, 1], [2, 3, 0], [Fraction(0), 1, 1]):
+        with pytest.raises(ValueError, match="units"):
+            LineBundle(Y, (1, 1), c)
+    # ints are taken into Q; a vector ending in 1 keeps its values
+    L = LineBundle(Y, (1, 1), [2, Fraction(1, 3), 1])
+    assert L.c == (2, Fraction(1, 3), 1)
+    assert all(type(x) is Fraction for x in L.c)
+    assert LineBundle(Y, (1, 1), [4, Fraction(2, 3), 2]) == L
 
 
 def test_trivial_tensor_dual_power():

@@ -1,14 +1,18 @@
+import gc
+import json
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               random_bundle, tensor, trivial)
 from bincurve.cohomology import (SectionSpace, base_locus, derivative_row,
-                                 descend, h0, h0_vanishing,
+                                 descend, gluing_profile, h0, h0_vanishing,
                                  h1, monomial_values, neutral_pair,
                                  point_divisor)
 from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
@@ -105,6 +109,128 @@ def test_derivative_row_hand_check():
     inf = ProjPoint.infinity(F7)
     assert derivative_row(F7, 2, inf, 1) == [0, 1, 0]
     assert derivative_row(F7, 2, inf, 0) == [1, 0, 0]
+
+
+def _fresh_profile(X, md):
+    # tuples: a table of lists would compare unequal
+    return tuple(tuple(tuple(monomial_values(X.ctx, d, pt))
+                       for pt in X.branch_points(comp))
+                 for comp, d in ((1, md[0]), (2, md[1])))
+
+
+def test_gluing_profile_is_the_monomial_table_once_per_md():
+    for ctx in (F7, Rationals()):
+        X = random_curve(3, ctx, Rng(5))
+        for d1 in range(-2, 5):
+            for d2 in range(-2, 5):
+                profile = gluing_profile(X, (d1, d2))
+                assert profile == _fresh_profile(X, (d1, d2))
+                assert gluing_profile(X, [d1, d2]) is profile
+
+
+def _read_profiles(X):
+    # h0, h0_vanishing and SectionSpace on one bundle of X
+    ctx = X.ctx
+    L = LineBundle(X, (2, 1),
+                   [ctx.from_int(k + 2) for k in range(len(X.nodes))])
+    branch = X.branch_points(1)
+    pt = next(pt for pt in (ProjPoint.finite(ctx, ctx.from_int(a))
+                            for a in range(2, 30)) if pt not in branch)
+    h0(L)
+    h0_vanishing(L, point_divisor(X, [(1, pt)]))
+    SectionSpace(L)
+
+
+def test_profile_memo_stays_off_the_curve():
+    """The memo is kept beside the curve, not on it: pickles (as sent to
+    pool workers) and JSON read the same bytes after h0 calls, and a curve
+    that goes out of scope is freed with its tables."""
+    for ctx in (F11, Rationals()):
+        X = random_curve(3, ctx, Rng(2))
+        before = pickle.dumps(X), json.dumps(X.to_json())
+        _read_profiles(X)
+        assert (pickle.dumps(X), json.dumps(X.to_json())) == before
+        assert X.same_curve(pickle.loads(before[0]))
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+
+
+def test_normalized_curves_get_their_own_profiles():
+    X = random_curve(4, F11, Rng(3))
+    md = (2, 1)
+    full = gluing_profile(X, md)
+    for S in ([0], [4], [1, 3]):
+        Y, _ = normalize_at(X, S)
+        profile = gluing_profile(Y, md)
+        assert len(profile[0]) == len(profile[1]) == len(Y.nodes)
+        assert profile == _fresh_profile(Y, md)
+        keep = [j for j in range(len(X.nodes)) if j not in S]
+        assert profile == tuple(tuple(block[j] for j in keep)
+                                for block in full)
+    assert gluing_profile(X, md) is full
+
+
+def _rank(rows, p):
+    """Rank by Gauss-Jordan elimination, mod p, or exactly over Q (p = 0)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] * pow(lead, -1, p) if p else row[col] / lead
+                rows[i] = [x - f * y for x, y in zip(row, rows[rank])]
+                if p:
+                    rows[i] = [x % p for x in rows[i]]
+        rank += 1
+    return rank
+
+
+def _gluing_matrix(X, md, c, p):
+    """Row j: f's monomials a^(d1-i) b^i at p_j, then -c_j times h's at q_j,
+    on the raw gluing vector c (not divided by its last coordinate)."""
+    def monos(d, pt):
+        return [pt.a ** (d - i) * pt.b ** i for i in range(d + 1)]
+    rows = [monos(md[0], pj) + [-cj * v for v in monos(md[1], qj)]
+            for (pj, qj), cj in zip(X.nodes, c)]
+    return [[x % p for x in row] for row in rows] if p else rows
+
+
+@st.composite
+def h0_cases(draw):
+    g = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([0, 7, 11, 13]))
+    ctx = PrimeField(p) if p else Rationals()
+    X = random_curve(g, ctx, Rng(draw(st.integers(0, 10 ** 6))))
+    if p:
+        unit = st.integers(1, p - 1)
+    else:
+        unit = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                         st.integers(1, 4))
+    md = (draw(st.integers(-2, 5)), draw(st.integers(-2, 5)))
+    cs = [draw(st.lists(unit, min_size=g + 1, max_size=g + 1))
+          for _ in range(2)]
+    return X, md, cs, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(h0_cases())
+@example((random_curve(3, F7, Rng(4)), (2, 2), [[3, 5, 2, 4], [6, 1, 1, 2]],
+          7))
+def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
+    """Generic h0 against k1 + k2 - rank of a matrix the test assembles and
+    eliminates itself; the second vector finds the (curve, md) table warm."""
+    X, md, cs, p = case
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    for c in cs:
+        want = ncols - _rank(_gluing_matrix(X, md, c, p), p)
+        assert h0(LineBundle(X, md, c)) == want, (md, c)
 
 
 @settings(max_examples=30, deadline=None)

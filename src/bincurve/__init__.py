@@ -21,9 +21,9 @@ _EXPORTS = {
     "cohomology": "BaseLocus DescentResult SectionSpace base_locus descend "
                   "gluing_profile h0 h0_vanishing h1 neutral_pair "
                   "point_divisor",
-    "picard": "Ell0 PicardPoint Stratum balanced_set bounds closure_leq "
+    "picard": "Ell0 Stratum balanced_set bounds closure_leq "
               "enumerate_strata h0_bar is_balanced is_strictly_balanced "
-              "picard_type strata_to_json stratum_points strict_set",
+              "normalized_strata picard_type strata_to_json strict_set",
     "brill_noether": "BNQuery BNReport abel_sample assemble_Wbar "
                      "bn_enumerate clifford_equality_classes "
                      "clifford_index estimate_dim growth_estimate "

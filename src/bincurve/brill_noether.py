@@ -34,10 +34,10 @@ from .bundles import (EffectiveDivisor, bundle_count,
                       canonical_bundle, from_divisor, gluing_at,
                       hyperelliptic_class, power, restrict_to_normalization,
                       trivial)
-from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast, normalize_at
+from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast
 from .fields import PrimeField
-from .picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
-                     is_balanced, picard_type)
+from .picard import (Ell0, balanced_set, h0_bar, is_balanced,
+                     normalized_strata, picard_type)
 from .rng import Rng
 
 
@@ -579,17 +579,14 @@ def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
     if d > r + g - 1:
         raise ValueError(
             f"need d <= r+g-1 = {r + g - 1} (boundary h0 control fails past it)")
-    counts = {}
-    ell0_h0 = None
-    ell0_excluded = None
-    for st in enumerate_strata(X, d):
-        if isinstance(st, Ell0):
-            ell0_h0 = h0_bar(st)
-            ell0_excluded = ell0_h0 < r + 1
-            continue
-        Y, _ = normalize_at(X, st.S)
-        counts[st] = bn_enumerate(Y, BNQuery(st.md, r), witness_cap=0).count
-    return WbarReport(picard_type(d, g), counts, ell0_h0, ell0_excluded)
+    counts = {st: bn_enumerate(Y, BNQuery(st.md, r), witness_cap=0).count
+              for st, Y in normalized_strata(X, d)}
+    ptype = picard_type(d, g)
+    ell0_h0 = ell0_excluded = None
+    if ptype == "degeneration":
+        ell0_h0 = h0_bar(Ell0(d, g))
+        ell0_excluded = ell0_h0 < r + 1
+    return WbarReport(ptype, counts, ell0_h0, ell0_excluded)
 
 
 @dataclass
@@ -633,10 +630,10 @@ def verify_canonical_very_ample(X: BinaryCurve, rng: Rng,
 
     def separates(j):
         # node, tangent on one branch, tangents on both branches
-        Y, ((rpt, spt),) = normalize_at(X, [j])
         nu_w = restrict_to_normalization(w, [j])
+        rpt, spt = X.nodes[j]
         for mr, ms, expect in ((1, 1, g - 1), (2, 1, g - 2), (2, 2, g - 3)):
-            D = EffectiveDivisor(Y, [(1, rpt, mr), (2, spt, ms)])
+            D = EffectiveDivisor(nu_w.curve, [(1, rpt, mr), (2, spt, ms)])
             if cohomology.h0_vanishing(nu_w, D) != expect:
                 return False
         return True

@@ -8,10 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
-from . import cohomology
-from .bundles import LineBundle, enumerate_bundles
 from .curve import BinaryCurve, normalize_at
 
 
@@ -84,6 +82,11 @@ def enumerate_strata(X: BinaryCurve, d: int):
     Degeneration type: strictly balanced only (e = g contributes nothing),
     with the identified point appended last. Order: e ascending, node subsets
     lexicographic, d1 ascending.
+
+    Every stratum is strictly balanced on its Y_S, so `strict` is always
+    true: in the Neron type the bounds on every Y_S are half-integers
+    (the type survives normalization), where balanced equals strict, and
+    the degeneration type takes only `strict_set`.
     """
     g = X.genus
     if g < 2:
@@ -107,37 +110,22 @@ def closure_leq(a: Stratum, b: Stratum) -> bool:
             and set(a.S) <= set(b.S))
 
 
-@dataclass(frozen=True)
-class PicardPoint:
-    """Boundary point [M, S]: a strictly balanced bundle on the normalization Y_S."""
-    S: tuple
-    M: LineBundle
-
-    def __post_init__(self):
-        if not is_strictly_balanced(self.M.md, self.M.curve.genus):
-            raise ValueError("representative must be strictly balanced")
-
-
-def h0_bar(pt) -> int:
-    """h0 at a boundary point of the compactified Picard scheme.
-
-    [M, S] points delegate to the normalization; the identified point of the
-    degeneration case has h0 = 2·max(0, m+1) where m is the lower balanced
-    bound (two rational components, all gluing conditions broken).
-    """
-    if isinstance(pt, Ell0):
-        m = bounds(pt.d, pt.g).lo
-        if m.denominator != 1:
-            raise RuntimeError("degeneration point with non-integral bound")
-        return 2 * max(0, int(m) + 1)
-    return cohomology.h0(pt.M)
+def normalized_strata(X: BinaryCurve, d: int):
+    """(stratum, Y_S) for each `Stratum` of `enumerate_strata(X, d)`, in
+    its order; `Ell0` is left out. The strata of one node subset S come
+    consecutively, so each partial normalization Y_S is built once."""
+    strata = (st for st in enumerate_strata(X, d) if isinstance(st, Stratum))
+    for S, group in groupby(strata, key=lambda st: st.S):
+        Y, _ = normalize_at(X, S)
+        for st in group:
+            yield st, Y
 
 
-def stratum_points(X: BinaryCurve, st: Stratum):
-    """All [M, S] points of one stratum over a finite field ((p-1)^{g-e} classes)."""
-    Y, _ = normalize_at(X, st.S)
-    for M in enumerate_bundles(Y, st.md):
-        yield PicardPoint(st.S, M)
+def h0_bar(pt: Ell0) -> int:
+    """h0 at the identified point of the degeneration case: 2·max(0, m+1),
+    where m is the lower balanced bound (two rational components, all
+    gluing conditions broken)."""
+    return 2 * max(0, int(bounds(pt.d, pt.g).lo) + 1)
 
 
 def strata_to_json(items) -> list:

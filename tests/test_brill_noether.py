@@ -17,12 +17,12 @@ from bincurve.bundles import (LineBundle, canonical_bundle, dual,
                               enumerate_bundles, hyperelliptic_class, tensor,
                               trivial)
 from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
-from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
-                            random_hyperelliptic_curve, standard_curve)
+from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
+                            random_curve, random_hyperelliptic_curve,
+                            standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.linalg import rank_rows
-from bincurve.picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
-                             stratum_points)
+from bincurve.picard import Ell0, balanced_set, enumerate_strata
 from bincurve.rng import Rng
 
 F7 = PrimeField(7)
@@ -804,8 +804,10 @@ def test_wbar_counts_equal_generic_h0_on_every_point(X, d, r):
     rep = assemble_Wbar(X, d, r)
     strata = [s for s in enumerate_strata(X, d) if not isinstance(s, Ell0)]
     assert list(rep.counts) == strata
+    # its own normalizations and generic h0, independent of the walk
     for s in strata:
-        want = sum(1 for pt in stratum_points(X, s) if h0_bar(pt) >= r + 1)
+        Y, _ = normalize_at(X, s.S)
+        want = sum(1 for M in enumerate_bundles(Y, s.md) if h0(M) >= r + 1)
         assert rep.counts[s] == want, s
 
 

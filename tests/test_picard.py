@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bincurve.curve import standard_curve
+from bincurve.curve import normalize_at, random_curve, standard_curve
 from bincurve.fields import PrimeField
-from bincurve.picard import (Ell0, PicardPoint, Stratum, balanced_set, bounds,
-                             closure_leq, enumerate_strata, h0_bar,
-                             is_balanced, is_strictly_balanced, picard_type,
-                             strata_to_json, stratum_points, strict_set)
+from bincurve.picard import (Ell0, Stratum, balanced_set, bounds, closure_leq,
+                             enumerate_strata, h0_bar, is_balanced,
+                             is_strictly_balanced, normalized_strata,
+                             picard_type, strata_to_json, strict_set)
+from bincurve.rng import Rng
 
 F7 = PrimeField(7)
 
@@ -73,10 +74,16 @@ def test_strata_degeneration_type_has_ell0_last():
     strata = enumerate_strata(X, 1)
     assert isinstance(strata[-1], Ell0)
     assert sum(isinstance(s, Ell0) for s in strata) == 1
-    # strict interiors only, on every normalization level
-    for s in strata[:-1]:
-        assert is_strictly_balanced(s.md, 2 - len(s.S))
     assert len(strata) == 6  # 2 + 3x1 + 0 + ell0
+    # every stratum of either type is strictly balanced on its Y_S: the
+    # Neron bounds are half-integers on every Y_S, so balanced equals
+    # strict, and the degeneration type takes only strict_set
+    for g in range(2, 7):
+        X = standard_curve(g, PrimeField(11))
+        for d in range(-6, 3 * g + 4):
+            for s in enumerate_strata(X, d):
+                if isinstance(s, Stratum):
+                    assert s.strict, (g, d, s)
 
 
 def test_type_is_preserved_under_normalization():
@@ -125,17 +132,18 @@ def test_h0_bar_identified_point():
         Ell0(2, 2)                   # m not integral: N-type has no such point
 
 
-def test_picard_point_validates_strictness():
-    from bincurve.bundles import LineBundle
-    X = standard_curve(2, F7)
-    st0 = [s for s in enumerate_strata(X, 1) if isinstance(s, Stratum)][0]
-    pts = list(stratum_points(X, st0))
-    assert len(pts) == 6 ** st0.dim
-    # d=1 on g=2 is D-type: md (-1,2) sits on the balanced boundary and is
-    # not a legal representative
-    with pytest.raises(ValueError):
-        PicardPoint((), LineBundle(X, (-1, 2), [1, 1, 1]))
-    PicardPoint((), LineBundle(X, (0, 1), [1, 1, 1]))
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_normalized_strata_walk(g):
+    X = random_curve(g, PrimeField(11), Rng(40 + g))
+    for d in range(1, 5):   # both Picard types
+        walk = list(normalized_strata(X, d))
+        assert [s for s, _ in walk] == [s for s in enumerate_strata(X, d)
+                                        if not isinstance(s, Ell0)]
+        curves = {}
+        for s, Y in walk:
+            assert curves.setdefault(s.S, Y) is Y   # one Y_S per node subset
+            assert Y.genus == s.dim
+            assert Y.nodes == normalize_at(X, s.S)[0].nodes
 
 
 def test_strata_json_shape():

@@ -22,8 +22,8 @@ _EXPORTS = {
                   "gluing_profile h0 h0_vanishing h1 neutral_pair "
                   "point_divisor",
     "picard": "Ell0 Stratum balanced_set bounds closure_leq "
-              "enumerate_strata h0_bar is_balanced is_strictly_balanced "
-              "normalized_strata picard_type strata_to_json strict_set",
+              "enumerate_strata h0_bar is_balanced normalized_strata "
+              "picard_type strata_to_json strict_set",
     "brill_noether": "BNQuery BNReport abel_sample assemble_Wbar "
                      "bn_enumerate clifford_equality_classes "
                      "clifford_index estimate_dim growth_estimate "

@@ -233,16 +233,12 @@ def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
             for c in range(a, b):
                 yield (*head, c, 1), low + (c == jump)
             continue
-        # one-block torus: decode the first class, then step its digits
-        c, unit = list(gluing_at(X, a)), X.ctx.p - 1
-        for _ in range(a, b):
-            yield tuple(c), low
-            j = len(c) - 2  # the last node stays pinned at 1
-            while j >= 0 and c[j] == unit:
-                c[j] = 1
-                j -= 1
-            if j >= 0:
-                c[j] += 1
+        # one-block torus: the free coordinates in gluing_at order, the
+        # last node pinned at 1
+        pin = (1,) if X.genus >= 0 else ()
+        free = itertools.product(range(1, X.ctx.p), repeat=max(X.genus, 0))
+        for c in itertools.islice(free, a, b):
+            yield c + pin, low
 
 
 def bn_enumerate(X: BinaryCurve, q: BNQuery, witness_cap: int = 64,
@@ -543,12 +539,9 @@ def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
     hist = {}
     ones = 0
     for _ in range(trials):
-        picks = {}
-        for comp in (1, 2):
-            for _ in range(md[comp - 1]):
-                pt = rng.choice(pools[comp])
-                picks[(comp, pt)] = picks.get((comp, pt), 0) + 1
-        D = EffectiveDivisor(X, [(c, pt, m) for (c, pt), m in picks.items()])
+        D = cohomology.point_divisor(X, [(comp, rng.choice(pools[comp]))
+                                         for comp in (1, 2)
+                                         for _ in range(md[comp - 1])])
         n = cohomology.h0(from_divisor(X, D))
         hist[n] = hist.get(n, 0) + 1
         if n == 1:

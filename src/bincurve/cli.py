@@ -178,12 +178,12 @@ def cmd_strata(args) -> int:
     rows = []
     for item in payload["strata"]:
         if item.get("ell0"):
-            rows.append(("ell0", "-", "-", "-"))
+            rows.append(("ell0", "-", "-"))
         else:
             rows.append((",".join(map(str, item["S"])) or "-",
                          f"({item['md'][0]},{item['md'][1]})",
-                         item["dim"], "strict" if item["strict"] else "full"))
-    table = text_table(("S", "md", "dim", "kind"), rows)
+                         item["dim"]))
+    table = text_table(("S", "md", "dim"), rows)
     cfg = {**_curve_config(args, X), "d": args.d}
     _emit(envelope("strata", "compactified-Picard strata", cfg, payload),
           args.out, table)

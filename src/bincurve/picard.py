@@ -32,11 +32,6 @@ def is_balanced(md, g: int) -> bool:
     return all(b.lo <= di <= b.hi for di in md)
 
 
-def is_strictly_balanced(md, g: int) -> bool:
-    b = bounds(md[0] + md[1], g)
-    return all(b.lo < di < b.hi for di in md)
-
-
 def balanced_set(d: int, g: int):
     """B_d(g), ascending in d1. Size g+2 when bounds are integral, else g+1."""
     b = bounds(d, g)
@@ -61,7 +56,6 @@ class Stratum:
     S: tuple        # node indices removed, ascending
     md: tuple       # multidegree on Y_S
     dim: int        # g - e
-    strict: bool    # strictly balanced on Y_S
 
 
 @dataclass(frozen=True)
@@ -76,30 +70,24 @@ class Ell0:
 
 
 def enumerate_strata(X: BinaryCurve, d: int):
-    """All strata of the compactified degree-d Picard scheme of X.
+    """All strata of the compactified degree-d Picard scheme of X: each
+    strictly balanced multidegree on each Y_S, e = 0..g, with the
+    identified point appended last in the degeneration type. Order: e
+    ascending, node subsets lexicographic, d1 ascending.
 
-    Neron type: every balanced multidegree on every Y_S, e = 0..g.
-    Degeneration type: strictly balanced only (e = g contributes nothing),
-    with the identified point appended last. Order: e ascending, node subsets
-    lexicographic, d1 ascending.
-
-    Every stratum is strictly balanced on its Y_S, so `strict` is always
-    true: in the Neron type the bounds on every Y_S are half-integers
-    (the type survives normalization), where balanced equals strict, and
-    the degeneration type takes only `strict_set`.
+    Strict multidegrees give every stratum: in the Neron type the bounds on
+    every Y_S are half-integers (the type survives normalization), where
+    balanced equals strict; in the degeneration type e = g contributes
+    nothing.
     """
     g = X.genus
     if g < 2:
         raise ValueError("stratum enumeration needs g >= 2")
-    dtype = picard_type(d, g) == "degeneration"
-    pick = strict_set if dtype else balanced_set
-    out = []
-    for e in range(g + 1):
-        for S in combinations(range(g + 1), e):
-            for md in pick(d - e, g - e):
-                out.append(Stratum(S, md, g - e,
-                                   is_strictly_balanced(md, g - e)))
-    if dtype:
+    out = [Stratum(S, md, g - e)
+           for e in range(g + 1)
+           for S in combinations(range(g + 1), e)
+           for md in strict_set(d - e, g - e)]
+    if picard_type(d, g) == "degeneration":
         out.append(Ell0(d, g))
     return out
 
@@ -134,6 +122,5 @@ def strata_to_json(items) -> list:
         if isinstance(it, Ell0):
             out.append({"ell0": True})
         else:
-            out.append({"S": list(it.S), "md": list(it.md),
-                        "dim": it.dim, "strict": it.strict})
+            out.append({"S": list(it.S), "md": list(it.md), "dim": it.dim})
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -66,11 +67,13 @@ def _suite(name: str):
 
 
 def pool_map(fn, items, jobs: int, chunksize: int = 1) -> list:
-    """[fn(x) for x in items], in order; spread over one process pool of
-    `jobs` workers when jobs > 1. fn and the items must pickle."""
+    """[fn(x) for x in items], in order; spread over one process pool when
+    jobs > 1. The pool has min(jobs, os.cpu_count()) workers, since a fork
+    pool starts them all at once. fn and the items must pickle."""
     if jobs <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 

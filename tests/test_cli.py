@@ -73,7 +73,8 @@ def test_strata_counts_and_type(capsys):
     assert code == 0
     assert rep["report"]["picard_type"] == "neron"
     assert len(rep["report"]["strata"]) == 12
-    assert "md" in err  # human table goes to stderr
+    # human table goes to stderr
+    assert err.splitlines()[0].split() == ["S", "md", "dim"]
     code, rep, _ = run(capsys, "strata", "--random-genus", "2", "--p", "7",
                        "--d", "3")
     assert rep["report"]["picard_type"] == "degeneration"

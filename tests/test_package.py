@@ -28,8 +28,8 @@ EXPORTS = {
                    "neutral_pair", "point_divisor"],
     "picard": ["Ell0", "Stratum", "balanced_set", "bounds", "closure_leq",
                "enumerate_strata", "h0_bar", "is_balanced",
-               "is_strictly_balanced", "normalized_strata", "picard_type",
-               "strata_to_json", "strict_set"],
+               "normalized_strata", "picard_type", "strata_to_json",
+               "strict_set"],
     "brill_noether": ["BNQuery", "BNReport", "abel_sample", "assemble_Wbar",
                       "bn_enumerate", "clifford_equality_classes",
                       "clifford_index", "estimate_dim", "growth_estimate",
@@ -42,7 +42,7 @@ NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 85  # 76 re-exports and 9 modules
+    assert len(NAMES) == 84  # 75 re-exports and 9 modules
     assert sorted(bincurve.__all__) == NAMES
 
 

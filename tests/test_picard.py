@@ -9,8 +9,8 @@ from bincurve.curve import normalize_at, random_curve, standard_curve
 from bincurve.fields import PrimeField
 from bincurve.picard import (Ell0, Stratum, balanced_set, bounds, closure_leq,
                              enumerate_strata, h0_bar, is_balanced,
-                             is_strictly_balanced, normalized_strata,
-                             picard_type, strata_to_json, strict_set)
+                             normalized_strata, picard_type, strata_to_json,
+                             strict_set)
 from bincurve.rng import Rng
 
 F7 = PrimeField(7)
@@ -41,9 +41,12 @@ def test_balance_predicates_match_sets():
         for d1 in range(-4, d + 5):
             md = (d1, d - d1)
             assert is_balanced(md, g) == (md in allowed)
-        strict = set(strict_set(d, g))
-        for md in allowed:
-            assert is_strictly_balanced(md, g) == (md in strict)
+    # enumerate_strata takes strict_set in both Picard types because with
+    # half-integer bounds balanced equals strictly balanced
+    for g in range(8):
+        for d in range(-8, 3 * g + 4):
+            if picard_type(d, g) == "neron":
+                assert strict_set(d, g) == balanced_set(d, g), (d, g)
 
 
 def test_picard_type_parity():
@@ -75,15 +78,21 @@ def test_strata_degeneration_type_has_ell0_last():
     assert isinstance(strata[-1], Ell0)
     assert sum(isinstance(s, Ell0) for s in strata) == 1
     assert len(strata) == 6  # 2 + 3x1 + 0 + ell0
-    # every stratum of either type is strictly balanced on its Y_S: the
-    # Neron bounds are half-integers on every Y_S, so balanced equals
-    # strict, and the degeneration type takes only strict_set
+    # oracle: every balanced multidegree on each Y_S in the Neron type,
+    # only the strictly balanced ones in the degeneration type, with the
+    # identified point last
     for g in range(2, 7):
         X = standard_curve(g, PrimeField(11))
         for d in range(-6, 3 * g + 4):
-            for s in enumerate_strata(X, d):
-                if isinstance(s, Stratum):
-                    assert s.strict, (g, d, s)
+            dtype = picard_type(d, g) == "degeneration"
+            pick = strict_set if dtype else balanced_set
+            oracle = [Stratum(S, md, g - e)
+                      for e in range(g + 1)
+                      for S in combinations(range(g + 1), e)
+                      for md in pick(d - e, g - e)]
+            if dtype:
+                oracle.append(Ell0(d, g))
+            assert enumerate_strata(X, d) == oracle, (g, d)
 
 
 def test_type_is_preserved_under_normalization():
@@ -150,4 +159,6 @@ def test_strata_json_shape():
     X = standard_curve(2, F7)
     items = strata_to_json(enumerate_strata(X, 1))
     assert items[-1] == {"ell0": True}
-    assert {"S": [], "md": [0, 1], "dim": 2, "strict": True} in items
+    assert {"S": [], "md": [0, 1], "dim": 2} in items
+    for it in items[:-1]:
+        assert set(it) == {"S", "md", "dim"}

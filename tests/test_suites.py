@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 from bincurve import brill_noether, suites
 from bincurve.brill_noether import DimPrediction, torus_h0
@@ -228,3 +229,31 @@ def test_check_dim_row_catches_a_wrong_prediction():
                                        DimPrediction("exact", 1))
     assert problems == [{"kind": "fixture", "p": 13},
                         {"kind": "fixture", "p": 23}]
+
+
+def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
+    # a fake pool records its worker count and maps in this process, so
+    # that a large jobs starts no processes
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    items = list(range(7, -3, -1))
+    out = suites.pool_map(abs, items, jobs=10_000)
+    assert out == [abs(x) for x in items]
+    assert started == [min(10_000, os.cpu_count() or 1)]
+    # one job maps in this process and starts no pool
+    assert suites.pool_map(abs, items, jobs=1) == out
+    assert len(started) == 1

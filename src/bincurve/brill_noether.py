@@ -11,13 +11,18 @@ the tree of gluing digits. Each level keeps its rank and the residual
 halves of every node still to place, so placing a node costs one row,
 read off its residual pair, and one reduction of the pairs left against
 that row's pivot; a run of p-1 classes differing only in the last free
-gluing coordinate is then solved in closed form from the last pair. A
-prefix whose rows already exceed the rank bound is skipped with its whole
-subtree, and, for counting, a prefix whose remaining rows cannot push the
-rank past the bound is counted whole. A prefix whose rank equals the bound
-is closed without descending: every row still to come must vanish, so each
-remaining node admits all units, one or none, and the qualifying classes
-are the product of those sets.
+gluing coordinate is then solved in closed form from the last pair. The
+last two free nodes are solved together: node v's row lies in the span of
+node v-1's row r1 iff their 2x2 minors on one fixed column i vanish, and
+those minors, built once per prefix, give each unit of node v-1 one jump
+solve instead of a placed level (except the one unit where r1_i = 0
+but r1 != 0). The full wedge over all column pairs made wide multidegrees
+slower. A prefix whose rows already exceed the rank bound is skipped
+with its whole subtree, and, for counting, a prefix whose remaining rows
+cannot push the rank past the bound is counted whole. A prefix whose rank
+equals the bound is closed without descending: every row still to come
+must vanish, so each remaining node admits all units, one or none, and
+the qualifying classes are the product of those sets.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -106,10 +111,28 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     pairs (a_j, b_j) of the nodes not yet placed, reduced against its
     pivots. Placing a node at unit c forms its row from the first pair,
     already reduced, and reduces the other pairs against the one new pivot
-    (if the row is nonzero); the pinned node is placed first. At depth
-    v = n-2 the one pair left is node v's (ra, rb), and by linearity the
-    fiber of its p-1 classes has h0(c) = ncols - rank - [ra != c·rb]:
-    constant when rb = 0, else one higher at the single c with ra = c·rb.
+    (if the row is nonzero); the pinned node is placed first. Below a
+    prefix of nodes 0 .. v-1 (v = n-2) the one pair left is node v's
+    (ra, rb), and by linearity the fiber of its p-1 classes has h0(c) =
+    ncols - rank - [ra != c·rb]: constant when rb = 0, else one higher at
+    the single c with ra = c·rb (`zeroing` finds it, `fiber` reads the run
+    off it).
+
+    The level at depth v-1 holds two pairs, (a1, b1) of node v-1 and
+    (a2, b2) of node v, and solves its (p-1)^2 classes without placing
+    node v-1. At unit c its row is r1 = a1 - c·b1. Where r1 = 0 (the units
+    zeroing(a1, b1): none, one or all) the rank stays and node v jumps at
+    zeroing(a2, b2). Elsewhere the rank grows by one, and node v's row
+    a2 - c'·b2 reduces to zero iff it lies in span(r1), that is iff its
+    2x2 minors with r1 on the columns (i, j) vanish, with i the first
+    column where a1 or b1 is nonzero. The minor at j is A_j - c·B_j -
+    c'·(C_j - c·D_j), so node v jumps at zeroing(A - c·B, C - c·D); A, B,
+    C and D are built once per prefix, over the columns where one of the
+    four vectors is nonzero. At the one unit with r1_i = 0 but r1 != 0,
+    column i cannot serve, and node v-1 is placed by one row and one
+    reduction instead. Minors against one fixed column keep the solve
+    linear in the columns; the full wedge r1 ^ (a2 - c'·b2) has m(m-1)/2
+    entries on m columns and made scans of wide multidegrees slower.
 
     Two bounds prune the tree, and a tight level closes it. Rank only
     grows, so a prefix whose rank exceeds ncols - at_least is skipped with
@@ -120,6 +143,8 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     row, so node j admits every unit (ra_j = rb_j = 0), the one unit c with
     ra_j = c·rb_j, or none, and the qualifying classes (h0 = at_least) are
     the product of those sets, one run per prefix over nodes k .. v-1.
+    The two-node solve runs only where neither bound nor a tight close
+    applies; a unit of node v-1 whose row would pass the bound is skipped.
     Only subtrees that meet [lo, hi) are entered, and a tight one is closed
     only when it lies inside, so a cut descends along its boundary paths.
     Before any of this, the rank floor (`rank_floor`) empties the torus or,
@@ -173,9 +198,27 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
                 return 0 if any((x - c * y) % p for x, y in zip(ra, rb)) else c
         return 0 if any(ra) else None
 
+    def fiber(rank, jump, base, head):
+        # the run of node v's fiber below head, whose first class has index
+        # base, given the rank of the other rows (at most max_rank) and
+        # node v's units from `zeroing`; h0 is top at c_v = jump (0: no
+        # such class), low elsewhere. None when no class in [lo, hi) has
+        # h0 >= at_least
+        if sure_hit and rank < max_rank:
+            return None, max(lo, base), min(hi, base + run), None, 0
+        top = ncols - rank
+        low, jump = (top, 0) if jump is None else (top - 1, jump)
+        c0 = max(lo - base, 0) + 1
+        c1 = min(hi - base, run) + 1
+        if low >= at_least:
+            return head, c0, c1, low, jump
+        if c0 <= jump < c1:
+            return head, jump, jump + 1, low, jump
+        return None
+
     def fibers(k, level, base, head):
-        # runs below the prefix head (nodes 0 .. k-1), whose first class
-        # has index base; only subtrees that meet [lo, hi) are entered
+        # runs below the prefix head (nodes 0 .. k-1, k < v), whose first
+        # class has index base; only subtrees that meet [lo, hi) are entered
         rank = level[0]
         if rank > max_rank:
             return  # rank only grows: no class below this prefix qualifies
@@ -184,40 +227,73 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             yield (None, max(lo, base), min(hi, base + run ** (v - k + 1)),
                    None, 0)
             return
-        if k < v:
-            size = run ** (v - k)
-            if rank == max_rank and lo <= base and base + size * run <= hi:
-                # tight: a class qualifies iff every pair left gives a zero
-                # row, and each node admits its units independently
-                units = []
-                for ra, rb in level[1]:
-                    c = zeroing(ra, rb)
-                    if c == 0:
-                        return
-                    units.append(range(1, p) if c is None else range(c, c + 1))
-                last = units.pop()
-                for prefix in itertools.product(*units):
-                    yield head + prefix, last.start, last.stop, ncols - rank, 0
-                return
-            for d in range(max(lo - base, 0) // size,
-                           min(-((base - hi) // size), run)):
-                yield from fibers(k + 1, extend(level, d + 1),
-                                  base + d * size, head + (d + 1,))
+        size = run ** (v - k)
+        if rank == max_rank and lo <= base and base + size * run <= hi:
+            # tight: a class qualifies iff every pair left gives a zero
+            # row, and each node admits its units independently
+            units = []
+            for ra, rb in level[1]:
+                c = zeroing(ra, rb)
+                if c == 0:
+                    return
+                units.append(range(1, p) if c is None else range(c, c + 1))
+            last = units.pop()
+            for prefix in itertools.product(*units):
+                yield head + prefix, last.start, last.stop, ncols - rank, 0
             return
-        # fiber: node v's pair is the last one left; h0 is top at
-        # c_v = jump (0: no such class), low elsewhere
-        jump = zeroing(*level[1][0])
-        top = ncols - rank
-        low, jump = (top, 0) if jump is None else (top - 1, jump)
-        c0 = max(lo - base, 0) + 1
-        c1 = min(hi - base, run) + 1
-        if low >= at_least:
-            yield head, c0, c1, low, jump
-        elif c0 <= jump < c1:
-            yield head, jump, jump + 1, low, jump
+        digits = range(max(lo - base, 0) // size,
+                       min(-((base - hi) // size), run))
+        if k == v - 1:
+            yield from two_nodes(level, base, head, digits)
+            return
+        for d in digits:
+            yield from fibers(k + 1, extend(level, d + 1),
+                              base + d * size, head + (d + 1,))
+
+    def two_nodes(level, base, head, digits):
+        # the fibers below a prefix of nodes 0 .. v-2, one per unit c = d + 1
+        # of node v-1 for d in digits: node v-1's row there is r1 = a1 - c·b1,
+        # and node v jumps where its row's 2x2 minors with r1 vanish
+        rank, ((a1, b1), (a2, b2)) = level
+        keep = zeroing(a1, b1)  # the units with r1 = 0
+        jump2 = zeroing(a2, b2)
+        if keep is not None and rank < max_rank:
+            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
+            i = next(j for j in range(ncols) if a1[j] or b1[j])
+            ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+            sup = [j for j in range(ncols)
+                   if a1[j] or b1[j] or a2[j] or b2[j]]
+            A = [(a2[j] * ai - a2i * a1[j]) % p for j in sup]
+            B = [(a2[j] * bi - a2i * b1[j]) % p for j in sup]
+            C = [(b2[j] * ai - b2i * a1[j]) % p for j in sup]
+            D = [(b2[j] * bi - b2i * b1[j]) % p for j in sup]
+            # the unit with r1_i = 0 (0: none), where column i cannot serve
+            ci = ai * pow(bi, p - 2, p) % p if bi else 0
+        for d in digits:
+            c = d + 1
+            if keep is None or c == keep:
+                rank_c, jump = rank, jump2
+            elif rank == max_rank:
+                continue  # the nonzero row r1 puts the rank past the bound
+            elif c == ci:
+                rank_c, ((ra, rb),) = extend(level, c)
+                jump = zeroing(ra, rb)
+            else:
+                rank_c, jump = rank + 1, zeroing(
+                    [(x - c * y) % p for x, y in zip(A, B)],
+                    [(x - c * y) % p for x, y in zip(C, D)])
+            out = fiber(rank_c, jump, base + d * run, head + (c,))
+            if out is not None:
+                yield out
 
     # the pinned node n-1 is placed first, at c = 1
-    yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
+    root = extend((0, pairs[-1:] + pairs[:-1]), 1)
+    if v > 0:
+        yield from fibers(0, root, 0, ())
+    else:
+        out = fiber(root[0], zeroing(*root[1][0]), 0, ())
+        if out is not None:
+            yield out
 
 
 def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):
@@ -275,6 +351,8 @@ def split_ranges(total: int, parts: int):
 def merge_reports(parts) -> BNReport:
     """Combine shard reports of one scan; equals the unsharded report."""
     parts = sorted(parts, key=lambda r: r.index_range[0])
+    if not parts:
+        raise ValueError("no shard reports to merge")
     first = parts[0]
     for a, b in zip(parts, parts[1:]):
         if a.index_range[1] != b.index_range[0]:

@@ -16,7 +16,8 @@ from bincurve.brill_noether import (BNQuery, DimEstimate, DimPrediction,
 from bincurve.bundles import (LineBundle, canonical_bundle, dual,
                               enumerate_bundles, hyperelliptic_class, tensor,
                               trivial)
-from bincurve.cohomology import SectionSpace, h0, rows_for_gluing
+from bincurve.cohomology import (SectionSpace, gluing_profile, h0,
+                                 rows_for_gluing)
 from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
                             random_curve, random_hyperelliptic_curve,
                             standard_curve)
@@ -416,6 +417,133 @@ def test_tight_subtrees_exhaustive():
                     "cut-starts-inside", "cut-ends-inside", "cap-inside"}
 
 
+def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
+    """The runs of `_torus_runs` by the per-unit descent: every free node,
+    node v-1 included, is placed by one row and one reduction of the pairs
+    left, and node v's fiber is read off its one reduced pair (zeroing by
+    trying every unit). seen collects the cases each unit of node v-1 meets
+    below a prefix that is neither pruned, sure-hit nor closed tight."""
+    p, u = X.ctx.p, X.ctx.p - 1
+    k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
+    ncols, max_rank = k1 + k2, k1 + k2 - at_least
+    n, total = len(X.nodes), u ** X.genus
+    if rank_floor(md, n) > max_rank or lo == hi:
+        return
+    if not (k1 and k2) or n <= 1:
+        yield None, lo, hi, ncols - rank_floor(md, n), 0
+        return
+    v = n - 2
+    e1, e2 = gluing_profile(X, md)
+    pairs = [(a + (0,) * k2, (0,) * k1 + b) for a, b in zip(e1, e2)]
+
+    def extend(level, c):
+        rank, ((a, b), *rest) = level
+        row = [(x - c * y) % p for x, y in zip(a, b)]
+        if not any(row):
+            return rank, rest
+        pc = next(i for i, x in enumerate(row) if x)
+        row = [x * pow(row[pc], p - 2, p) % p for x in row]
+        return rank + 1, [tuple([(x - vec[pc] * y) % p
+                                 for x, y in zip(vec, row)] for vec in pair)
+                          for pair in rest]
+
+    def zeroing(a, b):
+        cs = [c for c in range(1, p)
+              if not any((x - c * y) % p for x, y in zip(a, b))]
+        return None if len(cs) == u else cs[0] if cs else 0
+
+    def classify(level, c, child):
+        (a1, b1), _ = level[1]
+        r1 = [(x - c * y) % p for x, y in zip(a1, b1)]
+        if not any(a1 + b1):
+            seen.add("pair-zero")
+        elif not any(r1):
+            seen.add("one-keep")
+        elif r1[next(i for i, x in enumerate(a1) if x or b1[i])] == 0:
+            seen.add("fallback")
+        rank = child[0]
+        if rank > max_rank:
+            seen.add("over-bound")
+        elif sure_hit and rank < max_rank:
+            seen.add("sure-hit-child")
+        elif any(r1):
+            jump = zeroing(*child[1][0])
+            seen.add("jump-all" if jump is None else
+                     "no-jump" if jump == 0 else "one-jump")
+
+    def fibers(k, level, base, head):
+        rank = level[0]
+        if rank > max_rank:
+            return
+        if sure_hit and rank + v - k < max_rank:
+            yield (None, max(lo, base), min(hi, base + u ** (v - k + 1)),
+                   None, 0)
+            return
+        if k == v:
+            jump = zeroing(*level[1][0])
+            top = ncols - rank
+            low, jump = (top, 0) if jump is None else (top - 1, jump)
+            c0, c1 = max(lo - base, 0) + 1, min(hi - base, u) + 1
+            if low >= at_least:
+                yield head, c0, c1, low, jump
+            elif c0 <= jump < c1:
+                yield head, jump, jump + 1, low, jump
+            return
+        size = u ** (v - k)
+        if rank == max_rank and lo <= base and base + size * u <= hi:
+            units = [zeroing(a, b) for a, b in level[1]]
+            if 0 in units:
+                return
+            units = [range(1, p) if c is None else range(c, c + 1)
+                     for c in units]
+            for prefix in itertools.product(*units[:-1]):
+                yield (head + prefix, units[-1].start, units[-1].stop,
+                       ncols - rank, 0)
+            return
+        for d in range(max(lo - base, 0) // size,
+                       min(-((base - hi) // size), u)):
+            child = extend(level, d + 1)
+            if k == v - 1:
+                classify(level, d + 1, child)
+            yield from fibers(k + 1, child, base + d * size, head + (d + 1,))
+
+    assert 0 <= lo <= hi <= total
+    yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
+
+
+def test_two_node_solve_matches_the_descent():
+    """The walk's runs equal those of the per-unit descent, exactly, with
+    and without sure-hit cut-offs, at_least 0-4, on the grid of
+    test_bn_enumerate_bounds_exhaustive and on curves of 2 and 3 nodes
+    (v = 0 and v = 1: the two-node solve at the root), over the whole
+    torus and cuts that start or end inside a block of (p-1)^2 classes
+    and inside a fiber. The grid must reach every case of the solve."""
+    tori = [(X, md) for X, md, _, _ in _bounds_tori()]
+    for g in (1, 2):
+        for ctx in (PrimeField(5), F7):
+            rng = Rng(g)
+            pool = [ProjPoint.finite(ctx, a) for a in range(ctx.p)]
+            pool.append(ProjPoint.infinity(ctx))
+            for X in (standard_curve(g, ctx),
+                      BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                                rng.distinct(pool, g + 1))))):
+                tori += [(X, (d1, d2)) for d1 in range(-1, g + 3)
+                         for d2 in range(-1, g + 3)]
+    seen = set()
+    for X, md in tori:
+        u = X.ctx.p - 1
+        total = u ** X.genus
+        t = (u * u if total > u * u else 0) + (u if total > u else 0) + 1
+        cuts = {(0, total), (t, total), (0, total - t), (t, total - t)}
+        for k in range(5):
+            for sure_hit in (False, True):
+                for lo, hi in cuts:
+                    assert list(_torus_runs(X, md, lo, hi, k, sure_hit)) == \
+                        list(_descent_runs(X, md, lo, hi, k, sure_hit, seen))
+    assert seen == {"pair-zero", "one-keep", "fallback", "jump-all",
+                    "one-jump", "no-jump", "over-bound", "sure-hit-child"}
+
+
 def test_predicted_empty_is_the_rank_floor():
     """Regression: the one rank-floor call equals the two pigeonhole clauses
     it replaced (sorted d1 <= d2) on every balanced md for g 2-7, r 0-4."""
@@ -473,6 +601,11 @@ def test_merge_rejects_gaps():
     b = bn_enumerate(X, q, index_range=(60, 216))
     with pytest.raises(ValueError):
         merge_reports([a, b])
+
+
+def test_merge_rejects_no_shards():
+    with pytest.raises(ValueError, match="no shard reports"):
+        merge_reports([])
 
 
 def test_predicted_empty_cases():

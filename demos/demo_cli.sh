@@ -26,5 +26,5 @@ echo "count: $(python3 -c "import json,sys;print(json.load(open('$tmp'))['report
 
 echo
 echo '== verification suites (exit 0 = pass) =='
-bincurve verify wbar --seed 1 > /dev/null && echo 'wbar: pass'
+bincurve verify martens > /dev/null && echo 'martens: pass'
 bincurve verify riemann --g 2 --p 7 --seed 1 > /dev/null && echo 'riemann(g=2,p=7): pass'

@@ -22,7 +22,8 @@ def report(name, md, r, primes):
     d = md[0] + md[1]
     one = estimate_dim(X, BNQuery(md, r), primes)
     wbar = growth_estimate(
-        primes, lambda p: assemble_Wbar(reduce_curve_mod(X, p), d, r).total)
+        primes,
+        lambda p: sum(assemble_Wbar(reduce_curve_mod(X, p), d, r).values()))
     for p, n, total in zip(primes, one.counts, wbar.counts):
         print(f"  p = {p}: #W^{r}_{list(md)} = {n:3d}   #W̄^{r}_{d} = {total:3d}")
     for label, est in (("md " + str(list(md)), one), ("W̄", wbar)):
@@ -48,7 +49,7 @@ def main():
     # dimension 0 means finitely many points at every prime: the genus-3
     # pencil locus is the one point H however far p runs
     X3, _ = dim_fixture("hyp3")
-    counts = [assemble_Wbar(reduce_curve_mod(X3, p), 2, 1).total
+    counts = [sum(assemble_Wbar(reduce_curve_mod(X3, p), 2, 1).values())
               for p in (7, 11, 23)]
     print(f"\ngenus-3 W̄^1_2 counts at p = 7, 11, 23: {counts}")
 

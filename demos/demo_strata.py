@@ -41,10 +41,10 @@ def main():
         print(f"  md={s.md} blowups={s.S}")
     print()
 
-    # boundary locus: d <= r + g - 1 keeps ell0 out
-    wb = assemble_Wbar(X, 1, 0)
-    print(f"W-bar(d=1, r=0): {wb.total} points across strata; "
-          f"ell0 excluded: {wb.ell0_excluded}")
+    # boundary locus: d <= r + g - 1 keeps ell0 out (h0_bar <= r)
+    total = sum(assemble_Wbar(X, 1, 0).values())
+    print(f"W-bar(d=1, r=0): {total} points across strata; "
+          f"h0_bar(ell0) = {h0_bar(Ell0(1, 2))}, W-bar needs h0 >= r+1 = 1")
     print()
     print("machine form of one stratum:", strata_to_json(s22[:1]))
 

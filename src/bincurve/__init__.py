@@ -10,14 +10,13 @@ _EXPORTS = {
     "fields": "FieldCtx PrimeField Rationals field_from_json field_to_json",
     "rng": "Rng",
     "linalg": "",
-    "curve": "BinaryCurve MoebiusMap ProjPoint hyperelliptic_witness_node "
-             "is_hyperelliptic_fast moebius_through normalize_at "
-             "random_curve random_hyperelliptic_curve standard_curve",
+    "curve": "BinaryCurve MoebiusMap ProjPoint is_hyperelliptic_fast "
+             "moebius_through normalize_at random_curve "
+             "random_hyperelliptic_curve standard_curve",
     "bundles": "EffectiveDivisor LineBundle apply_moebius bundle_at "
                "bundle_count bundle_from_json canonical_bundle dual "
-               "enumerate_bundles from_divisor hyperelliptic_class "
-               "is_isomorphic power random_bundle restrict_to_normalization "
-               "scale tensor trivial",
+               "enumerate_bundles from_divisor hyperelliptic_class power "
+               "restrict_to_normalization tensor trivial",
     "cohomology": "BaseLocus DescentResult SectionSpace base_locus descend "
                   "gluing_profile h0 h0_vanishing h1 neutral_pair "
                   "point_divisor",

@@ -41,8 +41,7 @@ from .bundles import (EffectiveDivisor, bundle_count,
                       trivial)
 from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast
 from .fields import PrimeField
-from .picard import (Ell0, balanced_set, h0_bar, is_balanced,
-                     normalized_strata, picard_type)
+from .picard import balanced_set, is_balanced, normalized_strata
 from .rng import Rng
 
 
@@ -627,37 +626,22 @@ def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
     return AbelStats(tuple(md), X.ctx.p, trials, ones, hist)
 
 
-@dataclass
-class WbarReport:
-    picard_type: str
-    counts: dict             # Stratum -> W^r points on it, enumeration order
-    ell0_h0: int | None      # degeneration type only
-    ell0_excluded: bool | None
+def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> dict:
+    """W^r counts on each stratum of the compactified Picard scheme:
+    {Stratum: count}, in `enumerate_strata` order, the identified point
+    of the degeneration type left out.
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> WbarReport:
-    """Per-stratum W^r counts across the compactified Picard scheme.
-
-    Requires d <= r+g-1: in that range the identified point of the
-    degeneration case has h0 <= r and provably stays outside the closure,
-    which the report double-checks rather than assumes.
+    Requires d <= r+g-1, which keeps that point outside W̄: in the
+    degeneration type the lower balanced bound lo = (d-g-1)/2 is an
+    integer, d <= r+g-1 gives lo+1 <= r/2, and so the point's
+    h0_bar = 2·max(0, lo+1) <= r < r+1.
     """
     g = X.genus
     if d > r + g - 1:
         raise ValueError(
             f"need d <= r+g-1 = {r + g - 1} (boundary h0 control fails past it)")
-    counts = {st: bn_enumerate(Y, BNQuery(st.md, r), witness_cap=0).count
-              for st, Y in normalized_strata(X, d)}
-    ptype = picard_type(d, g)
-    ell0_h0 = ell0_excluded = None
-    if ptype == "degeneration":
-        ell0_h0 = h0_bar(Ell0(d, g))
-        ell0_excluded = ell0_h0 < r + 1
-    return WbarReport(ptype, counts, ell0_h0, ell0_excluded)
+    return {st: bn_enumerate(Y, BNQuery(st.md, r), witness_cap=0).count
+            for st, Y in normalized_strata(X, d)}
 
 
 @dataclass

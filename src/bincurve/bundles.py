@@ -13,7 +13,6 @@ from fractions import Fraction
 from .curve import (BinaryCurve, MoebiusMap, det, is_hyperelliptic_fast,
                     normalize_at)
 from .fields import FieldCtx
-from .rng import Rng
 
 
 class LineBundle:
@@ -96,12 +95,6 @@ def trivial(X: BinaryCurve) -> LineBundle:
     return LineBundle(X, (0, 0), [one] * len(X.nodes))
 
 
-def scale(L: LineBundle, lam) -> LineBundle:
-    if lam == L.ctx.zero:
-        raise ValueError("scalar must be a unit")
-    return LineBundle(L.curve, L.md, [L.ctx.mul(lam, x) for x in L.c])
-
-
 def tensor(L: LineBundle, M: LineBundle) -> LineBundle:
     if not L.curve.same_curve(M.curve):
         raise ValueError("bundles live on different curves")
@@ -119,12 +112,6 @@ def power(L: LineBundle, n: int) -> LineBundle:
     ctx = L.ctx
     md = (n * L.md[0], n * L.md[1])
     return LineBundle(L.curve, md, [ctx.pow(x, n) for x in L.c])
-
-
-def is_isomorphic(L: LineBundle, M: LineBundle) -> bool:
-    if not L.curve.same_curve(M.curve):
-        raise ValueError("bundles live on different curves")
-    return L.md == M.md and L.c == M.c
 
 
 def bundle_count(X: BinaryCurve) -> int:
@@ -163,13 +150,6 @@ def enumerate_bundles(X: BinaryCurve, md):
     """All (p-1)^g classes of the given multidegree, in bundle_at order."""
     for i in range(bundle_count(X)):
         yield bundle_at(X, md, i)
-
-
-def random_bundle(X: BinaryCurve, md, rng: Rng) -> LineBundle:
-    units = X.ctx.units()
-    c = [rng.choice(units) for _ in range(max(X.genus, 0))]
-    c.append(X.ctx.one)
-    return LineBundle(X, md, c)
 
 
 class EffectiveDivisor:

@@ -6,7 +6,7 @@ legal values so partial normalizations stay in the same type.
 """
 from __future__ import annotations
 
-from .fields import FieldCtx, PrimeField, field_from_json, field_to_json
+from .fields import FieldCtx, field_from_json, field_to_json
 from .rng import Rng
 
 
@@ -256,13 +256,13 @@ def random_curve(g: int, ctx: FieldCtx, rng: Rng) -> BinaryCurve:
     """Seeded sample: g-2 random finite node pairs, then (0,0), (1,1), (oo,oo).
 
     The free branch coordinates are distinct per side and avoid {0, 1, oo}.
-    Over F_p this needs p >= g+3.
+    Over F_p they come from {2, ..., p-1}, so this needs p >= g.
     """
     if g < 2:
         raise ValueError("random_curve needs g >= 2")
     if ctx.is_prime_field():
-        if ctx.p < g + 3:
-            raise ValueError(f"field too small: p = {ctx.p} < g+3 = {g + 3}")
+        if ctx.p < g:
+            raise ValueError(f"field too small: p = {ctx.p} < g = {g}")
         pool = [ctx.from_int(a) for a in range(2, ctx.p)]
     else:
         pool = [ctx.from_int(a) for a in range(2, g + 18)]
@@ -334,21 +334,3 @@ def is_hyperelliptic_fast(X: BinaryCurve):
         if psi.apply(p) != q:
             return False, None
     return True, psi
-
-
-def hyperelliptic_witness_node(X: BinaryCurve):
-    """Smallest node index whose one-node normalization stays non-hyperelliptic.
-
-    Input must be non-hyperelliptic of genus >= 4. Returns None if no node
-    works; tests assert that never happens.
-    """
-    if X.genus < 4:
-        raise ValueError("needs g >= 4")
-    flag, _ = is_hyperelliptic_fast(X)
-    if flag:
-        raise ValueError("input curve is hyperelliptic")
-    for n in range(len(X.nodes)):
-        Y, _ = normalize_at(X, [n])
-        if not is_hyperelliptic_fast(Y)[0]:
-            return n
-    return None

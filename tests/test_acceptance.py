@@ -14,10 +14,13 @@ gluings.
 import time
 
 from bincurve import cohomology
+from bincurve.brill_noether import assemble_Wbar, martens_bound
 from bincurve.bundles import (canonical_bundle, enumerate_bundles,
-                              hyperelliptic_class, is_isomorphic, trivial)
+                              hyperelliptic_class, trivial)
 from bincurve.curve import standard_curve
 from bincurve.fields import PrimeField
+from bincurve.picard import (Ell0, closure_leq, enumerate_strata, h0_bar,
+                             picard_type)
 from bincurve.reports import canonical_json
 from bincurve import suites
 
@@ -103,7 +106,7 @@ def test_04_degree_split_extremal_class_unique():
                 elif d1 == d2:
                     if hits != 1:
                         bad.append(case)
-                    elif not is_isomorphic(first, named[d1][1]):
+                    elif first != named[d1][1]:
                         bad.append(dict(case, c=first.c,
                                         expected=named[d1][0]))
                 else:
@@ -139,25 +142,28 @@ def test_06_predicted_empty_loci_scan_to_zero():
 
 
 def test_07_dimension_estimates():
-    theta = suites.suite_theta(ps=(7, 11, 23))
     martens = suites.suite_martens()
-    [theta_row] = theta.summary["rows"]
     rows = {(row["fixture"], row["d"]): row["estimate"]
             for row in martens.summary["rows"]}
     hyp, non = rows["hyp4", 3], rows["nonhyp4", 3]
-    ok = (theta.passed and martens.passed
-          and theta_row["estimate"]["primes"] == [7, 11, 23]
-          and theta_row["estimate"]["counts"] == [1, 1, 1]
+    # the genus-3 W̄^1_2 (martens' hyp3 row) is one point at p = 7, 11, 23
+    X3, hyp3 = suites.dim_fixture("hyp3")
+    theta, theta_problems = suites.check_dim_row(
+        X3, hyp3, 2, 1, (7, 11, 23), martens_bound(3, 2, 1, hyp3))
+    ok = (martens.passed and not theta_problems
+          and rows["hyp3", 2]["counts"] == [1, 1]
+          and list(theta.primes) == [7, 11, 23]
+          and list(theta.counts) == [1, 1, 1]
           and hyp["kind"] == "ok" and hyp["rounded"] == 1
           and hyp["residual"] <= 0.35
           and (non["kind"] == "empty"
                or (non["kind"] == "ok" and non["rounded"] <= 0)))
     line = _verdict(
         7, "dimension-estimates", ok,
-        f"theta counts {theta_row['estimate']['counts']}, "
+        f"theta counts {list(theta.counts)}, "
         f"hyp W̄ {hyp['counts']} -> {hyp['rounded']}, "
         f"non-hyp W̄ {non['counts']} -> {non['rounded']}")
-    assert ok, (line + f" theta={theta.summary['problems']}"
+    assert ok, (line + f" theta={theta_problems}"
                 f" martens={martens.summary['problems']}")
 
 
@@ -185,13 +191,36 @@ def test_08_existence_thresholds():
     assert ok, line + f" a={a} b={b} c={c}"
 
 
+def _is_partial_order(keys) -> bool:
+    return (all(closure_leq(a, a) for a in keys)
+            and not any(a != b and closure_leq(a, b) and closure_leq(b, a)
+                        for a in keys for b in keys)
+            and not any(closure_leq(a, b) and closure_leq(b, c)
+                        and not closure_leq(a, c)
+                        for a in keys for b in keys for c in keys))
+
+
 def test_09_strata_and_boundary_assembly():
-    res = suites.suite_wbar(p=7)
-    ok = res.passed and res.summary["g2_d2_strata"] == 12
+    X2 = standard_curve(2, PrimeField(7))
+    s22, s21 = enumerate_strata(X2, 2), enumerate_strata(X2, 1)
+    problems = []
+    if (len(s22) != 12 or picard_type(2, 2) != "neron"
+            or any(isinstance(s, Ell0) for s in s22)):
+        problems.append("g2d2-strata")
+    if picard_type(1, 2) != "degeneration" or not isinstance(s21[-1], Ell0):
+        problems.append("g2d1-ell0")
+    if not (_is_partial_order(s22) and _is_partial_order(s21[:-1])):
+        problems.append("partial-order")
+    # W̄ sums the strata alone: at d <= r+g-1 the identified point has
+    # h0_bar <= r (here (g, d, r) = (2, 1, 0) and (3, 2, 1))
+    if (list(assemble_Wbar(X2, 1, 0)) != s21[:-1]
+            or h0_bar(Ell0(1, 2)) > 0 or h0_bar(Ell0(2, 3)) > 1):
+        problems.append("ell0-in-wbar")
+    ok = not problems
     line = _verdict(9, "strata-assembly", ok,
                     f"12 strata at (g,d)=(2,2), "
-                    f"{res.summary['g2_d1_strata']}+ell0 at d=1")
-    assert ok, line + f" problems={res.summary['problems']}"
+                    f"{len(s21) - 1}+ell0 at d=1")
+    assert ok, line + f" problems={problems}"
 
 
 def test_10_parallel_reports_byte_identical():

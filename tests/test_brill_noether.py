@@ -23,7 +23,8 @@ from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
                             standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.linalg import rank_rows
-from bincurve.picard import Ell0, balanced_set, enumerate_strata
+from bincurve.picard import (Ell0, balanced_set, enumerate_strata, h0_bar,
+                            picard_type)
 from bincurve.rng import Rng
 
 F7 = PrimeField(7)
@@ -664,7 +665,7 @@ def clifford_full_scan(X):
     return best
 
 
-# random_curve needs p >= g+3
+# random curves at p >= g+3 only: a fixture choice (random_curve needs p >= g)
 CLIFFORD_CURVES = [(g, p, hyp) for g in (3, 4) for p in (5, 7, 11)
                    for hyp in (False, True) if hyp or p >= g + 3]
 
@@ -912,19 +913,30 @@ def test_abel_degree_two_on_hyperelliptic_sees_the_pencil():
 
 def test_assemble_wbar_window_and_ell0():
     X = standard_curve(2, F7)
-    rep = assemble_Wbar(X, 1, 0)
-    assert rep.picard_type == "degeneration"
-    assert rep.ell0_excluded is True and rep.ell0_h0 == 0
-    assert rep.total > 0
+    counts = assemble_Wbar(X, 1, 0)
+    assert picard_type(1, 2) == "degeneration"
+    assert h0_bar(Ell0(1, 2)) == 0
+    assert list(counts) == enumerate_strata(X, 1)[:-1]
+    assert sum(counts.values()) > 0
     with pytest.raises(ValueError):
         assemble_Wbar(X, 3, 1)   # d > r+g-1
 
 
 def test_wbar_neron_type_has_no_ell0_fields():
     X = standard_curve(2, F7)
-    rep = assemble_Wbar(X, 2, 1)
-    assert rep.picard_type == "neron"
-    assert rep.ell0_h0 is None and rep.ell0_excluded is None
+    counts = assemble_Wbar(X, 2, 1)
+    assert picard_type(2, 2) == "neron"
+    assert list(counts) == enumerate_strata(X, 2)
+    assert not any(isinstance(st, Ell0) for st in counts)
+
+
+def test_ell0_stays_outside_wbar_in_its_window():
+    # the identified point has h0_bar <= r wherever assemble_Wbar runs
+    for g in range(1, 9):
+        for r in range(4):
+            for d in range(-3 * g - 3, r + g):
+                if picard_type(d, g) == "degeneration":
+                    assert h0_bar(Ell0(d, g)) <= r, (g, r, d)
 
 
 @pytest.mark.parametrize("X,d,r", [
@@ -934,14 +946,14 @@ def test_wbar_neron_type_has_no_ell0_fields():
     (random_curve(3, F7, Rng(5)), 3, 1),
 ], ids=["g2-d1-r0", "g2-d2-r1", "g3-d2-r1", "g3-d3-r1"])
 def test_wbar_counts_equal_generic_h0_on_every_point(X, d, r):
-    rep = assemble_Wbar(X, d, r)
+    counts = assemble_Wbar(X, d, r)
     strata = [s for s in enumerate_strata(X, d) if not isinstance(s, Ell0)]
-    assert list(rep.counts) == strata
+    assert list(counts) == strata
     # its own normalizations and generic h0, independent of the walk
     for s in strata:
         Y, _ = normalize_at(X, s.S)
         want = sum(1 for M in enumerate_bundles(Y, s.md) if h0(M) >= r + 1)
-        assert rep.counts[s] == want, s
+        assert counts[s] == want, s
 
 
 def test_canonical_is_unique_rho_zero_witness():

@@ -82,9 +82,9 @@ def test_strata_counts_and_type(capsys):
 
 
 def test_verify_suite_passes_and_fails_exit_codes(capsys):
-    code, rep, _ = run(capsys, "verify", "wbar")
+    code, rep, _ = run(capsys, "verify", "riemann", "--g", "2", "--p", "5")
     assert code == 0 and rep["report"]["passed"] is True
-    assert rep["command"] == "verify" and rep["label"] == "wbar"
+    assert rep["command"] == "verify" and rep["label"] == "riemann"
 
 
 def test_verify_unknown_suite_exits_2_naming_the_suites(capsys):
@@ -99,6 +99,15 @@ def test_verify_accepts_overrides(capsys):
     assert code == 0
     assert rep["report"]["config"]["gs"] == [2]
     assert rep["report"]["config"]["ps"] == [7]
+
+
+def test_bn_random_genus_5_over_f7(capsys):
+    # random_curve needs p >= g, so --random-genus reaches g5 p7
+    code, rep, _ = run(capsys, "bn", "--random-genus", "5", "--p", "7",
+                       "--md", "2,2", "--r", "1", "--no-cache")
+    assert code == 0
+    assert rep["report"]["index_range"] == [0, 6 ** 5]
+    assert rep["report"]["count"] == 6
 
 
 def test_bn_cache_round_trip_and_no_cache(capsys):
@@ -368,11 +377,11 @@ def test_count_flags_reject_zero_and_negative(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("verify", "theta", "--primes", "7"), "--primes"),
+    (("verify", "very-ample", "--primes", "7"), "--primes"),
     (("verify", "martens", "--g", "3"), "--g"),
     (("verify", "riemann", "--n", "5"), "--n"),
-    (("verify", "wbar", "--trials", "2"), "--trials"),
-    (("verify", "theta", "--seed", "3"), "--seed"),
+    (("verify", "lemma-e", "--trials", "2"), "--trials"),
+    (("verify", "martens", "--seed", "3"), "--seed"),
 ])
 def test_verify_rejects_flags_the_suite_does_not_take(capsys, argv, flag):
     assert main(list(argv)) == 2
@@ -399,7 +408,7 @@ def test_verify_martens_at_other_prime_pairs(capsys, primes, hyp_counts):
     # read inconclusive; the W̄ totals round to 1 at every pair
     code, rep, err = run(capsys, "verify", "martens", "--primes", primes)
     assert code == 0, err
-    row = rep["report"]["summary"]["rows"][1]
+    row = rep["report"]["summary"]["rows"][2]
     assert (row["fixture"], row["d"]) == ("hyp4", 3)
     assert row["estimate"]["counts"] == hyp_counts
     assert row["estimate"]["rounded"] == 1

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bincurve.bundles import canonical_bundle
+from bincurve.cohomology import h0
 from bincurve.curve import (BinaryCurve, MoebiusMap, ProjPoint,
-                            hyperelliptic_witness_node, is_hyperelliptic_fast,
-                            moebius_through, normalize_at, random_curve,
+                            is_hyperelliptic_fast, moebius_through,
+                            normalize_at, random_curve,
                             random_hyperelliptic_curve, random_moebius,
                             standard_curve)
 from bincurve.fields import PrimeField, Rationals
@@ -108,7 +110,15 @@ def test_random_curve_is_valid_and_deterministic():
     assert X.genus == 4 and X.same_curve(Y)
     assert not X.same_curve(random_curve(4, F11, Rng(6)))
     with pytest.raises(ValueError):
-        random_curve(4, PrimeField(5), Rng(1))   # needs p >= g+3
+        random_curve(6, PrimeField(5), Rng(1))   # needs p >= g
+
+
+@pytest.mark.parametrize("g,p", [(5, 5), (5, 7)])
+def test_random_curve_at_small_primes(g, p):
+    # g-2 free nodes per side come from the p-2 values {2, ..., p-1}
+    X = random_curve(g, PrimeField(p), Rng(3))
+    assert X.genus == g
+    assert h0(canonical_bundle(X)) == g
 
 
 def test_standard_curve_is_hyperelliptic():
@@ -133,9 +143,28 @@ def test_generic_curve_is_not_hyperelliptic():
     assert not flag and psi is None
 
 
+def hyperelliptic_witness_node(X):
+    """Smallest node whose one-node normalization is not hyperelliptic,
+    or None."""
+    for j in range(len(X.nodes)):
+        Y, _ = normalize_at(X, [j])
+        if not is_hyperelliptic_fast(Y)[0]:
+            return j
+    return None
+
+
 def test_hyperelliptic_witness_node():
-    X = curve(F11, [(0, 0), (1, 1), (2, 3), (3, 2), ("oo", "oo")])
-    j = hyperelliptic_witness_node(X)
-    if j is not None:
+    # every non-hyperelliptic curve of genus >= 4 keeps a node whose
+    # one-node normalization is not hyperelliptic
+    curves = [curve(F11, [(0, 0), (1, 1), (2, 3), (3, 2), ("oo", "oo")])]
+    rng = Rng(1)
+    for g, p in ((4, 7), (4, 11), (5, 11), (6, 11)):
+        draws = [random_curve(g, PrimeField(p), rng.spawn())
+                 for _ in range(100)]
+        curves += [X for X in draws if not is_hyperelliptic_fast(X)[0]]
+    assert len(curves) > 300
+    for X in curves:
+        j = hyperelliptic_witness_node(X)
+        assert j is not None, X.to_json()
         Y, _ = normalize_at(X, [j])
         assert not is_hyperelliptic_fast(Y)[0]

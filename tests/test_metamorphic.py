@@ -28,8 +28,9 @@ IDS = [f"g{g}p{p}" for g, p, _ in CURVES]
 
 @lru_cache(maxsize=None)
 def _curve(g, p, seed, change=None):
-    """random_curve where the field allows (p >= g+3), else g+1 random node
-    pairs; change names a transform of that curve: "rotate" (node j moves
+    """random_curve at p >= g+3, else g+1 random node pairs, which need not
+    include (0,0), (1,1), (oo,oo): a fixture choice, since random_curve
+    itself needs only p >= g. change names a transform of that curve: "rotate" (node j moves
     to j-1), "swap" (p_j and q_j trade sides) or "moebius" (both sides
     moved by seeded Moebius maps)."""
     ctx = PrimeField(p)

@@ -14,15 +14,13 @@ EXPORTS = {
     "rng": ["Rng"],
     "linalg": [],
     "curve": ["BinaryCurve", "MoebiusMap", "ProjPoint",
-              "hyperelliptic_witness_node", "is_hyperelliptic_fast",
-              "moebius_through", "normalize_at", "random_curve",
-              "random_hyperelliptic_curve", "standard_curve"],
+              "is_hyperelliptic_fast", "moebius_through", "normalize_at",
+              "random_curve", "random_hyperelliptic_curve", "standard_curve"],
     "bundles": ["EffectiveDivisor", "LineBundle", "apply_moebius",
                 "bundle_at", "bundle_count", "bundle_from_json",
                 "canonical_bundle", "dual", "enumerate_bundles",
-                "from_divisor", "hyperelliptic_class", "is_isomorphic",
-                "power", "random_bundle", "restrict_to_normalization",
-                "scale", "tensor", "trivial"],
+                "from_divisor", "hyperelliptic_class", "power",
+                "restrict_to_normalization", "tensor", "trivial"],
     "cohomology": ["BaseLocus", "DescentResult", "SectionSpace", "base_locus",
                    "descend", "gluing_profile", "h0", "h0_vanishing", "h1",
                    "neutral_pair", "point_divisor"],
@@ -42,7 +40,7 @@ NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 84  # 75 re-exports and 9 modules
+    assert len(NAMES) == 80  # 71 re-exports and 9 modules
     assert sorted(bincurve.__all__) == NAMES
 
 

@@ -12,8 +12,7 @@ from bincurve.suites import SUITES, SuiteResult, _curve_grid
 
 
 EXPECTED_SUITES = {"riemann", "clifford", "serre", "empty", "lemma-e",
-                   "hyperelliptic", "martens", "theta", "bn", "very-ample",
-                   "wbar"}
+                   "hyperelliptic", "martens", "bn", "very-ample"}
 
 
 def test_registry_is_complete():
@@ -183,27 +182,18 @@ def test_very_ample_suite_small():
                           "n_curves": 1}
 
 
-def test_wbar_suite():
-    res = SUITES["wbar"](seed=3)
-    assert res.passed
-    assert res.summary["g2_d2_strata"] == 12
-    assert res.config == {"seed": 3, "p": 7}
-
-
-def test_theta_suite():
-    res = SUITES["theta"](ps=(7, 11))
-    assert res.passed
-    [row] = res.summary["rows"]
-    assert (row["fixture"], row["g"], row["d"], row["r"]) == ("hyp3", 3, 2, 1)
-    assert row["prediction"] == {"kind": "point", "value": 0}
-    assert row["estimate"]["counts"] == [1, 1]
-    assert res.config == {"ps": [7, 11]}
-
-
 def test_martens_suite():
     res = SUITES["martens"]()
     assert res.passed and res.summary["problems"] == []
+    assert [(row["fixture"], row["g"], row["d"], row["r"])
+            for row in res.summary["rows"]] == [
+        ("hyp3", 3, 2, 1), ("hyp4", 4, 2, 1), ("hyp4", 4, 3, 1),
+        ("nonhyp4", 4, 2, 1), ("nonhyp4", 4, 3, 1)]
     rows = {(row["fixture"], row["d"]): row for row in res.summary["rows"]}
+    # hyperelliptic genus 3: W̄^1_2 is the one point H at every prime
+    hyp3 = rows["hyp3", 2]
+    assert hyp3["prediction"] == {"kind": "point", "value": 0}
+    assert hyp3["estimate"]["counts"] == [1, 1]
     hyp, non = rows["hyp4", 3], rows["nonhyp4", 3]
     assert hyp["prediction"] == {"kind": "exact", "value": 1}
     assert hyp["estimate"]["counts"] == [23, 43]

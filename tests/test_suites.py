@@ -205,6 +205,17 @@ def test_martens_suite():
     assert res.config == {"primes": [13, 23]}
 
 
+def test_theta_suite():
+    # the theta row, first in verify martens: W̄^1_2 on hyperelliptic
+    # genus 3 is the one point H, here at the small primes 7 and 11 too
+    assert suites.DIM_ROWS["martens"][0] == ("hyp3", 2, 1)
+    X, hyp = suites.dim_fixture("hyp3")
+    pred = brill_noether.martens_bound(3, 2, 1, hyp)
+    assert hyp and pred == DimPrediction("point", 0)
+    est, problems = suites.check_dim_row(X, hyp, 2, 1, (7, 11), pred)
+    assert problems == [] and est.counts == (1, 1)
+
+
 def test_check_dim_row_catches_a_wrong_prediction():
     X, hyp = suites.dim_fixture("hyp4")  # W̄^1_3: 23 -> 43, dimension 1
     est, problems = suites.check_dim_row(X, hyp, 3, 1, (13, 23),

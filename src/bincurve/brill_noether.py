@@ -39,8 +39,8 @@ from .bundles import (EffectiveDivisor, bundle_count,
                       canonical_bundle, from_divisor, gluing_at,
                       hyperelliptic_class, power, restrict_to_normalization,
                       trivial)
-from .curve import BinaryCurve, ProjPoint, is_hyperelliptic_fast
-from .fields import PrimeField
+from .curve import BinaryCurve, is_hyperelliptic_fast
+from .fields import PrimeField, field_to_json
 from .picard import balanced_set, is_balanced, normalized_strata
 from .rng import Rng
 
@@ -469,25 +469,13 @@ def clifford_equality_classes(X: BinaryCurve, d: int) -> list:
 
 
 def reduce_curve_mod(X: BinaryCurve, p: int) -> BinaryCurve:
-    """Reduce a rational-coordinate curve mod p; collisions are an error."""
+    """Reduce a rational-coordinate curve mod p by reading its JSON over
+    F_p; a denominator divisible by p or a collision is an error."""
     if X.ctx.is_prime_field():
         raise ValueError("curve is already over a finite field")
-    ctx2 = PrimeField(p)
-    nodes = []
-    for pt_pair in X.nodes:
-        red = []
-        for pt in pt_pair:
-            if pt.is_infinity():
-                red.append(ProjPoint.infinity(ctx2))
-            else:
-                fr = Fraction(pt.a)
-                if fr.denominator % p == 0:
-                    raise ValueError(f"bad reduction mod {p}: denominator")
-                red.append(ProjPoint.finite(
-                    ctx2, ctx2.div(fr.numerator % p, fr.denominator % p)))
-        nodes.append(tuple(red))
     try:
-        return BinaryCurve(ctx2, nodes)
+        return BinaryCurve.from_json({**X.to_json(),
+                                      "field": field_to_json(PrimeField(p))})
     except ValueError as exc:
         raise ValueError(f"bad reduction mod {p}: {exc}") from None
 

@@ -153,12 +153,12 @@ def enumerate_bundles(X: BinaryCurve, md):
 
 
 class EffectiveDivisor:
-    """Formal sum of smooth points; entries (component, point, multiplicity)."""
+    """Formal sum of smooth points; entries (component, point, multiplicity),
+    a repeated point merged into its first entry."""
 
     def __init__(self, X: BinaryCurve, entries):
         branch = {1: set(X.branch_points(1)), 2: set(X.branch_points(2))}
-        seen = set()
-        norm = []
+        acc = {}
         for comp, pt, mult in entries:
             if comp not in (1, 2):
                 raise ValueError("component must be 1 or 2")
@@ -167,12 +167,9 @@ class EffectiveDivisor:
                 raise ValueError("multiplicities must be >= 1")
             if pt in branch[comp]:
                 raise ValueError(f"divisor point {pt!r} sits on a node")
-            if (comp, pt) in seen:
-                raise ValueError("duplicate divisor point; merge multiplicities")
-            seen.add((comp, pt))
-            norm.append((comp, pt, mult))
+            acc[(comp, pt)] = acc.get((comp, pt), 0) + mult
         self.curve = X
-        self.entries = tuple(norm)
+        self.entries = tuple((comp, pt, m) for (comp, pt), m in acc.items())
 
     def degree_on(self, comp: int) -> int:
         return sum(m for c, _, m in self.entries if c == comp)
@@ -188,11 +185,7 @@ class EffectiveDivisor:
     def __add__(self, other: "EffectiveDivisor") -> "EffectiveDivisor":
         if not self.curve.same_curve(other.curve):
             raise ValueError("divisors on different curves")
-        acc = {}
-        for comp, pt, m in self.entries + other.entries:
-            acc[(comp, pt)] = acc.get((comp, pt), 0) + m
-        return EffectiveDivisor(self.curve,
-                                [(c, pt, m) for (c, pt), m in acc.items()])
+        return EffectiveDivisor(self.curve, self.entries + other.entries)
 
     def __repr__(self):
         return f"EffectiveDivisor({list(self.entries)!r})"

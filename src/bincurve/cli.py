@@ -160,29 +160,22 @@ def cmd_h0(args) -> int:
             "nodes": list(bl.nodes),
             "full_components": list(bl.full_components),
         }
-    payload = {"md": list(L.md),
-               "c": [X.ctx.to_pair(x) for x in L.c],
-               "h0": n0, "h1": n1, "base_locus": locus}
+    payload = {**L.to_json(), "h0": n0, "h1": n1, "base_locus": locus}
     cfg = {**_curve_config(args, X), "md": list(L.md)}
     _emit(envelope("h0", "section-space dimensions", cfg, payload), args.out)
     return 0
 
 
 def cmd_strata(args) -> int:
-    from .picard import enumerate_strata, picard_type, strata_to_json
+    from .picard import Ell0, enumerate_strata, picard_type, strata_to_json
     X = _load_curve(args)
     strata = enumerate_strata(X, args.d)
     payload = {"d": args.d, "genus": X.genus,
                "picard_type": picard_type(args.d, X.genus),
                "strata": strata_to_json(strata)}
-    rows = []
-    for item in payload["strata"]:
-        if item.get("ell0"):
-            rows.append(("ell0", "-", "-"))
-        else:
-            rows.append((",".join(map(str, item["S"])) or "-",
-                         f"({item['md'][0]},{item['md'][1]})",
-                         item["dim"]))
+    rows = [("ell0", "-", "-") if isinstance(st, Ell0) else
+            (",".join(map(str, st.S)) or "-", f"({st.md[0]},{st.md[1]})",
+             st.dim) for st in strata]
     table = text_table(("S", "md", "dim"), rows)
     cfg = {**_curve_config(args, X), "d": args.d}
     _emit(envelope("strata", "compactified-Picard strata", cfg, payload),
@@ -249,33 +242,24 @@ def _bn_compute(X: BinaryCurve, q, cap: int, jobs: int):
     return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 
-def _is_unit(s, p: int) -> bool:
-    # s is the decimal string of a unit of F_p, as BNReport.to_json writes it
-    return (isinstance(s, str) and 0 < len(s) <= len(str(p)) and s.isascii()
-            and s.isdigit() and s[0] != "0" and int(s) < p)
-
-
 def _is_report_of(value: dict, X: BinaryCurve, q, cap: int) -> bool:
-    # a cached value is served only if it has exactly the fields of
-    # BNReport.to_json(), of the right types, and answers this request
+    # a cached value is served only if BNReport.to_json writes it back byte
+    # for byte, with witnesses that LineBundle keeps as they are (canonical
+    # units, the last node pinned) and counts that fit this request
     from .brill_noether import BNReport
-    from .bundles import bundle_count
-    p, total = X.ctx.p, bundle_count(X)
-    want = BNReport(q, p, 0, (), cap, (0, total)).to_json()
-    fixed = ("query", "p", "witness_cap", "index_range")
-    if value.keys() != want.keys() or (
-            canonical_json([value[k] for k in fixed])
-            != canonical_json([want[k] for k in fixed])):
+    from .bundles import LineBundle, bundle_count
+    total = bundle_count(X)
+    try:
+        count = value["count"]
+        wits = tuple(tuple(int(x) for x, _ in w) for w in value["witnesses"])
+        if not (type(count) is int and 0 <= count <= total
+                and len(wits) == min(count, cap)
+                and all(LineBundle(X, q.md, w).c == w for w in wits)):
+            return False
+        rep = BNReport(q, X.ctx.p, count, wits, cap, (0, total))
+        return canonical_json(rep.to_json()) == canonical_json(value)
+    except (KeyError, TypeError, ValueError):
         return False
-    count, wits = value["count"], value["witnesses"]
-    return (type(count) is int and 0 <= count <= total
-            and isinstance(wits, list) and len(wits) == min(count, cap)
-            and all(isinstance(w, list) and len(w) == len(X.nodes)
-                    and all(isinstance(x, list) and len(x) == 2
-                            and _is_unit(x[0], p) and x[1] == "1"
-                            for x in w)
-                    and (not w or w[-1] == ["1", "1"])  # the pinned node
-                    for w in wits))
 
 
 def cmd_bn(args) -> int:

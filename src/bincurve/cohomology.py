@@ -178,10 +178,7 @@ class SectionSpace:
 
 
 def point_divisor(X: BinaryCurve, pts) -> EffectiveDivisor:
-    acc = {}
-    for comp, pt in pts:
-        acc[(comp, pt)] = acc.get((comp, pt), 0) + 1
-    return EffectiveDivisor(X, [(c, pt, m) for (c, pt), m in acc.items()])
+    return EffectiveDivisor(X, [(comp, pt, 1) for comp, pt in pts])
 
 
 def neutral_pair(M: LineBundle, p, q) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -760,18 +761,30 @@ def test_dim_prediction_holds():
     assert not DimPrediction("exact", 0).holds(empty)
 
 
+def _diagonal_curve(ctx, xs):
+    # nodes (x, x) for each finite x, then (oo, oo)
+    pts = [ProjPoint.finite(ctx, x) for x in xs] + [ProjPoint.infinity(ctx)]
+    return BinaryCurve(ctx, [(pt, pt) for pt in pts])
+
+
 def test_reduce_curve_mod():
-    X = standard_curve(3, Rationals())
+    Q = Rationals()
+    X = standard_curve(3, Q)
     Xp = reduce_curve_mod(X, 11)
     assert Xp.ctx == PrimeField(11) and Xp.genus == 3
+    # fractions reduce as a * b^-1: 1/2 = 6 and -3/4 = -3 * 3 = 2 mod 11
+    half = _diagonal_curve(Q, [Fraction(1, 2), Fraction(-3, 4)])
+    want = _diagonal_curve(PrimeField(11), [6, 2])
+    assert reduce_curve_mod(half, 11).to_json() == want.to_json()
     # nodes 0,1,2,oo collide mod small p... 2 = 9 mod 7 stays fine, but a
-    # curve with nodes 0 and 7 degenerates mod 7
-    ctx = Rationals()
-    pts = [ProjPoint.finite(ctx, ctx.from_int(v)) for v in (0, 7)]
-    pts.append(ProjPoint.infinity(ctx))
-    bad = BinaryCurve(ctx, [(p, p) for p in pts])
-    with pytest.raises(ValueError, match="bad reduction"):
-        reduce_curve_mod(bad, 7)
+    # curve with nodes 0 and 7 degenerates mod 7, and 1/11 has no value
+    # mod 11
+    for bad, p in ((_diagonal_curve(Q, [0, 7]), 7),
+                   (_diagonal_curve(Q, [Fraction(1, 11), 1]), 11)):
+        with pytest.raises(ValueError, match="bad reduction"):
+            reduce_curve_mod(bad, p)
+    with pytest.raises(ValueError):
+        reduce_curve_mod(half, 9)  # not a prime
     with pytest.raises(ValueError):
         reduce_curve_mod(Xp, 11)  # only rational-coefficient curves reduce
 

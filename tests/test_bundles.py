@@ -123,6 +123,18 @@ def test_divisor_validation():
     assert S.multidegree == (3, 1)
 
 
+def test_divisor_merges_repeated_points():
+    X = standard_curve(2, F7)
+    a, b = ProjPoint.finite(F7, 3), ProjPoint.finite(F7, 5)
+    # a repeated point adds into its first entry, in order of appearance
+    D = EffectiveDivisor(X, [(1, a, 1), (2, b, 1), (1, a, 2)])
+    assert D.entries == ((1, a, 3), (2, b, 1))
+    assert (D + D).entries == ((1, a, 6), (2, b, 2))
+    # the same point on the other component is another point
+    E = EffectiveDivisor(X, [(1, a, 1), (2, a, 1)])
+    assert E.entries == ((1, a, 1), (2, a, 1))
+
+
 def test_from_divisor_has_section_and_right_degree():
     X = random_curve(3, F11, Rng(4))
     smooth1 = X.smooth_points(1)

@@ -73,12 +73,21 @@ def test_strata_counts_and_type(capsys):
     assert code == 0
     assert rep["report"]["picard_type"] == "neron"
     assert len(rep["report"]["strata"]) == 12
-    # human table goes to stderr
-    assert err.splitlines()[0].split() == ["S", "md", "dim"]
-    code, rep, _ = run(capsys, "strata", "--random-genus", "2", "--p", "7",
-                       "--d", "3")
+    # human table goes to stderr: a header, its underline, a row a stratum
+    lines = err.splitlines()
+    assert lines[0].split() == ["S", "md", "dim"]
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 12
+    # the open strata (no node separated) read "-", their md and dim g = 2
+    assert rows[:3] == [["-", "(0,2)", "2"], ["-", "(1,1)", "2"],
+                        ["-", "(2,0)", "2"]]
+    code, rep, err = run(capsys, "strata", "--random-genus", "2", "--p", "7",
+                         "--d", "3")
     assert rep["report"]["picard_type"] == "degeneration"
     assert rep["report"]["strata"][-1] == {"ell0": True}
+    rows = [line.split() for line in err.splitlines()[2:]]
+    assert len(rows) == len(rep["report"]["strata"])
+    assert rows[-1] == ["ell0", "-", "-"]
 
 
 def test_verify_suite_passes_and_fails_exit_codes(capsys):
@@ -333,12 +342,35 @@ def _witness(first, last):
     lambda rep: dict(rep, count=1, witnesses=[_witness("0", "1")]),
     lambda rep: dict(rep, count=1, witnesses=[_witness("1", "2")]),
     lambda rep: dict(rep, count=217, witnesses=[_witness("1", "1")] * 64),
+    lambda rep: dict(rep, p=7.0),
+    lambda rep: dict(rep, witness_cap=64.0),
+    lambda rep: dict(rep, query={**rep["query"], "r": 1.0}),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("03", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness(" 3", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("0_3", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness(3, "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("-3", "1")]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("3" * 5000, "1")]),
+    lambda rep: dict(rep, count=1,
+                     witnesses=[[["3", "2"]] + _witness("1", "1")[1:]]),
+    lambda rep: dict(rep, count=1,
+                     witnesses=[[["3", "1", "1"]] + _witness("1", "1")[1:]]),
+    lambda rep: dict(rep, count=1, witnesses=[_witness("3", "1")[1:]]),
+    lambda rep: dict(rep, count=1, witnesses=[{"c": "3"}]),
+    lambda rep: dict(rep, count=1, witnesses="3"),
+    lambda rep: dict(rep, index_range=[0, True]),
+    lambda rep: dict(rep, count=-1, witnesses=[]),
 ], ids=["empty", "str-count", "other-p", "other-cap", "other-query",
         "bool-count", "bad-witness", "extra-field", "short-witnesses",
         "coordinate-99", "coordinate-x", "coordinate-0", "last-not-pinned",
-        "count-above-torus"])
+        "count-above-torus", "float-p", "float-cap", "float-r",
+        "coordinate-03", "coordinate-space", "coordinate-underscore",
+        "coordinate-int", "coordinate-negative", "coordinate-5000-digits",
+        "pair-denominator-2", "pair-of-three", "short-witness",
+        "dict-witness", "str-witnesses", "bool-index-range",
+        "negative-count"])
 def test_bn_malformed_cache_value_is_a_miss(capsys, spoil):
-    # a value without exactly the report's fields, types and request is
+    # a value that BNReport.to_json would not write for this request is
     # recomputed and stored again, and the output is a clean run's
     argv = ["bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1"]
     assert main(argv + ["--no-cache"]) == 0

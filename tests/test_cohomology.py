@@ -280,6 +280,16 @@ def test_vanishing_at_points_cuts_dimensions():
     assert h0_vanishing(w, D2) in (1, 2)
 
 
+def test_point_divisor_merges_repeated_points():
+    X = standard_curve(3, F11)
+    a = X.smooth_points(1)[0]
+    D = point_divisor(X, [(1, a), (1, a)])
+    E = EffectiveDivisor(X, [(1, a, 2)])
+    assert D.entries == E.entries
+    w = canonical_bundle(X)
+    assert h0_vanishing(w, D) == h0_vanishing(w, E)
+
+
 def test_vanishing_multiplicity_guard_small_characteristic():
     # mult-2 conditions use first derivatives; in F_5 a degree-5 monomial
     # block cannot be told apart from degree 0, so the call must refuse

@@ -16,12 +16,16 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .bundles import EffectiveDivisor, LineBundle
 from .curve import BinaryCurve, ProjPoint
 from .fields import FieldCtx
 from .linalg import kernel_basis, rank_rows
+
+# the rational-root search trial-divides up to sqrt|a0| and sqrt|an|; past
+# |a0*an| = RATIONAL_ROOT_BOUND, base_locus over Q raises ValueError
+RATIONAL_ROOT_BOUND = 10 ** 12
 
 
 def monomial_values(ctx: FieldCtx, d: int, pt: ProjPoint):
@@ -113,8 +117,7 @@ def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
     ctx = L.ctx
     d1, d2 = L.md
     k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
-    # with no columns the rank is 0 whatever the rows: skip the gluing rows
-    rows = rows_for_gluing(L) if k1 + k2 else []
+    rows = rows_for_gluing(L)
     entries = D.entries if D is not None else ()
     for comp, pt, mult in entries:
         dcomp = d1 if comp == 1 else d2
@@ -167,13 +170,11 @@ class SectionSpace:
         return len(self.basis)
 
     def value_at(self, sec_index: int, comp: int, pt: ProjPoint):
-        L = self.bundle
-        coeffs = self.basis[sec_index][0 if comp == 1 else 1]
-        d = L.md[0] if comp == 1 else L.md[1]
-        mono = monomial_values(L.ctx, d, pt)
-        acc = L.ctx.zero
-        for a, m in zip(coeffs, mono):
-            acc = L.ctx.add(acc, L.ctx.mul(a, m))
+        ctx = self.bundle.ctx
+        coeffs = self.basis[sec_index][comp - 1]
+        acc = ctx.zero
+        for a, m in zip(coeffs, monomial_values(ctx, len(coeffs) - 1, pt)):
+            acc = ctx.add(acc, ctx.mul(a, m))
         return acc
 
 
@@ -242,8 +243,7 @@ def descend(M: LineBundle, pairs) -> DescentResult:
         else:
             s0 = next(s for s in range(space.dim) if w[s] != ctx.zero)
             cj = ctx.div(v[s0], w[s0])
-            if cj == ctx.zero or any(
-                    vs != ctx.mul(cj, ws) for vs, ws in zip(v, w)):
+            if any(vs != ctx.mul(cj, ws) for vs, ws in zip(v, w)):
                 exists = False
             else:
                 new_c.append(cj)
@@ -269,39 +269,22 @@ def descend(M: LineBundle, pairs) -> DescentResult:
 # base locus
 
 
-def _poly_trim(ctx, coeffs):
+def _poly_trim(coeffs):
     c = list(coeffs)
-    while c and c[-1] == ctx.zero:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _poly_mod(ctx, a, b):
-    # remainder of a by b, coefficients ascending, b nonzero
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = ctx.inv(lb)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        q = ctx.mul(a[-1], inv)
-        for i in range(db + 1):
-            a[da - db + i] = ctx.sub(a[da - db + i], ctx.mul(q, b[i]))
-        a = _poly_trim(ctx, a)
-    return a
-
-
-def _poly_gcd(ctx, a, b):
-    a, b = _poly_trim(ctx, a), _poly_trim(ctx, b)
+def _poly_gcd(a, b):
+    # a gcd over Q, up to a scalar; coefficients ascending, both trimmed
     while b:
-        a, b = b, _poly_mod(ctx, a, b)
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = _poly_trim(a[:shift] + [x - q * y
+                                        for x, y in zip(a[shift:], b)])
+        a, b = b, a
     return a
-
-
-def _poly_eval(ctx, coeffs, x):
-    acc = ctx.zero
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
 
 
 def _divisors(n: int):
@@ -316,83 +299,74 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-def _field_roots(ctx, coeffs):
-    """Roots of a nonzero polynomial lying in the ground field."""
-    coeffs = _poly_trim(ctx, coeffs)
-    if not coeffs or len(coeffs) == 1:
-        return []
-    if ctx.is_prime_field():
-        return [x for x in range(ctx.p) if _poly_eval(ctx, coeffs, x) == 0]
-    # rational roots: clear denominators, candidates (± div a0 / div an)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    roots = []
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k > 0:
-        roots.append(Fraction(0))
-    a0, an = ints[k], ints[-1]
+def _rational_candidates(forms):
+    """Candidates for the rational common roots of forms over Q, ascending.
+
+    Monomial i of a form is t^{d-i}, and not every form is zero. With a0
+    and an the lowest nonzero and the leading coefficient of the primitive
+    integer multiple of their gcd, the candidates are 0 if t divides it and
+    ±(divisor of a0)/(divisor of an). The divisor search trial-divides up
+    to sqrt|a0| and sqrt|an|, so past RATIONAL_ROOT_BOUND it raises.
+    """
+    g = []
+    for f in forms:
+        g = _poly_gcd(g, _poly_trim(reversed(f)))
+    m = lcm(*(c.denominator for c in g))
+    ints = [int(c * m) for c in g]
+    content = gcd(*ints)
+    k = next(i for i, x in enumerate(ints) if x)
+    a0, an = ints[k] // content, ints[-1] // content
+    if abs(a0 * an) > RATIONAL_ROOT_BOUND:
+        raise ValueError(
+            f"base locus over Q: |a0*an| = {abs(a0 * an)} exceeds the "
+            f"rational-root search bound {RATIONAL_ROOT_BOUND}")
+    cands = {Fraction(0)} if k else set()
     for num in _divisors(a0):
         for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and _poly_eval(ctx, coeffs, cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+            cands.update((Fraction(num, den), Fraction(-num, den)))
+    return sorted(cands)
 
 
 @dataclass(frozen=True)
 class BaseLocus:
-    smooth_points: tuple  # (component, ProjPoint), sorted
+    smooth_points: tuple  # (component, ProjPoint): finite ascending, then oo
     nodes: tuple          # node indices where every section vanishes
     full_components: tuple  # components on which every section is identically 0
-
-
-def _dehomogenize(coeffs):
-    # monomial index i is t^{d-i}: reverse gives ascending powers of t
-    return list(reversed(coeffs))
 
 
 def base_locus(L: LineBundle) -> BaseLocus:
     """Common vanishing locus of all global sections.
 
-    Smooth base points come from the gcd of the f-parts (component 1) and
-    h-parts (component 2) of a kernel basis; only roots in the ground field
-    are found, so geometric base points over extensions stay invisible.
+    A point is a base point when every basis section vanishes there; the
+    nodes take the same test at their branch points on component 1. The
+    smooth candidates on a component are its points off the nodes: every
+    x in F_p, or over Q the rational-root candidates of the gcd of its
+    forms, then oo. Only points in the ground field are found, so
+    geometric base points over extensions stay invisible.
     """
     ctx = L.ctx
+    X = L.curve
     space = SectionSpace(L)
     if space.dim == 0:
         raise ValueError("base locus needs h0 >= 1")
-    nodes = tuple(
-        j for j in range(len(L.curve.nodes))
-        if all(space.value_at(s, 1, L.curve.nodes[j][0]) == ctx.zero
-               for s in range(space.dim)))
+
+    def vanishes(comp, pt):
+        return all(space.value_at(s, comp, pt) == ctx.zero
+                   for s in range(space.dim))
+
+    nodes = tuple(j for j, (p, _) in enumerate(X.nodes) if vanishes(1, p))
     smooth = []
     full = []
     for comp in (1, 2):
-        d = L.md[0] if comp == 1 else L.md[1]
-        branch = set(L.curve.branch_points(comp))
-        polys = [_poly_trim(ctx, _dehomogenize(sec[comp - 1]))
-                 for sec in space.basis]
-        polys = [p for p in polys if p]
-        if not polys:
+        forms = [sec[comp - 1] for sec in space.basis]
+        if not any(any(f) for f in forms):
             full.append(comp)
             continue
-        g = polys[0]
-        for p in polys[1:]:
-            g = _poly_gcd(ctx, g, p)
-        for r in _field_roots(ctx, g):
-            pt = ProjPoint.finite(ctx, r)
-            if pt not in branch:
-                smooth.append((comp, pt))
-        if d >= 0 and all(sec[comp - 1][0] == ctx.zero for sec in space.basis):
-            pt = ProjPoint.infinity(ctx)
-            if pt not in branch:
-                smooth.append((comp, pt))
-    def key(item):
-        comp, pt = item
-        return (comp, 1 if pt.is_infinity() else 0, pt.a)
-    return BaseLocus(tuple(sorted(smooth, key=key)), nodes, tuple(full))
+        xs = (range(ctx.p) if ctx.is_prime_field()
+              else _rational_candidates(forms))
+        cands = [ProjPoint.finite(ctx, x) for x in xs]
+        cands.append(ProjPoint.infinity(ctx))
+        branch = set(X.branch_points(comp))
+        smooth += [(comp, pt) for pt in cands
+                   if pt not in branch and vanishes(comp, pt)]
+    return BaseLocus(tuple(smooth), nodes, tuple(full))

@@ -218,8 +218,9 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
     problems = []
     for p in ps:
         ctx = PrimeField(p)
-        # a fixture choice, as in _curve_grid: random_curve needs p >= g
-        X = (random_curve(g, ctx, rng.spawn()) if p >= g + 3
+        # a fixture choice, as in _curve_grid: random_curve needs g >= 2 and
+        # p >= g, so genus 0 and 1 take the standard curve
+        X = (random_curve(g, ctx, rng.spawn()) if g >= 2 and p >= g + 3
              else standard_curve(g, ctx))
         # (a)+(b): bound and equality regime, exhaustive on a small grid
         for lo in range(-1, g + 2):

@@ -274,6 +274,35 @@ def test_malformed_bundle_json_exits_2(tmp_path, capsys, doc):
     assert out.out == "" and "Traceback" not in out.err
 
 
+def _rational_point_files(tmp_path, a):
+    """Curve and bundle files: O(a) on component 1 of the genus-3 curve over
+    Q with nodes (0,0), (1,1), (oo,oo), (2,5); md (1, 0), c_j = p_j - a."""
+    cf, bf = tmp_path / "c.json", tmp_path / "b.json"
+    pts = ("0", "1"), ("1", "1"), ("1", "0"), ("2", "1")
+    cf.write_text(json.dumps({
+        "field": {"type": "Q"},
+        "nodes": [[list(p), list(q)] for p, q in
+                  zip(pts, pts[:3] + (("5", "1"),))]}))
+    c = [[str(-a), "1"], [str(1 - a), "1"], ["1", "1"], [str(2 - a), "1"]]
+    bf.write_text(json.dumps({"md": [1, 0], "c": c}))
+    return cf, bf
+
+
+def test_h0_rational_base_point_past_the_search_bound_exits_2(
+        tmp_path, capsys):
+    a = 10 ** 5 + 7
+    cf, bf = _rational_point_files(tmp_path, a)
+    code, rep, _ = run(capsys, "h0", "--curve", str(cf), "--bundle", str(bf))
+    assert code == 0
+    assert rep["report"]["base_locus"]["smooth_points"] == [[1, str(a)]]
+    cf, bf = _rational_point_files(tmp_path, 10 ** 20 + 7)
+    assert main(["h0", "--curve", str(cf), "--bundle", str(bf)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "rational-root search bound 1000000000000" in out.err
+    assert out.err.isascii()
+
+
 def test_bn_cache_entry_of_other_code_is_a_miss(capsys, monkeypatch):
     import bincurve.cache
     args = ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1")

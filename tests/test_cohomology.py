@@ -1,6 +1,7 @@
 import gc
 import json
 import pickle
+import time
 import weakref
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               tensor, trivial)
-from bincurve.cohomology import (SectionSpace, base_locus, derivative_row,
+from bincurve.cohomology import (RATIONAL_ROOT_BOUND, BaseLocus,
+                                 SectionSpace, base_locus, derivative_row,
                                  descend, gluing_profile, h0, h0_vanishing,
                                  h1, monomial_values, neutral_pair,
                                  point_divisor)
-from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
+from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.rng import Rng
@@ -303,6 +305,19 @@ def test_vanishing_multiplicity_guard_small_characteristic():
     h0_vanishing(L, EffectiveDivisor(X, [(1, p, 1)]))
 
 
+def test_no_columns_means_no_sections():
+    # d1, d2 <= -1: the gluing rows have width 0, so their rank is 0, the
+    # kernel is {0} and vanishing rows add nothing
+    X = standard_curve(2, F7)
+    D = point_divisor(X, [(1, ProjPoint.finite(F7, 3)),
+                          (2, ProjPoint.finite(F7, 5))])
+    for md in ((-1, -1), (-2, -1)):
+        L = LineBundle(X, md, [1, 1, 1])
+        assert h0(L) == 0
+        assert SectionSpace(L).dim == 0
+        assert h0_vanishing(L, D) == 0
+
+
 def test_vanishing_equals_tensor_by_dual_divisor_class():
     X = random_curve(2, F11, Rng(12))
     L = random_bundle(X, (2, 2), Rng(13))
@@ -342,6 +357,40 @@ def test_descend_nonexistent_case():
             assert res.bundle is None
             found = True
     assert found, "expected some section to vanish at exactly one branch"
+
+
+def _branch_values(M, pair):
+    S = SectionSpace(M)
+    p, q = pair
+    return ([S.value_at(s, 1, p) for s in range(S.dim)],
+            [S.value_at(s, 2, q) for s in range(S.dim)])
+
+
+def test_descend_fails_unless_values_are_proportional():
+    """No scalar c gives v = c·w, with v and w the basis values at the two
+    branch points: v = 0 != w; v and w nonzero, not proportional; and v
+    zero where w is first nonzero, the ratio taken there being 0. The
+    first two occur in verify lemma-e's grid (standard genus-3 curve over
+    F_5, random genus-3 curve over F_7 at the suite's seed)."""
+    X = standard_curve(3, F5)
+    Y, removed = normalize_at(X, [3])
+    M = LineBundle(Y, (1, 0), [1, 1, 1])
+    assert _branch_values(M, removed[0]) == ([0], [1])
+    assert not descend(M, removed).exists
+
+    X = BinaryCurve(F7, [(ProjPoint.finite(F7, a), ProjPoint.finite(F7, b))
+                         for a, b in ((5, 4), (0, 0), (1, 1))]
+                    + [(ProjPoint.infinity(F7), ProjPoint.infinity(F7))])
+    Y, removed = normalize_at(X, [3])
+    M = LineBundle(Y, (1, 1), [3, 4, 1])
+    assert _branch_values(M, removed[0]) == ([1, 4], [1, 0])
+    assert not descend(M, removed).exists
+
+    X = standard_curve(2, F5)
+    Y, removed = normalize_at(X, [0])
+    M = LineBundle(Y, (2, 1), [1, 1])
+    assert _branch_values(M, removed[0]) == ([1, 0, 0], [0, 0, 1])
+    assert not descend(M, removed).exists
 
 
 def test_descend_base_point_case():
@@ -420,8 +469,52 @@ def test_base_locus_full_component_and_nodes():
     assert bl.nodes == (0, 1, 2)
 
 
-# The oracle below is independent of the gcd and root search in base_locus:
-# a smooth point x is a base point of L iff h0(L(-x)) = h0(L).
+def test_base_locus_where_branch_points_fill_the_line():
+    # g = p: the g+1 branch points of each component are all of P^1(F_p),
+    # so no smooth point is rational; the nodes and full components are
+    # pinned from the gcd and root search of earlier versions
+    for p, md, c, nodes, full in [
+            (5, (3, 1), [2, 1, 1, 1, 1, 1], (0,), ()),
+            (5, (-1, 6), [1] * 6, (0, 1, 2, 3, 4, 5), (1,)),
+            (5, (2, 2), [1] * 6, (), ()),
+            (7, (2, 2), [1] * 8, (7,), ()),
+            (7, (-1, 8), [1] * 8, tuple(range(8)), (1,))]:
+        X = random_curve(p, PrimeField(p), Rng(1))
+        assert X.smooth_points(1) == X.smooth_points(2) == []
+        L = LineBundle(X, md, c)
+        assert h0(L) >= 1
+        assert base_locus(L) == BaseLocus((), nodes, full), (p, md)
+    X = random_curve(7, PrimeField(7), Rng(1))
+    assert base_locus(canonical_bundle(X)) == BaseLocus((), (), ())
+
+
+def _rational_point_bundle(a):
+    """O(a) on component 1 of the genus-3 curve over Q with nodes (0,0),
+    (1,1), (oo,oo), (2,5): md (1, 0), c_j = det(p_j, a)."""
+    Q = Rationals()
+    pts = [ProjPoint.finite(Q, Fraction(0)), ProjPoint.finite(Q, Fraction(1)),
+           ProjPoint.infinity(Q), ProjPoint.finite(Q, Fraction(2))]
+    X = BinaryCurve(Q, list(zip(pts, pts[:3] + [ProjPoint.finite(Q, 5)])))
+    a = ProjPoint.finite(Q, Fraction(a))
+    return LineBundle(X, (1, 0), [det(Q, p, a) for p, _ in X.nodes]), a
+
+
+def test_base_locus_rational_root_search_is_bounded():
+    # the divisor search trial-divides up to sqrt|a0|: at a = 10**20 + 7
+    # it would run for hours, and it raises instead
+    L, a = _rational_point_bundle(10 ** 5 + 7)
+    assert base_locus(L) == BaseLocus(((1, a),), (), ())
+    L, _ = _rational_point_bundle(10 ** 20 + 7)
+    assert 10 ** 20 + 7 > RATIONAL_ROOT_BOUND
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(RATIONAL_ROOT_BOUND)):
+        base_locus(L)
+    assert time.perf_counter() - start < 1.0
+
+
+# The oracle below goes through h0_vanishing, so it is independent of the
+# SectionSpace evaluation in base_locus: a smooth point x is a base point
+# of L iff h0(L(-x)) = h0(L).
 
 def _base_locus_case(ctx, seed):
     """L = O(D) (x) T on a curve with finite branch points only, so oo is a

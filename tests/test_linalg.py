@@ -42,6 +42,9 @@ def test_kernel_vectors_annihilate():
 def test_kernel_of_full_rank_is_empty():
     assert kernel_basis(F7, [[1, 0], [0, 1]], 2) == []
     assert kernel_basis(F7, [], 2) != []  # no constraints: full space
+    # no columns: rows of width 0 have rank 0 and the kernel is {0}
+    assert kernel_basis(F7, [[]] * 3, 0) == []
+    assert rank_rows(F7, [[]] * 3) == 0
 
 
 mat_strategy = st.lists(

@@ -112,6 +112,25 @@ def test_lemma_e_suite_small():
     assert res.config == {"ps": [7], "seed": 3, "g": 3}
 
 
+def test_lemma_e_suite_low_genus():
+    # random_curve needs g >= 2, so genus 0 and 1 take the standard curve
+    for g, checked in ((0, 26), (1, 206)):
+        res = SUITES["lemma-e"](g=g)
+        assert res.passed and res.summary["checked"] == checked
+
+
+def test_lemma_e_suite_golden():
+    # genus 2 and 3 draw their fixtures as before the low-genus gate
+    for g, want in (
+            (2, "518484a66612189802f46d922793fe15"
+                "bc06e6d486a30a52186eba8bbfc2be25"),
+            (3, "916217f41e2f1947a3c51f98832aceb0"
+                "79330032f1b90ce5706adef64cfe1870")):
+        res = SUITES["lemma-e"](g=g)
+        digest = hashlib.sha256(canonical_json(res.to_json()).encode())
+        assert digest.hexdigest() == want, g
+
+
 def test_hyperelliptic_suite_small_jobs_identical():
     # two combos of 9 curves in one pool: chunks of 8 cross the boundary
     kw = dict(gs=(3,), ps=(7, 11), n_random=6, n_special=3, seed=3)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, lcm
 
 from .bundles import EffectiveDivisor, LineBundle
@@ -23,9 +24,12 @@ from .curve import BinaryCurve, ProjPoint
 from .fields import FieldCtx
 from .linalg import kernel_basis, rank_rows
 
-# the rational-root search trial-divides up to sqrt|a0| and sqrt|an|; past
-# |a0*an| = RATIONAL_ROOT_BOUND, base_locus over Q raises ValueError
+# over Q, base_locus trial-divides the end coefficients a0, an of a gcd and
+# tests every ±(divisor of a0)/(divisor of an); it raises ValueError when
+# max(|a0|, |an|) passes RATIONAL_ROOT_BOUND or the candidates pass
+# ROOT_CANDIDATE_BOUND
 RATIONAL_ROOT_BOUND = 10 ** 12
+ROOT_CANDIDATE_BOUND = 10 ** 5
 
 
 def monomial_values(ctx: FieldCtx, d: int, pt: ProjPoint):
@@ -269,20 +273,20 @@ def descend(M: LineBundle, pairs) -> DescentResult:
 # base locus
 
 
-def _poly_trim(coeffs):
+def _poly_trim(ctx, coeffs):
     c = list(coeffs)
-    while c and not c[-1]:
+    while c and c[-1] == ctx.zero:
         c.pop()
     return c
 
 
-def _poly_gcd(a, b):
-    # a gcd over Q, up to a scalar; coefficients ascending, both trimmed
+def _poly_gcd(ctx, a, b):
+    # a gcd up to a scalar; coefficients ascending, both trimmed
     while b:
         while len(a) >= len(b):  # a <- a mod b, one leading term at a time
-            q, shift = a[-1] / b[-1], len(a) - len(b)
-            a = _poly_trim(a[:shift] + [x - q * y
-                                        for x, y in zip(a[shift:], b)])
+            q, shift = ctx.div(a[-1], b[-1]), len(a) - len(b)
+            a = _poly_trim(ctx, a[:shift] + [
+                ctx.sub(x, ctx.mul(q, y)) for x, y in zip(a[shift:], b)])
         a, b = b, a
     return a
 
@@ -299,31 +303,32 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-def _rational_candidates(forms):
-    """Candidates for the rational common roots of forms over Q, ascending.
+def _rational_candidates(g):
+    """Candidates for the rational roots of a nonconstant g over Q, ascending.
 
-    Monomial i of a form is t^{d-i}, and not every form is zero. With a0
-    and an the lowest nonzero and the leading coefficient of the primitive
-    integer multiple of their gcd, the candidates are 0 if t divides it and
-    ±(divisor of a0)/(divisor of an). The divisor search trial-divides up
-    to sqrt|a0| and sqrt|an|, so past RATIONAL_ROOT_BOUND it raises.
+    With a0 and an the lowest nonzero and the leading coefficient of the
+    primitive integer multiple of g, the candidates are 0 if t divides g
+    and ±(divisor of a0)/(divisor of an). The divisor search trial-divides
+    up to sqrt|a0| and sqrt|an|, and each candidate costs an evaluation of
+    every section, so past either bound it raises.
     """
-    g = []
-    for f in forms:
-        g = _poly_gcd(g, _poly_trim(reversed(f)))
     m = lcm(*(c.denominator for c in g))
     ints = [int(c * m) for c in g]
     content = gcd(*ints)
     k = next(i for i, x in enumerate(ints) if x)
-    a0, an = ints[k] // content, ints[-1] // content
-    if abs(a0 * an) > RATIONAL_ROOT_BOUND:
+    a0, an = abs(ints[k]) // content, abs(ints[-1]) // content
+    if max(a0, an) > RATIONAL_ROOT_BOUND:
         raise ValueError(
-            f"base locus over Q: |a0*an| = {abs(a0 * an)} exceeds the "
+            f"base locus over Q: coefficient {max(a0, an)} exceeds the "
             f"rational-root search bound {RATIONAL_ROOT_BOUND}")
+    nums, dens = _divisors(a0), _divisors(an)
+    if 2 * len(nums) * len(dens) > ROOT_CANDIDATE_BOUND:
+        raise ValueError(
+            f"base locus over Q: {2 * len(nums) * len(dens)} candidates "
+            f"exceed the rational-root candidate bound {ROOT_CANDIDATE_BOUND}")
     cands = {Fraction(0)} if k else set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            cands.update((Fraction(num, den), Fraction(-num, den)))
+    cands.update(Fraction(s * num, den)
+                 for num in nums for den in dens for s in (1, -1))
     return sorted(cands)
 
 
@@ -339,10 +344,11 @@ def base_locus(L: LineBundle) -> BaseLocus:
 
     A point is a base point when every basis section vanishes there; the
     nodes take the same test at their branch points on component 1. The
-    smooth candidates on a component are its points off the nodes: every
-    x in F_p, or over Q the rational-root candidates of the gcd of its
-    forms, then oo. Only points in the ground field are found, so
-    geometric base points over extensions stay invisible.
+    smooth candidates on a component are its points off the nodes: the
+    finite ones only if the gcd of its forms is not constant (then every
+    x in F_p, or over Q its rational-root candidates), then oo. Only
+    points in the ground field are found, so geometric base points over
+    extensions stay invisible.
     """
     ctx = L.ctx
     X = L.curve
@@ -358,14 +364,21 @@ def base_locus(L: LineBundle) -> BaseLocus:
     smooth = []
     full = []
     for comp in (1, 2):
-        forms = [sec[comp - 1] for sec in space.basis]
-        if not any(any(f) for f in forms):
+        # monomial i is t^{d-i}: reversed gives ascending powers of t
+        g = []
+        for sec in space.basis:
+            g = _poly_gcd(ctx, g, _poly_trim(ctx, reversed(sec[comp - 1])))
+        if not g:
             full.append(comp)
             continue
-        xs = (range(ctx.p) if ctx.is_prime_field()
-              else _rational_candidates(forms))
-        cands = [ProjPoint.finite(ctx, x) for x in xs]
-        cands.append(ProjPoint.infinity(ctx))
+        if len(g) == 1:  # constant gcd: no finite common root
+            xs = ()
+        elif ctx.is_prime_field():
+            xs = range(ctx.p)
+        else:
+            xs = _rational_candidates(g)
+        cands = chain((ProjPoint.finite(ctx, x) for x in xs),
+                      [ProjPoint.infinity(ctx)])
         branch = set(X.branch_points(comp))
         smooth += [(comp, pt) for pt in cands
                    if pt not in branch and vanishes(comp, pt)]

@@ -1,7 +1,6 @@
 import gc
 import json
 import pickle
-import time
 import weakref
 from fractions import Fraction
 
@@ -12,11 +11,11 @@ from hypothesis import strategies as st
 from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               tensor, trivial)
-from bincurve.cohomology import (RATIONAL_ROOT_BOUND, BaseLocus,
-                                 SectionSpace, base_locus, derivative_row,
-                                 descend, gluing_profile, h0, h0_vanishing,
-                                 h1, monomial_values, neutral_pair,
-                                 point_divisor)
+from bincurve.cohomology import (RATIONAL_ROOT_BOUND, ROOT_CANDIDATE_BOUND,
+                                 BaseLocus, SectionSpace, base_locus,
+                                 derivative_row, descend, gluing_profile, h0,
+                                 h0_vanishing, h1, monomial_values,
+                                 neutral_pair, point_divisor)
 from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
@@ -501,15 +500,48 @@ def _rational_point_bundle(a):
 
 def test_base_locus_rational_root_search_is_bounded():
     # the divisor search trial-divides up to sqrt|a0|: at a = 10**20 + 7
-    # it would run for hours, and it raises instead
+    # it would run for hours, and it raises before it starts
     L, a = _rational_point_bundle(10 ** 5 + 7)
     assert base_locus(L) == BaseLocus(((1, a),), (), ())
     L, _ = _rational_point_bundle(10 ** 20 + 7)
-    assert 10 ** 20 + 7 > RATIONAL_ROOT_BOUND
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=str(RATIONAL_ROOT_BOUND)):
+    with pytest.raises(ValueError,
+                       match=f"search bound {RATIONAL_ROOT_BOUND}$"):
         base_locus(L)
-    assert time.perf_counter() - start < 1.0
+    # both ends under the bound, but 2 * 576 * 256 candidates
+    num = 2 ** 5 * 3 ** 3 * 5 ** 2 * 7 * 11 * 13
+    den = 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    assert max(num, den) <= RATIONAL_ROOT_BOUND
+    L, _ = _rational_point_bundle(Fraction(num, den))
+    with pytest.raises(ValueError,
+                       match=f"candidate bound {ROOT_CANDIDATE_BOUND}$"):
+        base_locus(L)
+
+
+def test_base_locus_balanced_rational_gcd_resolves():
+    # component 2's gcd has a0 = 1982808 and an = 2274930: both ends are
+    # far under the bound although |a0*an| is about 4.5e12
+    Q = Rationals()
+    nodes = [((-3, 1), (3, 1)), ((2, 1), (-1, 3)), ((4, 3), (-3, 2)),
+             ((-2, 1), (2, 3))]
+    X = BinaryCurve(Q, [(ProjPoint.finite(Q, Fraction(*a)),
+                         ProjPoint.finite(Q, Fraction(*b))) for a, b in nodes]
+                    + [(ProjPoint.infinity(Q), ProjPoint.infinity(Q))])
+    c = [Fraction(18), Fraction(-8, 3), Fraction(-2), Fraction(10, 3), Q.one]
+    L = LineBundle(X, (1, 3), c)
+    pt = ProjPoint.finite(Q, Fraction(33426, 3611))
+    assert base_locus(L) == BaseLocus(((1, pt),), (), ())
+
+
+def test_base_locus_large_prime_skips_the_scan(monkeypatch):
+    # the canonical bundle is base-point-free, so the gcd of each
+    # component's forms is constant and only nodes and oo are tested
+    X = standard_curve(4, PrimeField(1000003))
+    calls = []
+    value_at = SectionSpace.value_at
+    monkeypatch.setattr(SectionSpace, "value_at",
+                        lambda self, *a: calls.append(a) or value_at(self, *a))
+    assert base_locus(canonical_bundle(X)) == BaseLocus((), (), ())
+    assert len(calls) <= 4 * (len(X.nodes) + 2)
 
 
 # The oracle below goes through h0_vanishing, so it is independent of the

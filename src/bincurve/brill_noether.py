@@ -17,12 +17,17 @@ node v-1's row r1 iff their 2x2 minors on one fixed column i vanish, and
 those minors, built once per prefix, give each unit of node v-1 one jump
 solve instead of a placed level (except the one unit where r1_i = 0
 but r1 != 0). The full wedge over all column pairs made wide multidegrees
-slower. A prefix whose rows already exceed the rank bound is skipped
-with its whole subtree, and, for counting, a prefix whose remaining rows
-cannot push the rank past the bound is counted whole. A prefix whose rank
-equals the bound is closed without descending: every row still to come
-must vanish, so each remaining node admits all units, one or none, and
-the qualifying classes are the product of those sets.
+slower. One row below the rank bound (slack 1), a unit of node v-1 can
+only give a class where r1, a2 and b2 (node v's pair) are linearly
+dependent, so every 3x3 minor det(r1, a2, b2) vanishes; each is linear
+in the unit, and the first one that is not identically zero leaves at
+most one unit to solve instead of p-1. A prefix whose rows already
+exceed the rank bound is skipped with its whole subtree, and, for
+counting, a prefix whose remaining rows cannot push the rank past the
+bound is counted whole. A prefix whose rank equals the bound is closed
+without descending: every row still to come must vanish, so each
+remaining node admits all units, one or none, and the qualifying classes
+are the product of those sets.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -132,6 +137,25 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     reduction instead. Minors against one fixed column keep the solve
     linear in the columns; the full wedge r1 ^ (a2 - c'·b2) has m(m-1)/2
     entries on m columns and made scans of wide multidegrees slower.
+
+    At slack 1 (rank = ncols - at_least - 1) most units need no solve. The
+    minor of (A - c·B, C - c·D) on the columns (j, k) factors as r1_i ·
+    det(r1, a2, b2) on the columns (i, j, k) (expand the 3x3 determinant
+    along its first row), so where r1_i != 0 node v jumps only if every
+    such determinant vanishes. Every qualifying unit makes them vanish:
+    where r1 = 0 they are 0, and where r1 != 0 the rank reaches the bound,
+    so the unit qualifies only if node v's row vanishes after r1, that is
+    a2 - c'·b2 = lambda·r1 for a unit c', and then r1, a2 and b2 are
+    linearly dependent. With r1 = a1 - c·b1 the determinant on (i, j, k) is
+    alpha - c·beta, alpha = det(a1, a2, b2) and beta = det(b1, a2, b2)
+    there. The first pair (j, k) whose (alpha, beta) is not (0, 0) leaves
+    one candidate unit, alpha/beta, or none (alpha or beta zero): a
+    qualifying unit, one with r1 = 0 or r1_i = 0 included, is always that
+    root. Only the candidate, when it lies in the index range, goes through
+    the per-unit solve above. When every triple is identically zero (r1
+    stays in span(a2, b2), or a2 and b2 are dependent) every unit is
+    solved. At slack 2 or more every unit gives a run, and torus_h0 needs
+    its exact h0, so nothing is skipped there.
 
     Two bounds prune the tree, and a tight level closes it. Rank only
     grows, so a prefix whose rank exceeds ncols - at_least is skipped with
@@ -257,11 +281,30 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         keep = zeroing(a1, b1)  # the units with r1 = 0
         jump2 = zeroing(a2, b2)
         if keep is not None and rank < max_rank:
-            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
             i = next(j for j in range(ncols) if a1[j] or b1[j])
             ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
             sup = [j for j in range(ncols)
-                   if a1[j] or b1[j] or a2[j] or b2[j]]
+                   if j != i and (a1[j] or b1[j] or a2[j] or b2[j])]
+            if rank + 1 == max_rank:
+                # slack 1: a unit qualifies only where r1, a2 and b2 are
+                # dependent, so det(r1, a2, b2) = alpha - c·beta vanishes on
+                # every column triple (i, j, k); the first triple that is
+                # not identically zero leaves one unit or none
+                for j, k in itertools.combinations(sup, 2):
+                    m_jk = a2[j] * b2[k] - a2[k] * b2[j]
+                    m_ik = a2i * b2[k] - a2[k] * b2i
+                    m_ij = a2i * b2[j] - a2[j] * b2i
+                    alpha = (ai * m_jk - a1[j] * m_ik + a1[k] * m_ij) % p
+                    beta = (bi * m_jk - b1[j] * m_ik + b1[k] * m_ij) % p
+                    if alpha or beta:
+                        # its one root, 0 for none
+                        c = alpha * pow(beta, p - 2, p) % p if beta else 0
+                        if c - 1 not in digits:
+                            return
+                        digits = (c - 1,)
+                        break
+            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
+            # (zero at j = i)
             A = [(a2[j] * ai - a2i * a1[j]) % p for j in sup]
             B = [(a2[j] * bi - a2i * b1[j]) % p for j in sup]
             C = [(b2[j] * ai - b2i * a1[j]) % p for j in sup]

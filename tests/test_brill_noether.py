@@ -455,14 +455,18 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
         return None if len(cs) == u else cs[0] if cs else 0
 
     def classify(level, c, child):
+        # also tells whether r1_i != 0 (c is neither keep nor ci)
         (a1, b1), _ = level[1]
         r1 = [(x - c * y) % p for x, y in zip(a1, b1)]
+        off = False
         if not any(a1 + b1):
             seen.add("pair-zero")
         elif not any(r1):
             seen.add("one-keep")
         elif r1[next(i for i, x in enumerate(a1) if x or b1[i])] == 0:
             seen.add("fallback")
+        else:
+            off = True
         rank = child[0]
         if rank > max_rank:
             seen.add("over-bound")
@@ -472,6 +476,7 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
             jump = zeroing(*child[1][0])
             seen.add("jump-all" if jump is None else
                      "no-jump" if jump == 0 else "one-jump")
+        return off
 
     def fibers(k, level, base, head):
         rank = level[0]
@@ -502,12 +507,20 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
                 yield (head + prefix, units[-1].start, units[-1].stop,
                        ncols - rank, 0)
             return
+        hits = 0  # units of node v-1 off keep and ci whose fiber has runs
         for d in range(max(lo - base, 0) // size,
                        min(-((base - hi) // size), u)):
             child = extend(level, d + 1)
-            if k == v - 1:
-                classify(level, d + 1, child)
-            yield from fibers(k + 1, child, base + d * size, head + (d + 1,))
+            runs = list(fibers(k + 1, child, base + d * size,
+                               head + (d + 1,)))
+            if k == v - 1 and classify(level, d + 1, child) and runs:
+                hits += 1
+            yield from runs
+        a1, b1 = level[1][0]
+        if k == v - 1 and rank + 1 == max_rank and any(a1 + b1):
+            # slack 1: a qualifying unit is a root of every column triple
+            # det(r1, a2, b2), so two or more need them all identically 0
+            seen.add("slack1-" + ("none", "one", "several")[min(hits, 2)])
 
     assert 0 <= lo <= hi <= total
     yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
@@ -516,11 +529,18 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
 def test_two_node_solve_matches_the_descent():
     """The walk's runs equal those of the per-unit descent, exactly, with
     and without sure-hit cut-offs, at_least 0-4, on the grid of
-    test_bn_enumerate_bounds_exhaustive and on curves of 2 and 3 nodes
-    (v = 0 and v = 1: the two-node solve at the root), over the whole
-    torus and cuts that start or end inside a block of (p-1)^2 classes
-    and inside a fiber. The grid must reach every case of the solve."""
+    test_bn_enumerate_bounds_exhaustive, on curves of 2 and 3 nodes
+    (v = 0 and v = 1: the two-node solve at the root) and on two genus-3
+    curves over F_13, where a prefix at slack 1 tries at most one of 12
+    units, over the whole torus and cuts that start or end inside a block
+    of (p-1)^2 classes and inside a fiber. The grid must reach every case
+    of the solve, and slack-1 prefixes whose units off keep and ci give
+    no hit, one hit, and several (all column triples identically zero)."""
     tori = [(X, md) for X, md, _, _ in _bounds_tori()]
+    F13 = PrimeField(13)
+    tori += [(X, md) for X in (standard_curve(3, F13),
+                               random_curve(3, F13, Rng(1)))
+             for md in ((1, 1), (1, 2), (2, 2))]
     for g in (1, 2):
         for ctx in (PrimeField(5), F7):
             rng = Rng(g)
@@ -543,7 +563,8 @@ def test_two_node_solve_matches_the_descent():
                     assert list(_torus_runs(X, md, lo, hi, k, sure_hit)) == \
                         list(_descent_runs(X, md, lo, hi, k, sure_hit, seen))
     assert seen == {"pair-zero", "one-keep", "fallback", "jump-all",
-                    "one-jump", "no-jump", "over-bound", "sure-hit-child"}
+                    "one-jump", "no-jump", "over-bound", "sure-hit-child",
+                    "slack1-none", "slack1-one", "slack1-several"}
 
 
 def test_predicted_empty_is_the_rank_floor():

@@ -6,28 +6,29 @@ Every exhaustive scan of the (p-1)^g torus is one walk with two front ends:
 `bn_enumerate` counts them and keeps the first witnesses. Before walking,
 the rank floor of the gluing matrix (its two Vandermonde blocks) empties a
 torus whose every class has too few sections, and gives h0 in closed form
-on every class when one block is empty. Otherwise the walk recurses down
-the tree of gluing digits. Each level keeps its rank and the residual
-halves of every node still to place, so placing a node costs one row,
-read off its residual pair, and one reduction of the pairs left against
-that row's pivot; a run of p-1 classes differing only in the last free
-gluing coordinate is then solved in closed form from the last pair. The
-last two free nodes are solved together: node v's row lies in the span of
-node v-1's row r1 iff their 2x2 minors on one fixed column i vanish, and
-those minors, built once per prefix, give each unit of node v-1 one jump
-solve instead of a placed level (except the one unit where r1_i = 0
-but r1 != 0). The full wedge over all column pairs made wide multidegrees
-slower. One row below the rank bound (slack 1), a unit of node v-1 can
-only give a class where r1, a2 and b2 (node v's pair) are linearly
-dependent, so every 3x3 minor det(r1, a2, b2) vanishes; each is linear
-in the unit, and the first one that is not identically zero leaves at
-most one unit to solve instead of p-1. A prefix whose rows already
-exceed the rank bound is skipped with its whole subtree, and, for
-counting, a prefix whose remaining rows cannot push the rank past the
-bound is counted whole. A prefix whose rank equals the bound is closed
-without descending: every row still to come must vanish, so each
-remaining node admits all units, one or none, and the qualifying classes
-are the product of those sets.
+on every class when one block is empty or the floor is the number of
+rows. Otherwise the walk recurses down the tree of gluing digits. Each
+level keeps its rank and the residual halves of every node still to
+place, so placing a node costs one row, read off its residual pair, and
+one reduction of the pairs left against that row's pivot; a run of p-1
+classes differing only in the last free gluing coordinate is then solved
+in closed form from the last pair. A level also places its first node
+at many units at once: a later node's row lies in the span of that
+node's row r iff their 2x2 minors on one fixed column vanish, and those
+minors, built once per level, give each unit one solve per later node
+instead of a placed level. A prefix whose rows already exceed the rank
+bound is skipped with its whole subtree, and, for counting, a prefix
+whose remaining rows cannot push the rank past the bound is counted
+whole. A level whose rank is within one row of the bound is closed by
+one rule, the determinantal description of W^r applied to every row
+still to come. At the bound every row to come must vanish, so each node
+admits all units, one or none, and the qualifying classes are the product
+of those sets. One row below it the rows to come span at most a line, so
+a unit c of the first node qualifies only where its row r is zero (the
+level below is closed by the same rule) or where every later pair
+(al, bl) has its row in span(r); either way every 3x3 minor
+det(r, al, bl) vanishes. Each is linear in c, and the first one that is
+not identically zero leaves at most one unit to place instead of p-1.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -91,7 +92,8 @@ def rank_floor(md, n: int) -> int:
     k2 = max(d2+1, 0) columns. Both blocks are Vandermonde on distinct
     branch points, and scaling rows by units keeps each block's rank, so
     the rank is at least max(min(n, k1), min(n, k2)). It is exactly that
-    on every class when one block is empty (k1 = 0 or k2 = 0) or n <= 1.
+    on every class when one block is empty (k1 = 0 or k2 = 0), or when it
+    equals n, since n rows have rank at most n (this covers n <= 1).
     """
     k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
     return max(min(n, k1), min(n, k2))
@@ -122,54 +124,63 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     the single c with ra = c·rb (`zeroing` finds it, `fiber` reads the run
     off it).
 
-    The level at depth v-1 holds two pairs, (a1, b1) of node v-1 and
-    (a2, b2) of node v, and solves its (p-1)^2 classes without placing
-    node v-1. At unit c its row is r1 = a1 - c·b1. Where r1 = 0 (the units
-    zeroing(a1, b1): none, one or all) the rank stays and node v jumps at
-    zeroing(a2, b2). Elsewhere the rank grows by one, and node v's row
-    a2 - c'·b2 reduces to zero iff it lies in span(r1), that is iff its
-    2x2 minors with r1 on the columns (i, j) vanish, with i the first
-    column where a1 or b1 is nonzero. The minor at j is A_j - c·B_j -
-    c'·(C_j - c·D_j), so node v jumps at zeroing(A - c·B, C - c·D); A, B,
-    C and D are built once per prefix, over the columns where one of the
-    four vectors is nonzero. At the one unit with r1_i = 0 but r1 != 0,
-    column i cannot serve, and node v-1 is placed by one row and one
-    reduction instead. Minors against one fixed column keep the solve
-    linear in the columns; the full wedge r1 ^ (a2 - c'·b2) has m(m-1)/2
-    entries on m columns and made scans of wide multidegrees slower.
+    A level that places its first node at each of two or more units c
+    builds no level per unit (`place`). The node's row is r = a - c·b.
+    Where r = 0 (the units zeroing(a, b): none, one or all) the rank and
+    the pairs left stay. Elsewhere the rank grows by one, and a later
+    pair's row al - c'·bl reduces to zero iff it lies in span(r), that is
+    iff its 2x2 minors with r on the columns (i, j) vanish, with i the
+    first column where a or b is nonzero. The minor at j is A_j - c·B_j -
+    c'·(C_j - c·D_j), so the later node's units are zeroing(A - c·B,
+    C - c·D); A, B, C and D are built once per level and later pair, over
+    the columns where one of the four vectors is nonzero. At the one unit
+    with r_i = 0 but r != 0, column i cannot serve, and the node is placed
+    by one row and one reduction instead. Minors against one fixed column
+    keep the solve linear in the columns; the full wedge r ^ (al - c'·bl)
+    has m(m-1)/2 entries on m columns and made scans of wide multidegrees
+    slower. A single unit is placed by one row and one reduction, which
+    costs less than the minors. The level at depth v-1 (node v-1, then
+    node v's pair) is solved this way at every slack: each unit gives
+    node v's fiber.
 
-    At slack 1 (rank = ncols - at_least - 1) most units need no solve. The
-    minor of (A - c·B, C - c·D) on the columns (j, k) factors as r1_i ·
-    det(r1, a2, b2) on the columns (i, j, k) (expand the 3x3 determinant
-    along its first row), so where r1_i != 0 node v jumps only if every
-    such determinant vanishes. Every qualifying unit makes them vanish:
-    where r1 = 0 they are 0, and where r1 != 0 the rank reaches the bound,
-    so the unit qualifies only if node v's row vanishes after r1, that is
-    a2 - c'·b2 = lambda·r1 for a unit c', and then r1, a2 and b2 are
-    linearly dependent. With r1 = a1 - c·b1 the determinant on (i, j, k) is
-    alpha - c·beta, alpha = det(a1, a2, b2) and beta = det(b1, a2, b2)
-    there. The first pair (j, k) whose (alpha, beta) is not (0, 0) leaves
-    one candidate unit, alpha/beta, or none (alpha or beta zero): a
-    qualifying unit, one with r1 = 0 or r1_i = 0 included, is always that
-    root. Only the candidate, when it lies in the index range, goes through
-    the per-unit solve above. When every triple is identically zero (r1
-    stays in span(a2, b2), or a2 and b2 are dependent) every unit is
-    solved. At slack 2 or more every unit gives a run, and torus_h0 needs
-    its exact h0, so nothing is skipped there.
+    Two bounds prune the tree, and one rule closes it. Rank only grows,
+    so a prefix whose rank exceeds max_rank = ncols - at_least is skipped
+    with its subtree. A level at depth k has v - k + 1 rows to come, each
+    adding at most 1, so when its rank plus those is at most max_rank every
+    class below qualifies: a sure-hit subtree. A level at depth k <= v-1
+    whose slack max_rank - rank is 0 or 1 is closed (`close`): a class
+    below qualifies iff the rows of nodes k .. v, reduced, add at most the
+    slack to the rank.
 
-    Two bounds prune the tree, and a tight level closes it. Rank only
-    grows, so a prefix whose rank exceeds ncols - at_least is skipped with
-    its subtree. A level at depth k has v - k + 1 rows to come, each adding
-    at most 1, so when its rank plus those is at most ncols - at_least every
-    class below qualifies: a sure-hit subtree. A level at depth k < v whose
-    rank equals ncols - at_least is tight: every pair left must give a zero
-    row, so node j admits every unit (ra_j = rb_j = 0), the one unit c with
-    ra_j = c·rb_j, or none, and the qualifying classes (h0 = at_least) are
-    the product of those sets, one run per prefix over nodes k .. v-1.
-    The two-node solve runs only where neither bound nor a tight close
-    applies; a unit of node v-1 whose row would pass the bound is skipped.
-    Only subtrees that meet [lo, hi) are entered, and a tight one is closed
-    only when it lies inside, so a cut descends along its boundary paths.
+    At slack 0 (tight) every row to come must vanish, so node j admits
+    every unit (ra_j = rb_j = 0), the one unit c with ra_j = c·rb_j, or
+    none, and the qualifying classes (h0 = at_least) are the product of
+    those sets, one run per prefix over nodes k .. v-1.
+
+    At slack 1 the rows of nodes k .. v span at most a line. A unit c of
+    node k qualifies only where its row r is zero, which leaves a level
+    of slack 1 one node down, closed by the same rule, or where every later
+    row lies in span(r), which leaves a tight level. Either way r, al and
+    bl are linearly dependent for every later pair: where r != 0 the later
+    row al - c'·bl = lambda·r for some unit c', so r lies in span(al, bl)
+    or al = c'·bl. So every 3x3 minor det(r, al, bl) vanishes. On the
+    columns (x, y, z) it is alpha - c·beta, with alpha = det(a, al, bl)
+    and beta = det(b, al, bl) there, and the first triple (later pairs in
+    order) whose (alpha, beta) is not (0, 0) leaves one candidate unit,
+    alpha/beta, or none (alpha or beta zero). A qualifying unit, one with
+    r = 0 included, is always that root, so only it is placed. When every
+    triple is identically zero (r stays in span(al, bl), or every later
+    pair is dependent) every unit is placed. The minors above factor the
+    same way: the minor of (A - c·B, C - c·D) on the columns (j, k) is
+    r_i · det(r, al, bl) on (i, j, k) (expand along the first row). At
+    depth v-1 the unit gives node v's fiber; above it a tight child closes
+    as a product. At slack 2 or more every unit can give a run, and
+    torus_h0 needs its exact h0, so the walk descends there; a unit of node
+    v-1 whose row would pass the bound is skipped. Only subtrees that meet
+    [lo, hi) are entered, and a level is closed only when its subtree lies
+    inside, so a cut descends along its boundary paths; at depth v-1 a cut
+    level of slack 1 still places only the root, if it is in range, since
+    node v's fibers are clipped to [lo, hi).
     Before any of this, the rank floor (`rank_floor`) empties the torus or,
     when it is exact, gives its one run in closed form.
     """
@@ -185,7 +196,8 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     floor = rank_floor(md, n)
     if floor > max_rank or lo == hi:
         return  # every class has rank >= floor: none qualifies
-    if not (k1 and k2) or n <= 1:
+    if not (k1 and k2) or floor == n:
+        # the floor is exact: one block, or n rows of rank n
         yield None, lo, hi, ncols - floor, 0
         return
     p = X.ctx.p
@@ -239,6 +251,42 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             return head, jump, jump + 1, low, jump
         return None
 
+    def close(level, base, head, units):
+        # the runs below a level at depth k <= v-1 of slack <= 1 whose
+        # first node takes units (all of them unless a cut splits the
+        # level, only at depth v-1); its first class has index base
+        rank, ((a, b), *rest) = level
+        if rank == max_rank:
+            return tight(rank, level[1], head)
+        # slack 1: det(a - c·b, al, bl) = alpha - c·beta on the columns
+        # (x, y, z), alpha = det(a, al, bl) and beta = det(b, al, bl); the
+        # first triple not identically zero leaves one unit or none
+        for al, bl in rest:
+            sup = [x for x in range(ncols) if a[x] or b[x] or al[x] or bl[x]]
+            for x, y, z in itertools.combinations(sup, 3):
+                m_yz = al[y] * bl[z] - al[z] * bl[y]
+                m_xz = al[x] * bl[z] - al[z] * bl[x]
+                m_xy = al[x] * bl[y] - al[y] * bl[x]
+                alpha = (a[x] * m_yz - a[y] * m_xz + a[z] * m_xy) % p
+                beta = (b[x] * m_yz - b[y] * m_xz + b[z] * m_xy) % p
+                if alpha or beta:
+                    c = alpha * pow(beta, p - 2, p) % p if beta else 0
+                    return place(level, base, head, (c,) if c in units else ())
+        return place(level, base, head, units)
+
+    def tight(rank, pairs, head):
+        # the classes below head, at rank max_rank, where every pair left
+        # gives a zero row: each node takes all its units, one or none
+        units = []
+        for ra, rb in pairs:
+            c = zeroing(ra, rb)
+            if c == 0:
+                return
+            units.append(range(1, p) if c is None else range(c, c + 1))
+        last = units.pop()
+        for prefix in itertools.product(*units):
+            yield head + prefix, last.start, last.stop, ncols - rank, 0
+
     def fibers(k, level, base, head):
         # runs below the prefix head (nodes 0 .. k-1, k < v), whose first
         # class has index base; only subtrees that meet [lo, hi) are entered
@@ -251,80 +299,63 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
                    None, 0)
             return
         size = run ** (v - k)
-        if rank == max_rank and lo <= base and base + size * run <= hi:
-            # tight: a class qualifies iff every pair left gives a zero
-            # row, and each node admits its units independently
-            units = []
-            for ra, rb in level[1]:
-                c = zeroing(ra, rb)
-                if c == 0:
-                    return
-                units.append(range(1, p) if c is None else range(c, c + 1))
-            last = units.pop()
-            for prefix in itertools.product(*units):
-                yield head + prefix, last.start, last.stop, ncols - rank, 0
+        if rank + 1 >= max_rank and lo <= base and base + size * run <= hi:
+            yield from close(level, base, head, range(1, p))
             return
-        digits = range(max(lo - base, 0) // size,
-                       min(-((base - hi) // size), run))
-        if k == v - 1:
-            yield from two_nodes(level, base, head, digits)
+        units = range(max(lo - base, 0) // size + 1,
+                      min(-((base - hi) // size), run) + 1)
+        if k == v - 1:  # node v's fibers clip to [lo, hi)
+            solve = close if rank + 1 == max_rank else place
+            yield from solve(level, base, head, units)
             return
-        for d in digits:
-            yield from fibers(k + 1, extend(level, d + 1),
-                              base + d * size, head + (d + 1,))
+        for c in units:
+            yield from fibers(k + 1, extend(level, c),
+                              base + (c - 1) * size, head + (c,))
 
-    def two_nodes(level, base, head, digits):
-        # the fibers below a prefix of nodes 0 .. v-2, one per unit c = d + 1
-        # of node v-1 for d in digits: node v-1's row there is r1 = a1 - c·b1,
-        # and node v jumps where its row's 2x2 minors with r1 vanish
-        rank, ((a1, b1), (a2, b2)) = level
-        keep = zeroing(a1, b1)  # the units with r1 = 0
-        jump2 = zeroing(a2, b2)
-        if keep is not None and rank < max_rank:
-            i = next(j for j in range(ncols) if a1[j] or b1[j])
-            ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
-            sup = [j for j in range(ncols)
-                   if j != i and (a1[j] or b1[j] or a2[j] or b2[j])]
-            if rank + 1 == max_rank:
-                # slack 1: a unit qualifies only where r1, a2 and b2 are
-                # dependent, so det(r1, a2, b2) = alpha - c·beta vanishes on
-                # every column triple (i, j, k); the first triple that is
-                # not identically zero leaves one unit or none
-                for j, k in itertools.combinations(sup, 2):
-                    m_jk = a2[j] * b2[k] - a2[k] * b2[j]
-                    m_ik = a2i * b2[k] - a2[k] * b2i
-                    m_ij = a2i * b2[j] - a2[j] * b2i
-                    alpha = (ai * m_jk - a1[j] * m_ik + a1[k] * m_ij) % p
-                    beta = (bi * m_jk - b1[j] * m_ik + b1[k] * m_ij) % p
-                    if alpha or beta:
-                        # its one root, 0 for none
-                        c = alpha * pow(beta, p - 2, p) % p if beta else 0
-                        if c - 1 not in digits:
-                            return
-                        digits = (c - 1,)
-                        break
-            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
-            # (zero at j = i)
-            A = [(a2[j] * ai - a2i * a1[j]) % p for j in sup]
-            B = [(a2[j] * bi - a2i * b1[j]) % p for j in sup]
-            C = [(b2[j] * ai - b2i * a1[j]) % p for j in sup]
-            D = [(b2[j] * bi - b2i * b1[j]) % p for j in sup]
-            # the unit with r1_i = 0 (0: none), where column i cannot serve
+    def place(level, base, head, units):
+        # the runs below a level at depth k = v-1, or at slack 1, one unit c
+        # of its first node at a time: the row there is r = a - c·b, and a
+        # later pair (al, bl) gives a zero row after r where its 2x2 minors
+        # with r on one fixed column i vanish
+        rank, ((a, b), *rest) = level
+        keep = zeroing(a, b)  # the units with r = 0
+        minors, ci = [], None  # one unit costs less by `extend`
+        if keep is not None and rank < max_rank and len(units) > 1:
+            i = next(j for j in range(ncols) if a[j] or b[j])
+            ai, bi = a[i], b[i]
+            for al, bl in rest:
+                ali, bli = al[i], bl[i]
+                sup = [j for j in range(ncols)
+                       if j != i and (a[j] or b[j] or al[j] or bl[j])]
+                # the minor on (i, j) is A_j - c·B_j - c'·(C_j - c·D_j), so
+                # (A - c·B, C - c·D) has the units of the pair reduced by r
+                minors.append(([(al[j] * ai - ali * a[j]) % p for j in sup],
+                               [(al[j] * bi - ali * b[j]) % p for j in sup],
+                               [(bl[j] * ai - bli * a[j]) % p for j in sup],
+                               [(bl[j] * bi - bli * b[j]) % p for j in sup]))
+            # the unit with r_i = 0 (0: none), where column i cannot serve
             ci = ai * pow(bi, p - 2, p) % p if bi else 0
-        for d in digits:
-            c = d + 1
-            if keep is None or c == keep:
-                rank_c, jump = rank, jump2
-            elif rank == max_rank:
-                continue  # the nonzero row r1 puts the rank past the bound
-            elif c == ci:
-                rank_c, ((ra, rb),) = extend(level, c)
-                jump = zeroing(ra, rb)
+        size = run ** len(rest)
+        deep = len(rest) > 1  # a node left between this one and node v
+        for c in units:
+            at, to = base + (c - 1) * size, head + (c,)
+            if minors and c not in (keep, ci):
+                rank_c = rank + 1
+                pairs_c = []
+                for A, B, C, D in minors:
+                    pairs_c.append(([(x - c * y) % p for x, y in zip(A, B)],
+                                    [(x - c * y) % p for x, y in zip(C, D)]))
             else:
-                rank_c, jump = rank + 1, zeroing(
-                    [(x - c * y) % p for x, y in zip(A, B)],
-                    [(x - c * y) % p for x, y in zip(C, D)])
-            out = fiber(rank_c, jump, base + d * run, head + (c,))
+                rank_c, pairs_c = extend(level, c)
+                if rank_c > max_rank:
+                    continue  # the nonzero row r puts the rank past the bound
+                if rank_c == rank and deep:  # r = 0 at slack 1
+                    yield from close((rank, rest), at, to, range(1, p))
+                    continue
+            if deep:
+                yield from tight(rank_c, pairs_c, to)
+                continue
+            out = fiber(rank_c, zeroing(*pairs_c[0]), at, to)
             if out is not None:
                 yield out
 

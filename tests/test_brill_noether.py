@@ -15,8 +15,8 @@ from bincurve.brill_noether import (BNQuery, DimEstimate, DimPrediction,
                                     rank_floor, reduce_curve_mod, rho,
                                     split_ranges, torus_h0)
 from bincurve.bundles import (LineBundle, canonical_bundle, dual,
-                              enumerate_bundles, hyperelliptic_class, tensor,
-                              trivial)
+                              enumerate_bundles, gluing_at,
+                              hyperelliptic_class, tensor, trivial)
 from bincurve.cohomology import (SectionSpace, gluing_profile, h0,
                                  rows_for_gluing)
 from bincurve.curve import (BinaryCurve, ProjPoint, normalize_at,
@@ -330,8 +330,10 @@ def test_bn_enumerate_bounds_exhaustive():
         values = {n for _, n in want}
         assert max(values) <= ncols - floor
         one_block = not (k1 and k2)
-        if one_block:
+        if one_block or floor == g + 1:
+            # exact: the rank is at most the g+1 rows
             assert values == {ncols - floor}
+            seen.add("one-block" if one_block else "floor-n")
         for r in range(4 if g == 4 else 2):
             k = r + 1
             hits = _check_count(X, md, r, 0, total, 5, want)
@@ -361,7 +363,7 @@ def test_bn_enumerate_bounds_exhaustive():
                             seen.add("cap-inside")
                     seen.add("cut-starts-inside" if s < lo else
                              "cut-ends-inside")
-    assert seen == {"floor-pruned", "one-block", "sure-hit",
+    assert seen == {"floor-pruned", "one-block", "floor-n", "sure-hit",
                     "cut-starts-inside", "cut-ends-inside", "cap-inside"}
 
 
@@ -424,14 +426,18 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
     node v-1 included, is placed by one row and one reduction of the pairs
     left, and node v's fiber is read off its one reduced pair (zeroing by
     trying every unit). seen collects the cases each unit of node v-1 meets
-    below a prefix that is neither pruned, sure-hit nor closed tight."""
+    below a prefix that is neither pruned, sure-hit nor closed tight, and
+    the outcome of each level above depth v-1 one row below the rank bound
+    (slack 1), by the units of its first node that give runs, and whether
+    a cut starts inside it."""
     p, u = X.ctx.p, X.ctx.p - 1
     k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
     ncols, max_rank = k1 + k2, k1 + k2 - at_least
     n, total = len(X.nodes), u ** X.genus
     if rank_floor(md, n) > max_rank or lo == hi:
         return
-    if not (k1 and k2) or n <= 1:
+    if not (k1 and k2) or rank_floor(md, n) == n:
+        # the rank is at most n, so a floor of n is every class's rank
         yield None, lo, hi, ncols - rank_floor(md, n), 0
         return
     v = n - 2
@@ -508,6 +514,8 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
                        ncols - rank, 0)
             return
         hits = 0  # units of node v-1 off keep and ci whose fiber has runs
+        # units of node k that give runs, with a zero and a nonzero row
+        zero = upper = 0
         for d in range(max(lo - base, 0) // size,
                        min(-((base - hi) // size), u)):
             child = extend(level, d + 1)
@@ -515,12 +523,23 @@ def _descent_runs(X, md, lo, hi, at_least, sure_hit, seen):
                                head + (d + 1,)))
             if k == v - 1 and classify(level, d + 1, child) and runs:
                 hits += 1
+            zero += child[0] == rank and bool(runs)
+            upper += child[0] > rank and bool(runs)
             yield from runs
         a1, b1 = level[1][0]
         if k == v - 1 and rank + 1 == max_rank and any(a1 + b1):
             # slack 1: a qualifying unit is a root of every column triple
             # det(r1, a2, b2), so two or more need them all identically 0
             seen.add("slack1-" + ("none", "one", "several")[min(hits, 2)])
+        if k < v - 1 and rank + 1 == max_rank:
+            if lo <= base and base + size * u <= hi:
+                # by the units of node k that give runs: none at all, only
+                # those with a zero row, one with a nonzero row, or several
+                # (every column triple identically zero)
+                seen.add("upper-zero-only" if zero and not upper else
+                         "upper-" + ("none", "one", "several")[min(upper, 2)])
+            elif base < lo:
+                seen.add("upper-cut-starts-inside")
 
     assert 0 <= lo <= hi <= total
     yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
@@ -535,12 +554,19 @@ def test_two_node_solve_matches_the_descent():
     units, over the whole torus and cuts that start or end inside a block
     of (p-1)^2 classes and inside a fiber. The grid must reach every case
     of the solve, and slack-1 prefixes whose units off keep and ci give
-    no hit, one hit, and several (all column triples identically zero)."""
+    no hit, one hit, and several (all column triples identically zero).
+    Above depth v-1 it must reach slack-1 levels closed in one step where
+    nothing qualifies, only units of the first node with a zero row give
+    runs, one unit with a nonzero row does, or several do (the fallback),
+    and a cut that starts inside such a level."""
     tori = [(X, md) for X, md, _, _ in _bounds_tori()]
     F13 = PrimeField(13)
     tori += [(X, md) for X in (standard_curve(3, F13),
                                random_curve(3, F13, Rng(1)))
              for md in ((1, 1), (1, 2), (2, 2))]
+    # five free nodes: a slack-1 level above depth v-1 where only the units
+    # of its first node with a zero row give runs
+    tori.append((random_curve(5, PrimeField(5), Rng(1)), (1, 2)))
     for g in (1, 2):
         for ctx in (PrimeField(5), F7):
             rng = Rng(g)
@@ -564,7 +590,46 @@ def test_two_node_solve_matches_the_descent():
                         list(_descent_runs(X, md, lo, hi, k, sure_hit, seen))
     assert seen == {"pair-zero", "one-keep", "fallback", "jump-all",
                     "one-jump", "no-jump", "over-bound", "sure-hit-child",
-                    "slack1-none", "slack1-one", "slack1-several"}
+                    "slack1-none", "slack1-one", "slack1-several",
+                    "upper-none", "upper-one", "upper-several",
+                    "upper-zero-only", "upper-cut-starts-inside"}
+
+
+def test_cut_level_places_no_unit_outside_its_range():
+    """A level at depth v-1 that a cut splits, one row below the rank
+    bound, places the root of its column triples only when that unit's
+    fiber meets the range. Here the cut ends in the last block of
+    p-1 classes and the root lies past it; placed, its fiber would be an
+    empty or reversed run."""
+    ctx = PrimeField(5)
+    rng = Rng(30)
+    pool = [ProjPoint.finite(ctx, a) for a in range(5)]
+    pool.append(ProjPoint.infinity(ctx))
+    X = BinaryCurve(ctx, list(zip(rng.distinct(pool, 5),
+                                  rng.distinct(pool, 5))))
+    total = 4 ** 4
+    for k in range(5):
+        for sure_hit in (False, True):
+            for lo, hi in ((0, total - 4), (5, total)):
+                assert list(_torus_runs(X, (2, 2), lo, hi, k, sure_hit)) == \
+                    list(_descent_runs(X, (2, 2), lo, hi, k, sure_hit, set()))
+
+
+def test_rank_floor_of_n_needs_no_gluing_profile(monkeypatch):
+    """Regression: a rank floor equal to the node count n is every class's
+    rank, so a wide multidegree is counted whole without building the
+    gluing profile, whose size grows with md."""
+    from bincurve import cohomology
+
+    def refuse(X, md):
+        raise AssertionError("gluing profile built")
+    monkeypatch.setattr(cohomology, "gluing_profile", refuse)
+    X = random_curve(3, F7, Rng(1))
+    md = (10 ** 6, 10 ** 6)
+    rep = bn_enumerate(X, BNQuery(md, 1), witness_cap=3)
+    assert rep.count == 6 ** 3
+    assert list(rep.witnesses) == [gluing_at(X, i) for i in range(3)]
+    assert next(torus_h0(X, md, at_least=2)) == ((1, 1, 1, 1), 2 * 10 ** 6 - 2)
 
 
 def test_predicted_empty_is_the_rank_floor():

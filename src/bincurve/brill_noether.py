@@ -12,23 +12,25 @@ level keeps its rank and the residual halves of every node still to
 place, so placing a node costs one row, read off its residual pair, and
 one reduction of the pairs left against that row's pivot; a run of p-1
 classes differing only in the last free gluing coordinate is then solved
-in closed form from the last pair. A level also places its first node
-at many units at once: a later node's row lies in the span of that
-node's row r iff their 2x2 minors on one fixed column vanish, and those
-minors, built once per level, give each unit one solve per later node
-instead of a placed level. A prefix whose rows already exceed the rank
-bound is skipped with its whole subtree, and, for counting, a prefix
-whose remaining rows cannot push the rank past the bound is counted
-whole. A level whose rank is within one row of the bound is closed by
-one rule, the determinantal description of W^r applied to every row
-still to come. At the bound every row to come must vanish, so each node
-admits all units, one or none, and the qualifying classes are the product
-of those sets. One row below it the rows to come span at most a line, so
-a unit c of the first node qualifies only where its row r is zero (the
-level below is closed by the same rule) or where every later pair
-(al, bl) has its row in span(r); either way every 3x3 minor
-det(r, al, bl) vanishes. Each is linear in c, and the first one that is
-not identically zero leaves at most one unit to place instead of p-1.
+in closed form from the last pair. The last two free nodes are solved
+together: node v's row lies in the span of node v-1's row r1 iff their
+2x2 minors on one fixed column i vanish, and those minors, built once
+per prefix, give each unit of node v-1 one jump solve instead of a
+placed level (except the one unit where r1_i = 0 but r1 != 0). The full
+wedge over all column pairs made wide multidegrees slower. A prefix
+whose rows already exceed the rank bound is skipped with its whole
+subtree, and, for counting, a prefix whose remaining rows cannot push
+the rank past the bound is counted whole. Within one row of the bound
+the walk applies the determinantal description of W^r to every row
+still to come. A prefix whose rank equals the bound is closed without
+descending: every row still to come must vanish, so each remaining node
+admits all units, one or none, and the qualifying classes are the
+product of those sets. One row below it the rows still to come span at
+most a line, so a unit c of the next node qualifies only where its row
+r is zero or every later row lies in span(r); either way every 3x3
+minor det(r, al, bl) with a later pair (al, bl) vanishes. Each is linear
+in c, and the first one that is not identically zero leaves at most one
+unit to descend into instead of p-1.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -124,33 +126,30 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     the single c with ra = c·rb (`zeroing` finds it, `fiber` reads the run
     off it).
 
-    A level that places its first node at each of two or more units c
-    builds no level per unit (`place`). The node's row is r = a - c·b.
-    Where r = 0 (the units zeroing(a, b): none, one or all) the rank and
-    the pairs left stay. Elsewhere the rank grows by one, and a later
-    pair's row al - c'·bl reduces to zero iff it lies in span(r), that is
-    iff its 2x2 minors with r on the columns (i, j) vanish, with i the
-    first column where a or b is nonzero. The minor at j is A_j - c·B_j -
-    c'·(C_j - c·D_j), so the later node's units are zeroing(A - c·B,
-    C - c·D); A, B, C and D are built once per level and later pair, over
-    the columns where one of the four vectors is nonzero. At the one unit
-    with r_i = 0 but r != 0, column i cannot serve, and the node is placed
-    by one row and one reduction instead. Minors against one fixed column
-    keep the solve linear in the columns; the full wedge r ^ (al - c'·bl)
-    has m(m-1)/2 entries on m columns and made scans of wide multidegrees
-    slower. A single unit is placed by one row and one reduction, which
-    costs less than the minors. The level at depth v-1 (node v-1, then
-    node v's pair) is solved this way at every slack: each unit gives
-    node v's fiber.
+    The level at depth v-1 holds two pairs, (a1, b1) of node v-1 and
+    (a2, b2) of node v, and solves its (p-1)^2 classes without placing
+    node v-1. At unit c its row is r1 = a1 - c·b1. Where r1 = 0 (the units
+    zeroing(a1, b1): none, one or all) the rank stays and node v jumps at
+    zeroing(a2, b2). Elsewhere the rank grows by one, and node v's row
+    a2 - c'·b2 reduces to zero iff it lies in span(r1), that is iff its
+    2x2 minors with r1 on the columns (i, j) vanish, with i the first
+    column where a1 or b1 is nonzero. The minor at j is A_j - c·B_j -
+    c'·(C_j - c·D_j), so node v jumps at zeroing(A - c·B, C - c·D); A, B,
+    C and D are built once per prefix, over the columns where one of the
+    four vectors is nonzero. At the one unit with r1_i = 0 but r1 != 0,
+    column i cannot serve, and node v-1 is placed by one row and one
+    reduction instead. Minors against one fixed column keep the solve
+    linear in the columns; the full wedge r1 ^ (a2 - c'·b2) has m(m-1)/2
+    entries on m columns and made scans of wide multidegrees slower.
 
-    Two bounds prune the tree, and one rule closes it. Rank only grows,
-    so a prefix whose rank exceeds max_rank = ncols - at_least is skipped
-    with its subtree. A level at depth k has v - k + 1 rows to come, each
-    adding at most 1, so when its rank plus those is at most max_rank every
-    class below qualifies: a sure-hit subtree. A level at depth k <= v-1
-    whose slack max_rank - rank is 0 or 1 is closed (`close`): a class
-    below qualifies iff the rows of nodes k .. v, reduced, add at most the
-    slack to the rank.
+    Two bounds prune the tree, and the slack max_rank - rank, with
+    max_rank = ncols - at_least, closes or thins it. Rank only grows, so
+    a prefix whose rank exceeds max_rank is skipped with its subtree. A
+    level at depth k has v - k + 1 rows to come, each adding at most 1, so
+    when its rank plus those is at most max_rank every class below
+    qualifies: a sure-hit subtree. Below a level at depth k <= v-1 of
+    slack 0 or 1, a class qualifies iff the rows of nodes k .. v, reduced,
+    add at most the slack to the rank.
 
     At slack 0 (tight) every row to come must vanish, so node j admits
     every unit (ra_j = rb_j = 0), the one unit c with ra_j = c·rb_j, or
@@ -158,29 +157,35 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     those sets, one run per prefix over nodes k .. v-1.
 
     At slack 1 the rows of nodes k .. v span at most a line. A unit c of
-    node k qualifies only where its row r is zero, which leaves a level
-    of slack 1 one node down, closed by the same rule, or where every later
-    row lies in span(r), which leaves a tight level. Either way r, al and
-    bl are linearly dependent for every later pair: where r != 0 the later
-    row al - c'·bl = lambda·r for some unit c', so r lies in span(al, bl)
-    or al = c'·bl. So every 3x3 minor det(r, al, bl) vanishes. On the
-    columns (x, y, z) it is alpha - c·beta, with alpha = det(a, al, bl)
-    and beta = det(b, al, bl) there, and the first triple (later pairs in
-    order) whose (alpha, beta) is not (0, 0) leaves one candidate unit,
-    alpha/beta, or none (alpha or beta zero). A qualifying unit, one with
-    r = 0 included, is always that root, so only it is placed. When every
-    triple is identically zero (r stays in span(al, bl), or every later
-    pair is dependent) every unit is placed. The minors above factor the
-    same way: the minor of (A - c·B, C - c·D) on the columns (j, k) is
-    r_i · det(r, al, bl) on (i, j, k) (expand along the first row). At
-    depth v-1 the unit gives node v's fiber; above it a tight child closes
-    as a product. At slack 2 or more every unit can give a run, and
-    torus_h0 needs its exact h0, so the walk descends there; a unit of node
-    v-1 whose row would pass the bound is skipped. Only subtrees that meet
-    [lo, hi) are entered, and a level is closed only when its subtree lies
-    inside, so a cut descends along its boundary paths; at depth v-1 a cut
-    level of slack 1 still places only the root, if it is in range, since
-    node v's fibers are clipped to [lo, hi).
+    node k, whose row is r = a - c·b, qualifies only where r is zero (the
+    level below keeps slack 1) or where every later row lies in span(r)
+    (the level below is tight). Either way r, al and bl are linearly
+    dependent for every later pair (al, bl): where r != 0 the later row
+    al - c'·bl = lambda·r for some unit c', so r lies in span(al, bl) or
+    al = c'·bl. So every 3x3 minor det(r, al, bl) vanishes. On the columns
+    (i, y, z), with i the first column where a or b is nonzero, it is
+    alpha - c·beta, alpha = det(a, al, bl) and beta = det(b, al, bl)
+    there, and the first such triple (later pairs in order) whose
+    (alpha, beta) is not (0, 0) leaves one candidate unit, alpha/beta, or
+    none (alpha or beta zero). `close` keeps only that unit: a qualifying
+    unit, one with r = 0 or r_i = 0 included, is always that root.
+    Triples through column i are enough: where r_i != 0 they all vanish
+    iff r, al and bl are dependent (reduce al and bl by r to clear column
+    i), and the minors above factor the same way, the minor of
+    (A - c·B, C - c·D) on the columns (j, k) being r_i · det(r, al, bl)
+    on (i, j, k) (expand along the first row). When every such triple is
+    identically zero (r stays in span(al, bl), or every later pair is
+    dependent) every unit is kept. The pairs left are zero on the rank
+    pivot columns, so they live on ncols - rank = at_least + 1 columns,
+    and with at_least <= 1 there is no triple to try. The kept units descend as usual: a
+    tight child closes as a product, a zero-row child is thinned again,
+    and at depth v-1 they go to the two-node solve. At slack 2 or more
+    every unit can give a run, and torus_h0 needs its exact h0, so
+    nothing is thinned there; a unit of node v-1 whose row would pass the
+    bound is skipped. Only subtrees that meet [lo, hi) are entered, and a
+    tight level is closed only when it lies inside, so a cut descends
+    along its boundary paths; thinning needs no such care, since it only
+    drops units below which no class qualifies.
     Before any of this, the rank floor (`rank_floor`) empties the torus or,
     when it is exact, gives its one run in closed form.
     """
@@ -196,8 +201,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     floor = rank_floor(md, n)
     if floor > max_rank or lo == hi:
         return  # every class has rank >= floor: none qualifies
-    if not (k1 and k2) or floor == n:
-        # the floor is exact: one block, or n rows of rank n
+    if not (k1 and k2) or floor == n:  # the floor is exact
         yield None, lo, hi, ncols - floor, 0
         return
     p = X.ctx.p
@@ -251,41 +255,29 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
             return head, jump, jump + 1, low, jump
         return None
 
-    def close(level, base, head, units):
-        # the runs below a level at depth k <= v-1 of slack <= 1 whose
-        # first node takes units (all of them unless a cut splits the
-        # level, only at depth v-1); its first class has index base
-        rank, ((a, b), *rest) = level
-        if rank == max_rank:
-            return tight(rank, level[1], head)
-        # slack 1: det(a - c·b, al, bl) = alpha - c·beta on the columns
-        # (x, y, z), alpha = det(a, al, bl) and beta = det(b, al, bl); the
-        # first triple not identically zero leaves one unit or none
+    def close(level, units):
+        # the units of a slack-1 level's first node below which a class can
+        # qualify: the root of det(a - c·b, al, bl) = alpha - c·beta on the
+        # first column triple (i, y, z) where it is not identically zero
+        _, ((a, b), *rest) = level
+        for i in range(ncols):  # a = b = 0 leaves every triple zero
+            if a[i] or b[i]:
+                break
+        ai, bi = a[i], b[i]
         for al, bl in rest:
-            sup = [x for x in range(ncols) if a[x] or b[x] or al[x] or bl[x]]
-            for x, y, z in itertools.combinations(sup, 3):
+            ali, bli = al[i], bl[i]
+            sup = [x for x in range(ncols)
+                   if x != i and (a[x] or b[x] or al[x] or bl[x])]
+            for y, z in itertools.combinations(sup, 2):
                 m_yz = al[y] * bl[z] - al[z] * bl[y]
-                m_xz = al[x] * bl[z] - al[z] * bl[x]
-                m_xy = al[x] * bl[y] - al[y] * bl[x]
-                alpha = (a[x] * m_yz - a[y] * m_xz + a[z] * m_xy) % p
-                beta = (b[x] * m_yz - b[y] * m_xz + b[z] * m_xy) % p
-                if alpha or beta:
+                m_iz = ali * bl[z] - al[z] * bli
+                m_iy = ali * bl[y] - al[y] * bli
+                alpha = (ai * m_yz - a[y] * m_iz + a[z] * m_iy) % p
+                beta = (bi * m_yz - b[y] * m_iz + b[z] * m_iy) % p
+                if alpha or beta:  # its one root, 0 for none
                     c = alpha * pow(beta, p - 2, p) % p if beta else 0
-                    return place(level, base, head, (c,) if c in units else ())
-        return place(level, base, head, units)
-
-    def tight(rank, pairs, head):
-        # the classes below head, at rank max_rank, where every pair left
-        # gives a zero row: each node takes all its units, one or none
-        units = []
-        for ra, rb in pairs:
-            c = zeroing(ra, rb)
-            if c == 0:
-                return
-            units.append(range(1, p) if c is None else range(c, c + 1))
-        last = units.pop()
-        for prefix in itertools.product(*units):
-            yield head + prefix, last.start, last.stop, ncols - rank, 0
+                    return (c,) if c in units else ()
+        return units
 
     def fibers(k, level, base, head):
         # runs below the prefix head (nodes 0 .. k-1, k < v), whose first
@@ -299,63 +291,66 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
                    None, 0)
             return
         size = run ** (v - k)
-        if rank + 1 >= max_rank and lo <= base and base + size * run <= hi:
-            yield from close(level, base, head, range(1, p))
+        if rank == max_rank and lo <= base and base + size * run <= hi:
+            # tight: a class qualifies iff every pair left gives a zero
+            # row, and each node admits its units independently
+            units = []
+            for ra, rb in level[1]:
+                c = zeroing(ra, rb)
+                if c == 0:
+                    return
+                units.append(range(1, p) if c is None else range(c, c + 1))
+            last = units.pop()
+            for prefix in itertools.product(*units):
+                yield head + prefix, last.start, last.stop, ncols - rank, 0
             return
         units = range(max(lo - base, 0) // size + 1,
                       min(-((base - hi) // size), run) + 1)
-        if k == v - 1:  # node v's fibers clip to [lo, hi)
-            solve = close if rank + 1 == max_rank else place
-            yield from solve(level, base, head, units)
+        if rank + 1 == max_rank and at_least > 1:  # else no column triple
+            units = close(level, units)
+        if k == v - 1:
+            yield from two_nodes(level, base, head, units)
             return
         for c in units:
             yield from fibers(k + 1, extend(level, c),
                               base + (c - 1) * size, head + (c,))
 
-    def place(level, base, head, units):
-        # the runs below a level at depth k = v-1, or at slack 1, one unit c
-        # of its first node at a time: the row there is r = a - c·b, and a
-        # later pair (al, bl) gives a zero row after r where its 2x2 minors
-        # with r on one fixed column i vanish
-        rank, ((a, b), *rest) = level
-        keep = zeroing(a, b)  # the units with r = 0
-        minors, ci = [], None  # one unit costs less by `extend`
-        if keep is not None and rank < max_rank and len(units) > 1:
-            i = next(j for j in range(ncols) if a[j] or b[j])
-            ai, bi = a[i], b[i]
-            for al, bl in rest:
-                ali, bli = al[i], bl[i]
-                sup = [j for j in range(ncols)
-                       if j != i and (a[j] or b[j] or al[j] or bl[j])]
-                # the minor on (i, j) is A_j - c·B_j - c'·(C_j - c·D_j), so
-                # (A - c·B, C - c·D) has the units of the pair reduced by r
-                minors.append(([(al[j] * ai - ali * a[j]) % p for j in sup],
-                               [(al[j] * bi - ali * b[j]) % p for j in sup],
-                               [(bl[j] * ai - bli * a[j]) % p for j in sup],
-                               [(bl[j] * bi - bli * b[j]) % p for j in sup]))
-            # the unit with r_i = 0 (0: none), where column i cannot serve
+    def two_nodes(level, base, head, units):
+        # the fibers below a prefix of nodes 0 .. v-2, one per unit c of
+        # node v-1 in units: node v-1's row there is r1 = a1 - c·b1, and
+        # node v jumps where its row's 2x2 minors with r1 vanish
+        rank, ((a1, b1), (a2, b2)) = level
+        keep = zeroing(a1, b1)  # the units with r1 = 0
+        if keep is None or keep in units:
+            jump2 = zeroing(a2, b2)  # node v's units where r1 = 0
+        if keep is not None and rank < max_rank and units:
+            for i in range(ncols):
+                if a1[i] or b1[i]:
+                    break
+            ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+            sup = [j for j in range(ncols)
+                   if j != i and (a1[j] or b1[j] or a2[j] or b2[j])]
+            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
+            # (zero at j = i)
+            A = [(a2[j] * ai - a2i * a1[j]) % p for j in sup]
+            B = [(a2[j] * bi - a2i * b1[j]) % p for j in sup]
+            C = [(b2[j] * ai - b2i * a1[j]) % p for j in sup]
+            D = [(b2[j] * bi - b2i * b1[j]) % p for j in sup]
+            # the unit with r1_i = 0 (0: none), where column i cannot serve
             ci = ai * pow(bi, p - 2, p) % p if bi else 0
-        size = run ** len(rest)
-        deep = len(rest) > 1  # a node left between this one and node v
         for c in units:
-            at, to = base + (c - 1) * size, head + (c,)
-            if minors and c not in (keep, ci):
-                rank_c = rank + 1
-                pairs_c = []
-                for A, B, C, D in minors:
-                    pairs_c.append(([(x - c * y) % p for x, y in zip(A, B)],
-                                    [(x - c * y) % p for x, y in zip(C, D)]))
+            if keep is None or c == keep:
+                rank_c, jump = rank, jump2
+            elif rank == max_rank:
+                continue  # the nonzero row r1 puts the rank past the bound
+            elif c == ci:
+                rank_c, ((ra, rb),) = extend(level, c)
+                jump = zeroing(ra, rb)
             else:
-                rank_c, pairs_c = extend(level, c)
-                if rank_c > max_rank:
-                    continue  # the nonzero row r puts the rank past the bound
-                if rank_c == rank and deep:  # r = 0 at slack 1
-                    yield from close((rank, rest), at, to, range(1, p))
-                    continue
-            if deep:
-                yield from tight(rank_c, pairs_c, to)
-                continue
-            out = fiber(rank_c, zeroing(*pairs_c[0]), at, to)
+                rank_c, jump = rank + 1, zeroing(
+                    [(x - c * y) % p for x, y in zip(A, B)],
+                    [(x - c * y) % p for x, y in zip(C, D)])
+            out = fiber(rank_c, jump, base + (c - 1) * run, head + (c,))
             if out is not None:
                 yield out
 

@@ -555,10 +555,10 @@ def test_two_node_solve_matches_the_descent():
     of (p-1)^2 classes and inside a fiber. The grid must reach every case
     of the solve, and slack-1 prefixes whose units off keep and ci give
     no hit, one hit, and several (all column triples identically zero).
-    Above depth v-1 it must reach slack-1 levels closed in one step where
-    nothing qualifies, only units of the first node with a zero row give
-    runs, one unit with a nonzero row does, or several do (the fallback),
-    and a cut that starts inside such a level."""
+    Above depth v-1 it must reach slack-1 levels where no unit of the
+    first node gives runs, only units with a zero row do, one unit with a
+    nonzero row does, or several do (the fallback), and a cut that starts
+    inside such a level."""
     tori = [(X, md) for X, md, _, _ in _bounds_tori()]
     F13 = PrimeField(13)
     tori += [(X, md) for X in (standard_curve(3, F13),
@@ -598,8 +598,11 @@ def test_two_node_solve_matches_the_descent():
 def test_cut_level_places_no_unit_outside_its_range():
     """A level at depth v-1 that a cut splits, one row below the rank
     bound, places the root of its column triples only when that unit's
-    fiber meets the range. Here the cut ends in the last block of
-    p-1 classes and the root lies past it; placed, its fiber would be an
+    fiber meets the range, and, where every triple is identically zero,
+    only its units inside the range. On the first curve the cut ends in
+    the last block of p-1 classes and the root lies past it; on the
+    standard curve the cut starts at the second unit and the zero-row
+    unit, the first, gives a run. Placed, either unit's fiber would be an
     empty or reversed run."""
     ctx = PrimeField(5)
     rng = Rng(30)
@@ -608,11 +611,12 @@ def test_cut_level_places_no_unit_outside_its_range():
     X = BinaryCurve(ctx, list(zip(rng.distinct(pool, 5),
                                   rng.distinct(pool, 5))))
     total = 4 ** 4
-    for k in range(5):
-        for sure_hit in (False, True):
-            for lo, hi in ((0, total - 4), (5, total)):
-                assert list(_torus_runs(X, (2, 2), lo, hi, k, sure_hit)) == \
-                    list(_descent_runs(X, (2, 2), lo, hi, k, sure_hit, set()))
+    for X, cut in ((X, (0, total - 4)), (X, (5, total)),
+                   (standard_curve(4, ctx), (4, total))):
+        for k in range(5):
+            for sure_hit in (False, True):
+                assert list(_torus_runs(X, (2, 2), *cut, k, sure_hit)) == \
+                    list(_descent_runs(X, (2, 2), *cut, k, sure_hit, set()))
 
 
 def test_rank_floor_of_n_needs_no_gluing_profile(monkeypatch):

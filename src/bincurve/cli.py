@@ -52,11 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--curve", help="curve JSON file")
-        p.add_argument("--random-genus", type=int, metavar="G",
-                       help="seeded random curve instead of a file")
-        p.add_argument("--p", type=int, help="prime field F_p")
-        p.add_argument("--field", choices=["Q"], help="rationals")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--curve", help="curve JSON file")
+        source.add_argument("--random-genus", type=int, metavar="G",
+                            help="seeded random curve instead of a file")
+        field = p.add_mutually_exclusive_group()
+        field.add_argument("--p", type=int, help="prime field F_p")
+        field.add_argument("--field", choices=["Q"], help="rationals")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write JSON report here, not stdout")
 

@@ -17,12 +17,12 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .bundles import EffectiveDivisor, LineBundle
 from .curve import BinaryCurve, ProjPoint
 from .fields import FieldCtx
-from .linalg import kernel_basis, rank_rows
+from .linalg import kernel_basis, primitive_row, rank_rows
 
 # over Q, base_locus trial-divides the end coefficients a0, an of a gcd and
 # tests every ±(divisor of a0)/(divisor of an); it raises ValueError when
@@ -190,16 +190,18 @@ def neutral_pair(M: LineBundle, p, q) -> bool:
     """Do p and q impose the same vanishing conditions on H0(M)?
 
     p, q are (component, point) on the smooth locus. True iff
-    h0(M-p) = h0(M-q) = h0(M-p-q). Coinciding points are rejected: the
-    notion is only used for genuinely distinct regluing branch data.
+    h0(M-p) = h0(M-q) = h0(M-p-q). One matrix holds the gluing rows and the
+    vanishing rows of p and q; the three ranks come from its slices.
+    Coinciding points are rejected: the notion is only used for genuinely
+    distinct regluing branch data.
     """
     if p == q:
         raise ValueError("neutral pair needs distinct points")
-    X = M.curve
-    hp = h0_vanishing(M, point_divisor(X, [p]))
-    hq = h0_vanishing(M, point_divisor(X, [q]))
-    hpq = h0_vanishing(M, point_divisor(X, [p, q]))
-    return hp == hq == hpq
+    rows, _, _ = _section_matrix(M, point_divisor(M.curve, [p, q]))
+    *glue, row_p, row_q = rows
+    ctx = M.ctx
+    return (rank_rows(ctx, [*glue, row_p]) == rank_rows(ctx, [*glue, row_q])
+            == rank_rows(ctx, rows))
 
 
 @dataclass(frozen=True)
@@ -312,11 +314,9 @@ def _rational_candidates(g):
     up to sqrt|a0| and sqrt|an|, and each candidate costs an evaluation of
     every section, so past either bound it raises.
     """
-    m = lcm(*(c.denominator for c in g))
-    ints = [int(c * m) for c in g]
-    content = gcd(*ints)
+    ints = primitive_row(g)
     k = next(i for i, x in enumerate(ints) if x)
-    a0, an = abs(ints[k]) // content, abs(ints[-1]) // content
+    a0, an = abs(ints[k]), abs(ints[-1])
     if max(a0, an) > RATIONAL_ROOT_BOUND:
         raise ValueError(
             f"base locus over Q: coefficient {max(a0, an)} exceeds the "

@@ -230,6 +230,31 @@ def test_usage_and_input_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--random-genus", "3", "--field", "Q", "--p", "7"],
+     "argument --p: not allowed with argument --field"),
+    (["--random-genus", "3", "--p", "7", "--field", "Q"],
+     "argument --field: not allowed with argument --p"),
+    (["--curve", "{c11}", "--random-genus", "4", "--p", "7"],
+     "argument --random-genus: not allowed with argument --curve"),
+    (["--random-genus", "4", "--curve", "{c11}"],
+     "argument --curve: not allowed with argument --random-genus"),
+], ids=["field-then-p", "p-then-field", "curve-then-random",
+        "random-then-curve"])
+def test_conflicting_curve_and_field_flags_exit_2(tmp_path, capsys, flags,
+                                                  message):
+    # the synopsis is [--curve FILE | --random-genus G] [--p P | --field Q]
+    c11 = tmp_path / "c11.json"
+    c11.write_text(json.dumps(standard_curve(3, PrimeField(11)).to_json()))
+    argv = [f.format(c11=c11) for f in flags]
+    for command in (["h0", "--md", "1,1"], ["strata", "--d", "2"],
+                    ["bn", "--md", "1,1", "--r", "0", "--no-cache"]):
+        assert main(command[:1] + argv + command[1:]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert message in out.err and out.err.isascii()
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"field": {"type": "Fp", "p": 7}, "nodes": [[["0"]]]}, "each node"),
     ({"field": {"type": "Fp", "p": 7}, "nodes": 5}, "curve JSON"),

@@ -1,6 +1,7 @@
 import gc
 import json
 import pickle
+import re
 import weakref
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bincurve.brill_noether import torus_h0
 from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               tensor, trivial)
@@ -19,7 +21,8 @@ from bincurve.cohomology import (RATIONAL_ROOT_BOUND, ROOT_CANDIDATE_BOUND,
 from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
-from bincurve.rng import Rng
+from bincurve.picard import balanced_set
+from bincurve.rng import DEFAULT_SEED, Rng
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -420,6 +423,92 @@ def test_neutral_pair_matches_descent_existence():
         assert neutral_pair(M, (1, p), (2, q)) == res.exists
         checked += 1
     assert checked > 0
+
+
+def _neutral_by_definition(M, p, q):
+    X = M.curve
+    return (h0_vanishing(M, point_divisor(X, [p]))
+            == h0_vanishing(M, point_divisor(X, [q]))
+            == h0_vanishing(M, point_divisor(X, [p, q])))
+
+
+def _lemma_e_grid():
+    """(M, pair) on verify lemma-e's default grid: genus 3 at p = 5, 7, one
+    node separated, every class of degree 1 and 2 with h0 >= 1."""
+    rng = Rng(DEFAULT_SEED)
+    for p in (5, 7):
+        ctx = PrimeField(p)
+        X = (random_curve(3, ctx, rng.spawn()) if p >= 6
+             else standard_curve(3, ctx))
+        Y, removed = normalize_at(X, [3])
+        for d in (1, 2):
+            for md in balanced_set(d, 2):
+                if min(md) < -1:
+                    continue
+                for c, _ in torus_h0(Y, md, at_least=1):
+                    yield LineBundle(Y, md, c), removed[0]
+
+
+def test_neutral_pair_is_its_definition_on_the_lemma_e_grid():
+    checked = found = 0
+    for M, (p, q) in _lemma_e_grid():
+        other = next(pt for pt in M.curve.smooth_points(1) if pt != p)
+        for a, b in (((1, p), (2, q)), ((1, p), (1, other))):
+            want = _neutral_by_definition(M, a, b)
+            assert neutral_pair(M, a, b) == want
+            found += want
+            checked += 1
+    assert checked > 100 and 0 < found < checked
+
+
+def _q_points(X, comp, k):
+    branch = set(X.branch_points(comp))
+    return [pt for pt in (ProjPoint.finite(X.ctx, Fraction(n, 2))
+                          for n in range(-k - 8, 0)) if pt not in branch][:k]
+
+
+def test_neutral_pair_is_its_definition_on_divisor_bundles():
+    """Random divisor bundles over F_11 and Q, and over Q a pair of base
+    points: D of degree 2 on a genus-4 curve has h0(O(D)) = 1, so its
+    single section vanishes on D."""
+    Qf = Rationals()
+    base_pairs = 0
+    for seed in range(4):
+        for ctx in (F11, Qf):
+            rng = Rng(100 + seed)
+            X = random_curve(4, ctx, rng.spawn())
+            pts = {comp: (X.smooth_points(comp) if ctx is F11
+                          else _q_points(X, comp, 6)) for comp in (1, 2)}
+            d1 = 1 + seed % 3
+            D = EffectiveDivisor(X, [(1, pt, 1) for pt in pts[1][:d1]]
+                                 + [(2, pts[2][0], 1)])
+            M = from_divisor(X, D)
+            cand = [(1, pts[1][0]), (1, pts[1][-1]), (2, pts[2][0]),
+                    (2, pts[2][-1])]
+            for i, a in enumerate(cand):
+                for b in cand[i + 1:]:
+                    assert neutral_pair(M, a, b) == _neutral_by_definition(
+                        M, a, b)
+            if d1 == 1 and ctx is Qf:
+                assert h0(M) == 1
+                a, b = (1, pts[1][0]), (2, pts[2][0])
+                assert h0_vanishing(M, point_divisor(X, [a, b])) == 1
+                assert neutral_pair(M, a, b)
+                base_pairs += 1
+    assert base_pairs > 0
+
+
+def test_neutral_pair_errors_are_unchanged():
+    X = random_curve(3, F7, Rng(22))
+    M = random_bundle(X, (2, 2), Rng(23))
+    p = (1, X.smooth_points(1)[0])
+    with pytest.raises(ValueError, match="neutral pair needs distinct points"):
+        neutral_pair(M, p, p)
+    node = X.nodes[0][0]
+    message = re.escape(f"divisor point {node!r} sits on a node")
+    for a, b in ((p, (1, node)), ((1, node), p)):
+        with pytest.raises(ValueError, match=message):
+            neutral_pair(M, a, b)
 
 
 def test_descend_rejects_branch_collisions():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincurve.fields import PrimeField, Rationals
-from bincurve.linalg import _echelon, _inverse, kernel_basis, rank_rows
+from bincurve.linalg import _echelon, kernel_basis, rank_rows
 
 F7 = PrimeField(7)
 Q = Rationals()
@@ -144,13 +144,11 @@ def test_rank_over_q_equals_largest_nonzero_minor_exactly(mat):
     assert rank_rows(Q, rows) == r
     ech = [list(row) for row in rows]
     assert _echelon(ech, ncols, 0) == r
-    # plain int input stays exact: no entry turns into a float, every
-    # pivot is inverted as a Fraction, every kernel entry is a Fraction
-    assert all(type(x) in (int, Fraction) for row in ech for x in row)
-    for row in ech[:r]:
-        pivot = next(x for x in row if x)
-        assert type(_inverse(pivot, 0)) is Fraction
-        assert _inverse(pivot, 0) * pivot == 1
+    # elimination stays exact: no entry turns into a float, every echelon
+    # entry is an int, every kernel entry is a Fraction
+    assert all(type(x) is int for row in ech for x in row)
+    assert all(any(row) for row in ech[:r])
+    assert not any(any(row) for row in ech[r:])
     basis = kernel_basis(Q, rows, ncols)
     assert len(basis) == ncols - r
     assert all(type(x) is Fraction for v in basis for x in v)
@@ -174,3 +172,91 @@ def test_kernel_basis_is_canonical_under_row_permutation_and_duplication(
         doubled = shuffled + extra
         rnd.shuffle(doubled)
         assert kernel_basis(ctx, doubled, ncols) == want
+
+
+# --- big-number Q inputs against the Fraction elimination -------------------
+
+def _fraction_echelon(rows, ncols):
+    """Oracle: Gaussian elimination on Fractions, one pivot inverse a step."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n, r = len(rows), 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = 1 / prow[col]
+        for ri in rows[r + 1:]:
+            f = ri[col] * inv
+            if f:
+                for j in range(col, ncols):
+                    ri[j] -= f * prow[j]
+        r += 1
+    return rows[:r]
+
+
+def _fraction_kernel(rows, ncols):
+    """Oracle: canonical kernel basis by back-substitution on Fractions."""
+    ech = _fraction_echelon(rows, ncols)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in reversed(list(zip(ech, pivots))):
+            acc = sum(row[j] * v[j] for j in range(pc + 1, ncols))
+            v[pc] = -acc / row[pc]
+        basis.append(v)
+    return basis
+
+
+big_q_entry = st.one_of(
+    st.just(0),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 12)))
+
+
+@st.composite
+def _dependent_q_matrices(draw):
+    """1-6 rows of 1-8 big entries; a later row may be a multiple of an
+    earlier one or the sum of two, so that rank deficits are common."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "multiple", "sum"])
+                    if rows else st.just("new"))
+        if kind == "new":
+            rows.append(draw(st.lists(big_q_entry, min_size=ncols,
+                                      max_size=ncols)))
+        elif kind == "multiple":
+            a = draw(st.sampled_from(rows))
+            m = draw(big_q_entry)
+            rows.append([m * x for x in a])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dependent_q_matrices())
+def test_big_q_elimination_matches_the_fraction_oracle(mat):
+    rows, ncols = mat
+    want = _fraction_echelon(rows, ncols)
+    r = len(want)
+    assert rank_rows(Q, rows) == r
+    # the echelon contract: pivot rows first, leading columns increasing,
+    # then zero rows; entries stay exact
+    ech = [list(row) for row in rows]
+    assert _echelon(ech, ncols, 0) == r
+    assert all(type(x) in (int, Fraction) for row in ech for x in row)
+    leads = [next(j for j, x in enumerate(row) if x) for row in ech[:r]]
+    assert leads == sorted(set(leads))
+    assert leads == [next(j for j, x in enumerate(row) if x) for row in want]
+    assert not any(any(row) for row in ech[r:])
+    # the canonical kernel basis is unique, so it matches exactly
+    basis = kernel_basis(Q, rows, ncols)
+    assert basis == _fraction_kernel(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)

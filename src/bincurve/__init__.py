@@ -23,12 +23,11 @@ _EXPORTS = {
     "picard": "Ell0 Stratum balanced_set bounds closure_leq "
               "enumerate_strata h0_bar is_balanced normalized_strata "
               "picard_type strata_to_json strict_set",
-    "brill_noether": "BNQuery BNReport abel_sample assemble_Wbar "
-                     "bn_enumerate clifford_equality_classes "
-                     "clifford_index estimate_dim growth_estimate "
-                     "martens_bound merge_reports predicted_empty "
-                     "reduce_curve_mod rho split_ranges "
-                     "verify_canonical_very_ample",
+    "brill_noether": "BNQuery BNReport assemble_Wbar bn_enumerate "
+                     "clifford_equality_classes clifford_index "
+                     "estimate_dim growth_estimate martens_bound "
+                     "merge_reports predicted_empty reduce_curve_mod rho "
+                     "split_ranges verify_canonical_very_ample",
     "suites": "SUITES SuiteResult",
 }
 # name -> owning module; each module is itself exported under its name

@@ -43,10 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
-from .bundles import (EffectiveDivisor, bundle_count,
-                      canonical_bundle, from_divisor, gluing_at,
-                      hyperelliptic_class, power, restrict_to_normalization,
-                      trivial)
+from .bundles import (EffectiveDivisor, bundle_count, canonical_bundle,
+                      gluing_at, hyperelliptic_class, power,
+                      restrict_to_normalization, trivial)
 from .curve import BinaryCurve, is_hyperelliptic_fast
 from .fields import PrimeField, field_to_json
 from .picard import balanced_set, is_balanced, normalized_strata
@@ -632,55 +631,6 @@ def martens_bound(g: int, d: int, r: int, hyperelliptic: bool) -> DimPrediction:
     if d == 2 * r:
         return DimPrediction("empty")
     return DimPrediction("le", d - 2 * r - 1)
-
-
-@dataclass
-class AbelStats:
-    md: tuple
-    p: int
-    trials: int
-    pencil_free: int   # samples with h0 exactly 1
-    histogram: dict    # h0 value -> frequency
-
-    @property
-    def fraction(self) -> float:
-        return self.pencil_free / self.trials if self.trials else 0.0
-
-    def to_json(self):
-        return {"md": list(self.md), "p": self.p, "trials": self.trials,
-                "h0_eq_1": self.pencil_free,
-                "fraction": self.fraction,
-                "histogram": {str(k): v for k, v in
-                              sorted(self.histogram.items())}}
-
-
-def abel_sample(X: BinaryCurve, md, rng: Rng, trials: int) -> AbelStats:
-    """Sample effective divisors of the given multidegree; tally h0 = 1.
-
-    For 1 <= d <= g the generic class in the image of the Abel map has no
-    extra sections, so the fraction should be near 1.
-    """
-    d = md[0] + md[1]
-    if not (1 <= d <= X.genus):
-        raise ValueError("need 1 <= d <= g")
-    if md[0] < 0 or md[1] < 0:
-        raise ValueError("multidegree must be effective")
-    pools = {1: X.smooth_points(1), 2: X.smooth_points(2)}
-    for comp in (1, 2):
-        if md[comp - 1] and not pools[comp]:
-            raise ValueError(f"component {comp} has no F_{X.ctx.p}-rational "
-                             "smooth point")
-    hist = {}
-    ones = 0
-    for _ in range(trials):
-        D = cohomology.point_divisor(X, [(comp, rng.choice(pools[comp]))
-                                         for comp in (1, 2)
-                                         for _ in range(md[comp - 1])])
-        n = cohomology.h0(from_divisor(X, D))
-        hist[n] = hist.get(n, 0) + 1
-        if n == 1:
-            ones += 1
-    return AbelStats(tuple(md), X.ctx.p, trials, ones, hist)
 
 
 def assemble_Wbar(X: BinaryCurve, d: int, r: int) -> dict:

@@ -94,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--audit", action="store_true",
                    help="recompute on cache hit and compare")
-
-    p = sub.add_parser("abel", help="sample degree-d point classes")
-    add_common(p)
-    p.add_argument("--md", type=_parse_md, required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=200)
     return ap
 
 
@@ -299,19 +294,8 @@ def cmd_bn(args) -> int:
     return 0
 
 
-def cmd_abel(args) -> int:
-    from .brill_noether import abel_sample
-    X = _load_curve(args)
-    stats = abel_sample(X, args.md, Rng(args.seed), args.trials)
-    cfg = {**_curve_config(args, X), "md": list(args.md),
-           "trials": args.trials, "seed": args.seed}
-    _emit(envelope("abel", "point-class sampling", cfg, stats.to_json()),
-          args.out)
-    return 0
-
-
 COMMANDS = {"h0": cmd_h0, "strata": cmd_strata, "verify": cmd_verify,
-            "clifford": cmd_clifford, "bn": cmd_bn, "abel": cmd_abel}
+            "clifford": cmd_clifford, "bn": cmd_bn}
 
 
 def main(argv=None) -> int:

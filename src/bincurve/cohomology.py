@@ -17,7 +17,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import factorial
+from math import factorial, perm
 
 from .bundles import EffectiveDivisor, LineBundle
 from .curve import BinaryCurve, ProjPoint
@@ -66,10 +66,8 @@ def derivative_row(ctx: FieldCtx, d: int, pt: ProjPoint, order: int):
         if e < order:
             row.append(ctx.zero)
             continue
-        ff = 1
-        for u in range(order):
-            ff *= e - u
-        row.append(ctx.mul(ctx.from_int(ff), ctx.pow(pt.a, e - order)))
+        row.append(ctx.mul(ctx.from_int(perm(e, order)),
+                           ctx.pow(pt.a, e - order)))
     return row
 
 

@@ -216,10 +216,6 @@ class MoebiusMap:
                           ctx.add(ctx.mul(c, e), ctx.mul(d, g)),
                           ctx.add(ctx.mul(c, f), ctx.mul(d, h)))
 
-    def is_identity(self) -> bool:
-        ctx = self.ctx
-        return self.m == (ctx.one, ctx.zero, ctx.zero, ctx.one)
-
     def __eq__(self, other):
         return isinstance(other, MoebiusMap) and self.ctx == other.ctx and self.m == other.m
 

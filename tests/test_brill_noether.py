@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bincurve.brill_noether import (BNQuery, DimEstimate, DimPrediction,
-                                    _torus_runs, abel_sample, assemble_Wbar,
+                                    _torus_runs, assemble_Wbar,
                                     bn_enumerate, clifford_equality_classes,
                                     clifford_index, estimate_dim,
                                     growth_estimate, martens_bound,
@@ -994,24 +994,6 @@ def test_estimate_dim_counts_equal_direct_fp_scans(model, r):
                           if h0(L) >= r + 1))
     est = estimate_dim(XQ, BNQuery(md, r), (13, 11))
     assert est.primes == (11, 13) and est.counts == tuple(counts)
-
-
-def test_abel_degree_one_never_moves():
-    X = random_curve(2, F7, Rng(20))
-    for md in ((1, 0), (0, 1)):
-        stats = abel_sample(X, md, Rng(21), 60)
-        assert stats.pencil_free == stats.trials
-        assert stats.fraction == 1.0
-        assert stats.histogram == {1: 60}
-    with pytest.raises(ValueError):
-        abel_sample(X, (2, 1), Rng(1), 5)   # d must stay <= g
-
-
-def test_abel_degree_two_on_hyperelliptic_sees_the_pencil():
-    X = random_hyperelliptic_curve(3, F11, Rng(22))
-    stats = abel_sample(X, (1, 1), Rng(23), 80)
-    assert set(stats.histogram) <= {1, 2}
-    assert stats.histogram.get(2, 0) >= 1   # conjugate pairs do land
 
 
 def test_assemble_wbar_window_and_ell0():

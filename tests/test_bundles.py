@@ -13,8 +13,9 @@ from bincurve.bundles import (EffectiveDivisor, LineBundle, apply_moebius,
                               from_divisor, hyperelliptic_class, power,
                               restrict_to_normalization, tensor, trivial)
 from bincurve.brill_noether import torus_h0
-from bincurve.cohomology import h0, h0_vanishing
-from bincurve.curve import (BinaryCurve, ProjPoint, random_curve,
+from bincurve.cohomology import h0, h0_vanishing, point_divisor
+from bincurve.curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
+                            random_curve, random_hyperelliptic_curve,
                             random_moebius, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.rng import Rng
@@ -242,6 +243,30 @@ def test_hyperelliptic_class_squares_to_canonical_when_g3():
     H = hyperelliptic_class(X)
     w = canonical_bundle(X)
     assert power(H, 2) == w
+
+
+def test_one_point_never_moves():
+    # g >= 1: no smooth point is linearly equivalent to another, so each
+    # degree-1 point class has exactly one section, on either component
+    X = random_curve(2, F7, Rng(20))
+    pts = [(comp, pt) for comp in (1, 2) for pt in X.smooth_points(comp)]
+    assert len(pts) == 10
+    for comp, pt in pts:
+        assert h0(from_divisor(X, point_divisor(X, [(comp, pt)]))) == 1
+
+
+def test_conjugate_pairs_give_the_hyperelliptic_class():
+    # the double cover pairs pt on C1 with psi(pt) on C2, so every such
+    # pair is a divisor of the g^1_2
+    X = random_hyperelliptic_curve(3, F11, Rng(22))
+    flag, psi = is_hyperelliptic_fast(X)
+    assert flag
+    H = hyperelliptic_class(X)
+    pts = X.smooth_points(1)
+    assert len(pts) == 8
+    for pt in pts:
+        D = point_divisor(X, [(1, pt), (2, psi.apply(pt))])
+        assert from_divisor(X, D) == H
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from bincurve.cache import JsonlCache, bn_key
-from bincurve.cli import _load_curve, build_parser, main
+from bincurve.cli import COMMANDS, _load_curve, build_parser, main
 from bincurve.curve import standard_curve
 from bincurve.fields import PrimeField
+from bincurve.suites import SUITES
 
 
 @pytest.fixture(autouse=True)
@@ -163,23 +165,23 @@ def test_bn_sharded_equals_serial(capsys):
     assert rep1 == rep8
 
 
-def test_abel_command(capsys):
-    code, rep, _ = run(capsys, "abel", "--random-genus", "2", "--p", "7",
-                       "--md", "1,0", "--trials", "25")
-    assert code == 0
-    assert rep["report"]["trials"] == 25
-    assert rep["report"]["fraction"] == 1.0
-
-
-def test_abel_when_branch_points_fill_the_line(tmp_path, capsys):
-    # g = p = 5: every point of P^1(F_5) is a node, so there is no smooth
-    # point to sample a divisor from
-    cf = tmp_path / "c.json"
-    cf.write_text(json.dumps(standard_curve(5, PrimeField(5)).to_json()))
-    assert main(["abel", "--curve", str(cf), "--md", "1,1"]) == 2
+def test_abel_is_not_a_command(capsys):
+    assert main(["abel", "--random-genus", "3", "--p", "7",
+                 "--md", "1,1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
-    assert "component 1 has no F_5-rational smooth point" in out.err
+    assert "invalid choice" in out.err
+
+
+def test_readme_names_every_command_and_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    sentence = re.search(r"^Commands: (.*?)\.\s", readme,
+                         re.MULTILINE | re.DOTALL).group(1)
+    commands, suites = re.split(r"\swith\s+suites\s", sentence)
+    assert {name.split()[0] for name in re.findall(r"`([^`]+)`", commands)} \
+        == set(COMMANDS)
+    assert re.findall(r"`([^`]+)`", suites) == list(SUITES)
 
 
 def test_negative_md_needs_the_equals_form(capsys):
@@ -447,10 +449,6 @@ def test_bn_rejects_out_of_range_counts(capsys, flag, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ("abel", "--random-genus", "3", "--p", "7", "--md", "1,1",
-     "--trials", "-5"),
-    ("abel", "--random-genus", "3", "--p", "7", "--md", "1,1",
-     "--trials", "0"),
     ("verify", "bn", "--n", "0"),
     ("verify", "hyperelliptic", "--n", "-3"),
     ("verify", "very-ample", "--trials", "-1"),

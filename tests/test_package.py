@@ -28,7 +28,7 @@ EXPORTS = {
                "enumerate_strata", "h0_bar", "is_balanced",
                "normalized_strata", "picard_type", "strata_to_json",
                "strict_set"],
-    "brill_noether": ["BNQuery", "BNReport", "abel_sample", "assemble_Wbar",
+    "brill_noether": ["BNQuery", "BNReport", "assemble_Wbar",
                       "bn_enumerate", "clifford_equality_classes",
                       "clifford_index", "estimate_dim", "growth_estimate",
                       "martens_bound", "merge_reports", "predicted_empty",
@@ -40,7 +40,7 @@ NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 80  # 71 re-exports and 9 modules
+    assert len(NAMES) == 79  # 70 re-exports and 9 modules
     assert sorted(bincurve.__all__) == NAMES
 
 

@@ -1,36 +1,11 @@
 """Special-divisor loci over prime fields: exhaustive scans and verdicts.
 
 W^r for a fixed multidegree is the set of gluing classes with h0 >= r+1.
-Every exhaustive scan of the (p-1)^g torus is one walk with two front ends:
-`torus_h0` yields each qualifying class with its exact h0, and
-`bn_enumerate` counts them and keeps the first witnesses. Before walking,
-the rank floor of the gluing matrix (its two Vandermonde blocks) empties a
-torus whose every class has too few sections, and gives h0 in closed form
-on every class when one block is empty or the floor is the number of
-rows. Otherwise the walk recurses down the tree of gluing digits. Each
-level keeps its rank and the residual halves of every node still to
-place, so placing a node costs one row, read off its residual pair, and
-one reduction of the pairs left against that row's pivot; a run of p-1
-classes differing only in the last free gluing coordinate is then solved
-in closed form from the last pair. The last two free nodes are solved
-together: node v's row lies in the span of node v-1's row r1 iff their
-2x2 minors on one fixed column i vanish, and those minors, built once
-per prefix, give each unit of node v-1 one jump solve instead of a
-placed level (except the one unit where r1_i = 0 but r1 != 0). The full
-wedge over all column pairs made wide multidegrees slower. A prefix
-whose rows already exceed the rank bound is skipped with its whole
-subtree, and, for counting, a prefix whose remaining rows cannot push
-the rank past the bound is counted whole. Within one row of the bound
-the walk applies the determinantal description of W^r to every row
-still to come. A prefix whose rank equals the bound is closed without
-descending: every row still to come must vanish, so each remaining node
-admits all units, one or none, and the qualifying classes are the
-product of those sets. One row below it the rows still to come span at
-most a line, so a unit c of the next node qualifies only where its row
-r is zero or every later row lies in span(r); either way every 3x3
-minor det(r, al, bl) with a later pair (al, bl) vanishes. Each is linear
-in c, and the first one that is not identically zero leaves at most one
-unit to descend into instead of p-1.
+Every exhaustive scan of the (p-1)^g torus is one walk, `_torus_runs`,
+with two front ends: `torus_h0` yields each qualifying class with its
+exact h0, and `bn_enumerate` counts them and keeps the first witnesses.
+The walk's rules (rank floor, pruning bounds and closed forms) are stated
+once, in walk order, in the docstring of `_torus_runs`.
 Dimension statements are tested by comparing point counts at two primes:
 a D-dimensional locus has Theta(p^D) points, so the growth exponent
 log(N2/N1)/log(p2/p1) rounds to D with a modest residual.
@@ -114,79 +89,90 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     Row j of the gluing matrix is a_j - c_j·b_j, with a_j = [E1(p_j) | 0]
     and b_j = [0 | E2(q_j)], and h0 is its nullity. Class indices are
     base-(p-1) digits c_0 - 1 .. c_{n-2} - 1, first node slowest, node n-1
-    pinned to c = 1. Each level of the recursion holds its rank and the
-    pairs (a_j, b_j) of the nodes not yet placed, reduced against its
-    pivots. Placing a node at unit c forms its row from the first pair,
-    already reduced, and reduces the other pairs against the one new pivot
-    (if the row is nonzero); the pinned node is placed first. Below a
-    prefix of nodes 0 .. v-1 (v = n-2) the one pair left is node v's
-    (ra, rb), and by linearity the fiber of its p-1 classes has h0(c) =
-    ncols - rank - [ra != c·rb]: constant when rb = 0, else one higher at
-    the single c with ra = c·rb (`zeroing` finds it, `fiber` reads the run
-    off it).
+    pinned to c = 1; node v = n-2 is the fastest free node. With
+    max_rank = ncols - at_least, a class qualifies iff its rank is at most
+    max_rank. The walk, in order:
 
-    The level at depth v-1 holds two pairs, (a1, b1) of node v-1 and
-    (a2, b2) of node v, and solves its (p-1)^2 classes without placing
-    node v-1. At unit c its row is r1 = a1 - c·b1. Where r1 = 0 (the units
-    zeroing(a1, b1): none, one or all) the rank stays and node v jumps at
-    zeroing(a2, b2). Elsewhere the rank grows by one, and node v's row
-    a2 - c'·b2 reduces to zero iff it lies in span(r1), that is iff its
-    2x2 minors with r1 on the columns (i, j) vanish, with i the first
-    column where a1 or b1 is nonzero. The minor at j is A_j - c·B_j -
-    c'·(C_j - c·D_j), so node v jumps at zeroing(A - c·B, C - c·D); A, B,
-    C and D are built once per prefix, over the columns where one of the
-    four vectors is nonzero. At the one unit with r1_i = 0 but r1 != 0,
-    column i cannot serve, and node v-1 is placed by one row and one
-    reduction instead. Minors against one fixed column keep the solve
+    Rank floor. `rank_floor` empties the torus when the floor passes
+    max_rank, or, when the floor is exact, gives its one run in closed
+    form. Otherwise both blocks are nonempty and n >= 2.
+
+    Levels. A level holds its rank and the pairs (a_j, b_j) of the nodes
+    not yet placed, reduced against its pivots. Placing a node at unit c
+    (`extend`) forms its row r = a - c·b from the first pair, already
+    reduced, and reduces the other pairs against the one new pivot (if
+    r != 0). The pinned node is placed first; the level it leaves is the
+    root, at depth 0, and `fibers` takes every level from there on.
+
+    Prune. Rank only grows, so a level whose rank exceeds max_rank is
+    skipped with its subtree.
+
+    Sure hit. A level at depth k has v - k + 1 rows to come, each adding
+    at most 1, so when its rank plus those is at most max_rank every
+    class below qualifies; for counting (sure_hit) the subtree is one run.
+
+    Leaf. At depth v the one pair left is node v's (ra, rb), and by
+    linearity the fiber of its p-1 classes has h0(c) = ncols - rank -
+    [ra != c·rb]: constant when rb = 0, else one higher at the single c
+    with ra = c·rb (`zeroing` finds it, `fiber` reads the run off it).
+
+    Above the leaf, at depth k <= v-1, the slack max_rank - rank closes or
+    thins a level of slack 0 or 1: a class below qualifies iff the rows
+    of nodes k .. v, reduced, add at most the slack to the rank.
+
+    Tight close (slack 0). Every row to come must vanish, so node j admits
+    every unit (ra_j = rb_j = 0), the one unit c with ra_j = c·rb_j, or
+    none, and the qualifying classes (h0 = at_least) are the product of
+    those sets, one run per prefix over nodes k .. v-1. A level is closed
+    only when its subtree lies inside [lo, hi).
+
+    Thinning (slack 1, `close`). The rows of nodes k .. v span at most a
+    line. A unit c of node k, whose row is r = a - c·b, qualifies only
+    where r is zero (the level below keeps slack 1) or where every later
+    row lies in span(r) (the level below is tight). Either way r, al and
+    bl are linearly dependent for every later pair (al, bl): where r != 0
+    the later row al - c'·bl = lambda·r for some unit c', so r lies in
+    span(al, bl) or al = c'·bl. So every 3x3 minor det(r, al, bl)
+    vanishes. On the columns (i, y, z), with i the first column where a
+    or b is nonzero (`lead`), it is alpha - c·beta, alpha = det(a, al, bl)
+    and beta = det(b, al, bl) there, and the first such triple (later
+    pairs in order) whose (alpha, beta) is not (0, 0) leaves one candidate
+    unit, alpha/beta, or none (alpha or beta zero). `close` keeps only
+    that unit: a qualifying unit, one with r = 0 or r_i = 0 included, is
+    always that root. Triples through column i are enough: where r_i != 0
+    they all vanish iff r, al and bl are dependent (reduce al and bl by r
+    to clear column i), and the 2x2 minors of the two-node solve factor
+    the same way, the minor of (A - c·B, C - c·D) on the columns (j, k)
+    being r_i · det(r, al, bl) on (i, j, k) (expand along the first row).
+    When every such triple is identically zero (r stays in span(al, bl),
+    or every later pair is dependent) every unit is kept. The pairs left
+    are zero on the rank pivot columns, so they live on ncols - rank =
+    at_least + 1 columns, and with at_least <= 1 there is no triple to
+    try. At slack 2 or more every unit can give a run, and torus_h0 needs
+    its exact h0, so nothing is thinned there.
+
+    Two nodes (depth v-1). The level holds (a1, b1) of node v-1 and
+    (a2, b2) of node v, and i is the first column where a1 or b1 is
+    nonzero (0 when both are zero). At a unit c with r1_i != 0, node
+    v-1's row r1 = a1 - c·b1 is nonzero, so the rank grows by one, and
+    node v's row a2 - c'·b2 reduces to zero iff it lies in span(r1), that
+    is iff its 2x2 minors with r1 on the columns (i, j) vanish. The minor
+    at j is A_j - c·B_j - c'·(C_j - c·D_j), so node v jumps at
+    zeroing(A - c·B, C - c·D), and the fiber is read off without placing
+    node v-1; A, B, C and D are built once per prefix, over the columns
+    where one of the four vectors is nonzero. A unit whose row puts the
+    rank past max_rank reads no class off its fiber. r1 = 0 only where
+    r1_i = 0, which is one unit when b1_i != 0, none when b1_i = 0, and
+    every unit when a1 = b1 = 0; a unit with r1_i = 0 descends to the
+    leaf like any other unit. Minors against one fixed column keep the solve
     linear in the columns; the full wedge r1 ^ (a2 - c'·b2) has m(m-1)/2
     entries on m columns and made scans of wide multidegrees slower.
 
-    Two bounds prune the tree, and the slack max_rank - rank, with
-    max_rank = ncols - at_least, closes or thins it. Rank only grows, so
-    a prefix whose rank exceeds max_rank is skipped with its subtree. A
-    level at depth k has v - k + 1 rows to come, each adding at most 1, so
-    when its rank plus those is at most max_rank every class below
-    qualifies: a sure-hit subtree. Below a level at depth k <= v-1 of
-    slack 0 or 1, a class qualifies iff the rows of nodes k .. v, reduced,
-    add at most the slack to the rank.
-
-    At slack 0 (tight) every row to come must vanish, so node j admits
-    every unit (ra_j = rb_j = 0), the one unit c with ra_j = c·rb_j, or
-    none, and the qualifying classes (h0 = at_least) are the product of
-    those sets, one run per prefix over nodes k .. v-1.
-
-    At slack 1 the rows of nodes k .. v span at most a line. A unit c of
-    node k, whose row is r = a - c·b, qualifies only where r is zero (the
-    level below keeps slack 1) or where every later row lies in span(r)
-    (the level below is tight). Either way r, al and bl are linearly
-    dependent for every later pair (al, bl): where r != 0 the later row
-    al - c'·bl = lambda·r for some unit c', so r lies in span(al, bl) or
-    al = c'·bl. So every 3x3 minor det(r, al, bl) vanishes. On the columns
-    (i, y, z), with i the first column where a or b is nonzero, it is
-    alpha - c·beta, alpha = det(a, al, bl) and beta = det(b, al, bl)
-    there, and the first such triple (later pairs in order) whose
-    (alpha, beta) is not (0, 0) leaves one candidate unit, alpha/beta, or
-    none (alpha or beta zero). `close` keeps only that unit: a qualifying
-    unit, one with r = 0 or r_i = 0 included, is always that root.
-    Triples through column i are enough: where r_i != 0 they all vanish
-    iff r, al and bl are dependent (reduce al and bl by r to clear column
-    i), and the minors above factor the same way, the minor of
-    (A - c·B, C - c·D) on the columns (j, k) being r_i · det(r, al, bl)
-    on (i, j, k) (expand along the first row). When every such triple is
-    identically zero (r stays in span(al, bl), or every later pair is
-    dependent) every unit is kept. The pairs left are zero on the rank
-    pivot columns, so they live on ncols - rank = at_least + 1 columns,
-    and with at_least <= 1 there is no triple to try. The kept units descend as usual: a
-    tight child closes as a product, a zero-row child is thinned again,
-    and at depth v-1 they go to the two-node solve. At slack 2 or more
-    every unit can give a run, and torus_h0 needs its exact h0, so
-    nothing is thinned there; a unit of node v-1 whose row would pass the
-    bound is skipped. Only subtrees that meet [lo, hi) are entered, and a
-    tight level is closed only when it lies inside, so a cut descends
-    along its boundary paths; thinning needs no such care, since it only
-    drops units below which no class qualifies.
-    Before any of this, the rank floor (`rank_floor`) empties the torus or,
-    when it is exact, gives its one run in closed form.
+    Descent. Every other kept unit c of a level at depth k is placed by
+    `extend`, and its level enters depth k+1. Only subtrees that meet
+    [lo, hi) are entered, so a cut descends along its boundary paths;
+    thinning needs no such care, since it only drops units below which no
+    class qualifies.
     """
     total = bundle_count(X)
     hi = total if hi is None else hi
@@ -214,12 +200,12 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         # (rank, pairs) is never changed in place
         rank, ((a, b), *rest) = level
         row = [(x - c * y) % p for x, y in zip(a, b)]
-        for pc, lead in enumerate(row):
-            if lead:
+        for pc, piv in enumerate(row):
+            if piv:
                 break
         else:
             return rank, rest
-        inv = pow(lead, p - 2, p)
+        inv = pow(piv, p - 2, p)
         row = [x * inv % p for x in row]
 
         def cut(vec):
@@ -230,27 +216,31 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     def zeroing(ra, rb):
         # the units c with ra = c·rb: None for all of them (ra = rb = 0),
         # else the one such unit, or 0 when there is none
-        for i, lead in enumerate(rb):
-            if lead:
-                c = ra[i] * pow(lead, p - 2, p) % p
+        for i, piv in enumerate(rb):
+            if piv:
+                c = ra[i] * pow(piv, p - 2, p) % p
                 return 0 if any((x - c * y) % p for x, y in zip(ra, rb)) else c
         return 0 if any(ra) else None
 
+    def lead(a, b):
+        # the first column where a or b is nonzero, 0 when both are zero
+        for i in range(ncols):
+            if a[i] or b[i]:
+                return i
+        return 0
+
     def fiber(rank, jump, base, head):
         # the run of node v's fiber below head, whose first class has index
-        # base, given the rank of the other rows (at most max_rank) and
-        # node v's units from `zeroing`; h0 is top at c_v = jump (0: no
-        # such class), low elsewhere. None when no class in [lo, hi) has
-        # h0 >= at_least
-        if sure_hit and rank < max_rank:
-            return None, max(lo, base), min(hi, base + run), None, 0
+        # base, given the rank of the other rows and node v's units from
+        # `zeroing`; h0 is top at c_v = jump (0: no such class), low
+        # elsewhere. None when no class in [lo, hi) has h0 >= at_least
         top = ncols - rank
         low, jump = (top, 0) if jump is None else (top - 1, jump)
         c0 = max(lo - base, 0) + 1
         c1 = min(hi - base, run) + 1
         if low >= at_least:
             return head, c0, c1, low, jump
-        if c0 <= jump < c1:
+        if top >= at_least and c0 <= jump < c1:
             return head, jump, jump + 1, low, jump
         return None
 
@@ -259,9 +249,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         # qualify: the root of det(a - c·b, al, bl) = alpha - c·beta on the
         # first column triple (i, y, z) where it is not identically zero
         _, ((a, b), *rest) = level
-        for i in range(ncols):  # a = b = 0 leaves every triple zero
-            if a[i] or b[i]:
-                break
+        i = lead(a, b)  # a = b = 0 leaves every triple zero
         ai, bi = a[i], b[i]
         for al, bl in rest:
             ali, bli = al[i], bl[i]
@@ -279,21 +267,23 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         return units
 
     def fibers(k, level, base, head):
-        # runs below the prefix head (nodes 0 .. k-1, k < v), whose first
-        # class has index base; only subtrees that meet [lo, hi) are entered
+        # runs below the prefix head (nodes 0 .. k-1), whose first class
+        # has index base; only subtrees that meet [lo, hi) are entered
         rank = level[0]
-        if rank > max_rank:
-            return  # rank only grows: no class below this prefix qualifies
-        if sure_hit and rank + v - k < max_rank:
-            # v - k + 1 rows to come, each adding at most 1 to the rank
+        if rank > max_rank:  # prune
+            return
+        if sure_hit and rank + v - k < max_rank:  # sure hit
             yield (None, max(lo, base), min(hi, base + run ** (v - k + 1)),
                    None, 0)
             return
+        if k == v:  # leaf
+            out = fiber(rank, zeroing(*level[1][0]), base, head)
+            if out is not None:
+                yield out
+            return
         size = run ** (v - k)
         if rank == max_rank and lo <= base and base + size * run <= hi:
-            # tight: a class qualifies iff every pair left gives a zero
-            # row, and each node admits its units independently
-            units = []
+            units = []  # tight close: each node's zeroing units
             for ra, rb in level[1]:
                 c = zeroing(ra, rb)
                 if c == 0:
@@ -308,59 +298,37 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
         if rank + 1 == max_rank and at_least > 1:  # else no column triple
             units = close(level, units)
         if k == v - 1:
-            yield from two_nodes(level, base, head, units)
-            return
+            ai, bi, A, B, C, D = two_nodes(level)
         for c in units:
-            yield from fibers(k + 1, extend(level, c),
-                              base + (c - 1) * size, head + (c,))
-
-    def two_nodes(level, base, head, units):
-        # the fibers below a prefix of nodes 0 .. v-2, one per unit c of
-        # node v-1 in units: node v-1's row there is r1 = a1 - c·b1, and
-        # node v jumps where its row's 2x2 minors with r1 vanish
-        rank, ((a1, b1), (a2, b2)) = level
-        keep = zeroing(a1, b1)  # the units with r1 = 0
-        if keep is None or keep in units:
-            jump2 = zeroing(a2, b2)  # node v's units where r1 = 0
-        if keep is not None and rank < max_rank and units:
-            for i in range(ncols):
-                if a1[i] or b1[i]:
-                    break
-            ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
-            sup = [j for j in range(ncols)
-                   if j != i and (a1[j] or b1[j] or a2[j] or b2[j])]
-            # the minor on the columns (i, j) is A_j - c·B_j - c'·(C_j - c·D_j)
-            # (zero at j = i)
-            A = [(a2[j] * ai - a2i * a1[j]) % p for j in sup]
-            B = [(a2[j] * bi - a2i * b1[j]) % p for j in sup]
-            C = [(b2[j] * ai - b2i * a1[j]) % p for j in sup]
-            D = [(b2[j] * bi - b2i * b1[j]) % p for j in sup]
-            # the unit with r1_i = 0 (0: none), where column i cannot serve
-            ci = ai * pow(bi, p - 2, p) % p if bi else 0
-        for c in units:
-            if keep is None or c == keep:
-                rank_c, jump = rank, jump2
-            elif rank == max_rank:
-                continue  # the nonzero row r1 puts the rank past the bound
-            elif c == ci:
-                rank_c, ((ra, rb),) = extend(level, c)
-                jump = zeroing(ra, rb)
-            else:
-                rank_c, jump = rank + 1, zeroing(
+            if k == v - 1 and (ai - c * bi) % p:  # two nodes, r1_i != 0
+                out = fiber(rank + 1, zeroing(
                     [(x - c * y) % p for x, y in zip(A, B)],
-                    [(x - c * y) % p for x, y in zip(C, D)])
-            out = fiber(rank_c, jump, base + (c - 1) * run, head + (c,))
-            if out is not None:
-                yield out
+                    [(x - c * y) % p for x, y in zip(C, D)]),
+                    base + (c - 1) * size, head + (c,))
+                if out is not None:
+                    yield out
+            else:
+                yield from fibers(k + 1, extend(level, c),
+                                  base + (c - 1) * size, head + (c,))
+
+    def two_nodes(level):
+        # node v-1's entries on column i, where r1_i = a1_i - c·b1_i, and
+        # the 2x2 minors of node v's row with r1 on the columns (i, j),
+        # A_j - c·B_j - c'·(C_j - c·D_j), over the columns j != i where
+        # one of the four vectors is nonzero
+        _, ((a1, b1), (a2, b2)) = level
+        i = lead(a1, b1)
+        ai, bi, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+        sup = [j for j in range(ncols)
+               if j != i and (a1[j] or b1[j] or a2[j] or b2[j])]
+        return (ai, bi,
+                [(a2[j] * ai - a2i * a1[j]) % p for j in sup],
+                [(a2[j] * bi - a2i * b1[j]) % p for j in sup],
+                [(b2[j] * ai - b2i * a1[j]) % p for j in sup],
+                [(b2[j] * bi - b2i * b1[j]) % p for j in sup])
 
     # the pinned node n-1 is placed first, at c = 1
-    root = extend((0, pairs[-1:] + pairs[:-1]), 1)
-    if v > 0:
-        yield from fibers(0, root, 0, ())
-    else:
-        out = fiber(root[0], zeroing(*root[1][0]), 0, ())
-        if out is not None:
-            yield out
+    yield from fibers(0, extend((0, pairs[-1:] + pairs[:-1]), 1), 0, ())
 
 
 def torus_h0(X: BinaryCurve, md, lo=0, hi=None, at_least=0):

@@ -97,18 +97,14 @@ def gluing_profile(X: BinaryCurve, md):
 
 
 def rows_for_gluing(L: LineBundle):
-    """Gluing matrix rows: row j = [E_{d1}(p_j) | -c_j · E_{d2}(q_j)]."""
-    ctx = L.ctx
+    """Gluing matrix rows: row j = [E_{d1}(p_j) | -c_j · E_{d2}(q_j)].
+
+    Over F_p the entries are left unreduced: -c_j·v is zero only where v
+    is, and `linalg` reduces every product it forms.
+    """
     e1, e2 = gluing_profile(L.curve, L.md)
-    if ctx.is_prime_field():
-        p = ctx.p
-        return [[*a, *[-cj * v % p for v in b]]
-                for a, b, cj in zip(e1, e2, L.c)]
-    rows = []
-    for a, b, cj in zip(e1, e2, L.c):
-        neg = ctx.neg(cj)
-        rows.append([*a, *[ctx.mul(neg, v) for v in b]])
-    return rows
+    return [[*a, *[v * neg for v in b]]
+            for a, b, neg in zip(e1, e2, [-cj for cj in L.c])]
 
 
 def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):

@@ -1,11 +1,11 @@
 """Exact dense linear algebra: rank and canonical kernel bases.
 
 One forward-elimination routine, `_echelon`, serves F_p and Q alike on
-plain values: ints reduced mod p over F_p (p prime), exact rationals over
-Q (p = 0; ints or Fractions). Over Q no Fraction is built while
-eliminating: each row is first scaled to a primitive integer vector
-(`primitive_row`), and elimination is Bareiss's fraction-free scheme,
-whose every division is exact. Kernel bases come from the echelon form by
+plain values: over F_p (p prime) any int representative of each entry,
+over Q (p = 0) exact rationals, ints or Fractions. Over Q no Fraction is
+built while eliminating: each row is first scaled to a primitive integer
+vector (`primitive_row`), and elimination is Bareiss's fraction-free
+scheme, whose every division is exact. Kernel bases come from the echelon form by
 back-substitution, over Q on integer numerators over one common
 denominator. The torus scan keeps its own levels of residual rows, one
 pivot at a time (`brill_noether._torus_runs`).

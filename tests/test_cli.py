@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -182,6 +183,20 @@ def test_readme_names_every_command_and_suite():
     assert {name.split()[0] for name in re.findall(r"`([^`]+)`", commands)} \
         == set(COMMANDS)
     assert re.findall(r"`([^`]+)`", suites) == list(SUITES)
+
+
+def test_readme_synopsis_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    synopsis = re.search(r"^```\n(bincurve <command> .*?)^```", readme,
+                         re.MULTILINE | re.DOTALL).group(1)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {opt for sub in commands.values() for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings}
+    assert "--d" in options and "--trials" in options
+    assert not options - set(re.findall(r"--[a-z-]+", synopsis))
 
 
 def test_negative_md_needs_the_equals_form(capsys):

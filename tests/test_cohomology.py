@@ -17,10 +17,11 @@ from bincurve.cohomology import (RATIONAL_ROOT_BOUND, ROOT_CANDIDATE_BOUND,
                                  BaseLocus, SectionSpace, base_locus,
                                  derivative_row, descend, gluing_profile, h0,
                                  h0_vanishing, h1, monomial_values,
-                                 neutral_pair, point_divisor)
+                                 neutral_pair, point_divisor, rows_for_gluing)
 from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
+from bincurve.linalg import kernel_basis, rank_rows
 from bincurve.picard import balanced_set
 from bincurve.rng import DEFAULT_SEED, Rng
 
@@ -243,6 +244,54 @@ def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
     for c in cs:
         want = ncols - _rank(_gluing_matrix(X, md, c, p), p)
         assert h0(LineBundle(X, md, c)) == want, (md, c)
+
+
+@st.composite
+def gluing_cases(draw, ctx, values):
+    """A class of md in [-1, g+1]^2 on a curve of genus 1-4 whose branch
+    points are drawn from values and oo; random gluing units, the last 1."""
+    g = draw(st.integers(1, 4))
+    pool = [ProjPoint.finite(ctx, a) for a in values]
+    pool.append(ProjPoint.infinity(ctx))
+    rng = Rng(draw(st.integers(0, 10 ** 6)))
+    X = BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                  rng.distinct(pool, g + 1))))
+    md = (draw(st.integers(-1, g + 1)), draw(st.integers(-1, g + 1)))
+    if ctx.is_prime_field():
+        unit = st.integers(1, ctx.p - 1)
+    else:
+        unit = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                         st.integers(1, 4))
+    c = draw(st.lists(unit, min_size=g, max_size=g)) + [ctx.one]
+    return LineBundle(X, md, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13]).flatmap(
+    lambda p: gluing_cases(PrimeField(p), range(p))))
+def test_unreduced_gluing_rows_eliminate_like_reduced_ones(L):
+    """Over F_p rows_for_gluing leaves -c_j·v unreduced; rank_rows and
+    kernel_basis read them as the rows reduced mod p."""
+    ctx = L.ctx
+    rows = rows_for_gluing(L)
+    reduced = [[x % ctx.p for x in row] for row in rows]
+    ncols = max(L.md[0] + 1, 0) + max(L.md[1] + 1, 0)
+    assert rank_rows(ctx, rows) == rank_rows(ctx, reduced)
+    assert kernel_basis(ctx, rows, ncols) == kernel_basis(ctx, reduced, ncols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gluing_cases(Rationals(), sorted({Fraction(a, b) for a in range(-4, 5)
+                                         for b in (1, 2)})))
+def test_gluing_rows_over_q_are_the_field_products(L):
+    """Over Q row j is E1(p_j), then (-c_j)·v for each v of E2(q_j), entry
+    for entry and type for type as the field context multiplies them."""
+    ctx = L.ctx
+    e1, e2 = gluing_profile(L.curve, L.md)
+    want = [[*a, *[ctx.mul(ctx.neg(cj), v) for v in b]]
+            for a, b, cj in zip(e1, e2, L.c)]
+    assert [list(map(repr, row)) for row in rows_for_gluing(L)] == \
+        [list(map(repr, row)) for row in want]
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,7 +20,7 @@ _EXPORTS = {
     "cohomology": "BaseLocus DescentResult SectionSpace base_locus descend "
                   "gluing_profile h0 h0_vanishing h1 neutral_pair "
                   "point_divisor",
-    "picard": "Ell0 Stratum balanced_set bounds closure_leq "
+    "picard": "Ell0 Stratum balanced_set closure_leq "
               "enumerate_strata h0_bar is_balanced normalized_strata "
               "picard_type strata_to_json strict_set",
     "brill_noether": "BNQuery BNReport assemble_Wbar bn_enumerate "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -383,9 +384,25 @@ def split_ranges(total: int, parts: int):
     return out
 
 
+def pool_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in order; spread over one process pool when
+    jobs > 1, which alone loads the pool's modules. The pool has
+    min(jobs, os.cpu_count()) workers, since a fork pool starts them all at
+    once, and takes the items in chunks of ceil(n / (4·workers)), the
+    chunk size `multiprocessing.Pool.map` picks. fn and the items must
+    pickle."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, os.cpu_count() or 1)
+    chunksize = max(1, -(-len(items) // (4 * workers)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 def merge_reports(parts) -> BNReport:
-    """Combine shard reports of one scan; equals the unsharded report."""
-    parts = sorted(parts, key=lambda r: r.index_range[0])
+    """Combine shard reports of one scan, given in index order; equals the
+    unsharded report."""
     if not parts:
         raise ValueError("no shard reports to merge")
     first = parts[0]

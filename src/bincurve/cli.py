@@ -230,12 +230,9 @@ def _bn_shard(job):
 
 
 def _bn_compute(X: BinaryCurve, q, cap: int, jobs: int):
-    from .brill_noether import merge_reports, split_ranges
+    from .brill_noether import merge_reports, pool_map, split_ranges
     from .bundles import bundle_count
     shards = [(X, q, cap, rg) for rg in split_ranges(bundle_count(X), jobs)]
-    if jobs == 1:  # the same shard and merge code, without the pool
-        return merge_reports([_bn_shard(shards[0])])
-    from .suites import pool_map
     return merge_reports(pool_map(_bn_shard, shards, jobs))
 
 

@@ -287,6 +287,14 @@ def _poly_gcd(ctx, a, b):
     return a
 
 
+def _root_mod(coeffs, x: int, p: int) -> bool:
+    # Horner's rule in plain ints: does the ascending polynomial vanish at x?
+    acc = 0
+    for a in reversed(coeffs):
+        acc = (acc * x + a) % p
+    return acc == 0
+
+
 def _divisors(n: int):
     n = abs(n)
     out = []
@@ -339,8 +347,8 @@ def base_locus(L: LineBundle) -> BaseLocus:
     A point is a base point when every basis section vanishes there; the
     nodes take the same test at their branch points on component 1. The
     smooth candidates on a component are its points off the nodes: the
-    finite ones only if the gcd of its forms is not constant (then every
-    x in F_p, or over Q its rational-root candidates), then oo. Only
+    finite ones only if the gcd of its forms is not constant (then its
+    roots in F_p, or over Q its rational-root candidates), then oo. Only
     points in the ground field are found, so geometric base points over
     extensions stay invisible.
     """
@@ -368,7 +376,7 @@ def base_locus(L: LineBundle) -> BaseLocus:
         if len(g) == 1:  # constant gcd: no finite common root
             xs = ()
         elif ctx.is_prime_field():
-            xs = range(ctx.p)
+            xs = [x for x in range(ctx.p) if _root_mod(g, x, ctx.p)]
         else:
             xs = _rational_candidates(g)
         cands = chain((ProjPoint.finite(ctx, x) for x in xs),

@@ -1,54 +1,38 @@
 """Balanced multidegrees and the stratified compactified Picard scheme.
 
-All interval arithmetic is done with exact Fractions: the half-integer
-bounds are where naive floor/ceil code goes wrong for negative degrees.
+A multidegree (d1, d2) of degree d on a binary curve of genus g is
+balanced when it meets the basic inequality on the component C1, which has
+k = g+1 nodes and deg ω|C1 = g-1: |d1 - d(g-1)/(2g-2)| <= k/2, that is
+d1 in [(d-g-1)/2, (d+g+1)/2]. Doubled, this is one integer test,
+|d1 - d2| <= g+1; strict balance is |d1 - d2| < g+1. The interval's ends
+are integers (the "degeneration" type) iff d-g-1 is even, and otherwise
+half-integers (the "neron" type), where balanced equals strict.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby
 
 from .curve import BinaryCurve, normalize_at
 
 
-@dataclass(frozen=True)
-class BalancedBounds:
-    lo: Fraction  # (d-g-1)/2
-    hi: Fraction  # (d+g+1)/2
-
-    @property
-    def is_integral(self) -> bool:
-        return self.lo.denominator == 1
-
-
-def bounds(d: int, g: int) -> BalancedBounds:
-    return BalancedBounds(Fraction(d - g - 1, 2), Fraction(d + g + 1, 2))
-
-
 def is_balanced(md, g: int) -> bool:
-    b = bounds(md[0] + md[1], g)
-    return all(b.lo <= di <= b.hi for di in md)
+    return abs(md[0] - md[1]) <= g + 1
 
 
 def balanced_set(d: int, g: int):
-    """B_d(g), ascending in d1. Size g+2 when bounds are integral, else g+1."""
-    b = bounds(d, g)
-    return [(d1, d - d1)
-            for d1 in range(math.ceil(b.lo), math.floor(b.hi) + 1)]
+    """B_d(g), ascending in d1. Size g+2 in the degeneration type, else g+1."""
+    return [(d1, d - d1) for d1 in range((d - g) // 2, (d + g + 1) // 2 + 1)]
 
 
 def strict_set(d: int, g: int):
     """B*_d(g): strictly balanced multidegrees, ascending in d1."""
-    b = bounds(d, g)
-    return [(d1, d - d1)
-            for d1 in range(math.floor(b.lo) + 1, math.ceil(b.hi))]
+    return [(d1, d - d1) for d1 in range((d - g + 1) // 2, (d + g) // 2 + 1)]
 
 
 def picard_type(d: int, g: int) -> str:
-    """"degeneration" when the balanced bounds are integers, else "neron"."""
-    return "degeneration" if bounds(d, g).is_integral else "neron"
+    """"degeneration" when the interval ends are integers, else "neron"."""
+    return "degeneration" if (d - g - 1) % 2 == 0 else "neron"
 
 
 @dataclass(frozen=True)
@@ -65,7 +49,7 @@ class Ell0:
     g: int
 
     def __post_init__(self):
-        if not bounds(self.d, self.g).is_integral:
+        if picard_type(self.d, self.g) != "degeneration":
             raise ValueError("this point only exists in the degeneration case")
 
 
@@ -75,10 +59,9 @@ def enumerate_strata(X: BinaryCurve, d: int):
     identified point appended last in the degeneration type. Order: e
     ascending, node subsets lexicographic, d1 ascending.
 
-    Strict multidegrees give every stratum: in the Neron type the bounds on
-    every Y_S are half-integers (the type survives normalization), where
-    balanced equals strict; in the degeneration type e = g contributes
-    nothing.
+    Strict multidegrees give every stratum: the type survives normalization,
+    so in the Neron type balanced equals strict on every Y_S, and in the
+    degeneration type e = g contributes nothing.
     """
     g = X.genus
     if g < 2:
@@ -110,10 +93,9 @@ def normalized_strata(X: BinaryCurve, d: int):
 
 
 def h0_bar(pt: Ell0) -> int:
-    """h0 at the identified point of the degeneration case: 2·max(0, m+1),
-    where m is the lower balanced bound (two rational components, all
-    gluing conditions broken)."""
-    return 2 * max(0, int(bounds(pt.d, pt.g).lo) + 1)
+    """h0 at the identified point of the degeneration case, 2·max(0, m+1)
+    with m = (d-g-1)/2: two rational components, all gluing broken."""
+    return 2 * max(0, (pt.d - pt.g - 1) // 2 + 1)
 
 
 def strata_to_json(items) -> list:

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import cohomology
 from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
                             bn_enumerate, clifford_equality_classes,
                             clifford_index, growth_estimate, martens_bound,
-                            predicted_empty, reduce_curve_mod, rho, torus_h0,
-                            verify_canonical_very_ample)
+                            pool_map, predicted_empty, reduce_curve_mod, rho,
+                            torus_h0, verify_canonical_very_ample)
 from .bundles import (LineBundle, canonical_bundle, dual, enumerate_bundles,
                       hyperelliptic_class, tensor)
 from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
@@ -63,17 +61,6 @@ def _suite(name: str):
         SUITES[name] = run
         return run
     return register
-
-
-def pool_map(fn, items, jobs: int, chunksize: int = 1) -> list:
-    """[fn(x) for x in items], in order; spread over one process pool when
-    jobs > 1. The pool has min(jobs, os.cpu_count()) workers, since a fork
-    pool starts them all at once. fn and the items must pickle."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    workers = min(jobs, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _curve_grid(gs, ps, seed):
@@ -306,7 +293,7 @@ def suite_hyperelliptic(gs=(3, 4), ps=(7, 11), n_random=150, n_special=50,
             curves += [random_hyperelliptic_curve(g, ctx, crng)
                        for _ in range(n_special)]
             combos.append((g, p, start, len(curves)))
-    checked = pool_map(_hyp_check, curves, jobs, chunksize=8)
+    checked = pool_map(_hyp_check, curves, jobs)
     summary = []
     failures = 0
     for g, p, start, stop in combos:

@@ -693,6 +693,11 @@ def test_merge_rejects_gaps():
     b = bn_enumerate(X, q, index_range=(60, 216))
     with pytest.raises(ValueError):
         merge_reports([a, b])
+    # shards come in index order; a reversed pair is not contiguous
+    c = bn_enumerate(X, q, index_range=(50, 216))
+    merge_reports([a, c])
+    with pytest.raises(ValueError, match="shards are not contiguous"):
+        merge_reports([c, a])
 
 
 def test_merge_rejects_no_shards():

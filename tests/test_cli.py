@@ -93,6 +93,29 @@ def test_strata_counts_and_type(capsys):
     assert rows[-1] == ["ell0", "-", "-"]
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("strata --random-genus 4 --p 11 --d 3",
+     "659562712ebe3c9f7ddebd64b3706dc839dd0da36f709479ac38105f736d5a79"),
+    ("strata --random-genus 4 --p 11 --d 4",
+     "15e3747c99c710ff5447a3d9c612c07e83ca25576e4ddd840920e10d688f3df3"),
+    ("strata --random-genus 5 --p 7 --d 2",
+     "133f2e4cce70f3ef1f5a534374906da9a8ba7424f021a29b9dd51efd0ce6fa27"),
+    ("strata --random-genus 3 --field Q --d 1",
+     "c24eb16851b08f02c52c642991931a14a42c9201ce2bf57673979808cd4165a7"),
+    ("verify riemann",
+     "57e86702b8e4eac30245bd93529916cd573f70edcdf3adac23004fc7725eb658"),
+    ("verify clifford",
+     "ce325c66b055e15f0755279039e2c4a0500ce54164bb72a9304e1ab1f7733cf3"),
+], ids=["strata-g4-d3", "strata-g4-d4", "strata-g5-d2", "strata-q-d1",
+        "riemann", "clifford"])
+def test_balanced_set_outputs_are_pinned(capsys, argv, digest):
+    # the reports that the balanced and strict sets feed, byte for byte
+    import hashlib
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_suite_passes_and_fails_exit_codes(capsys):
     code, rep, _ = run(capsys, "verify", "riemann", "--g", "2", "--p", "5")
     assert code == 0 and rep["report"]["passed"] is True
@@ -597,11 +620,18 @@ def test_bn_at_jobs_1_loads_no_pool(isolated_cache):
     assert len(lines) == 1  # the second run was a hit
 
 
-@pytest.mark.parametrize("argv", [
-    ("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1",
-     "--jobs", "2"),
-    ("verify", "riemann", "--g", "1", "--p", "5"),
-], ids=["bn-jobs-2", "verify"])
-def test_pool_and_verify_load_suites(argv):
+@pytest.mark.parametrize("argv,loaded,absent", [
+    # the pool helper lives beside the shard/merge code: bn's pool loads
+    # no suites, and only a pool of more than one worker loads the executor
+    (("bn", "--random-genus", "3", "--p", "7", "--md", "1,1", "--r", "1",
+      "--jobs", "2"), {"concurrent.futures.process"}, {"bincurve.suites"}),
+    (("verify", "riemann", "--g", "1", "--p", "5"), {"bincurve.suites"},
+     {"concurrent.futures.process", "multiprocessing"}),
+    (("verify", "hyperelliptic", "--g", "3", "--p", "7", "--n", "1",
+      "--jobs", "2"), {"bincurve.suites", "concurrent.futures.process"},
+     set()),
+], ids=["bn-jobs-2", "verify", "verify-jobs-2"])
+def test_pool_and_verify_load_suites(argv, loaded, absent):
     code, modules = _modules_after(argv)
-    assert code == 0 and "bincurve.suites" in modules
+    assert code == 0
+    assert loaded <= modules and not modules & absent

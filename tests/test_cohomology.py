@@ -625,6 +625,25 @@ def test_base_locus_where_branch_points_fill_the_line():
     assert base_locus(canonical_bundle(X)) == BaseLocus((), (), ())
 
 
+def test_base_locus_over_a_large_prime_tests_only_the_gcd_roots(monkeypatch):
+    # O(x) on component 1 at p = 1,000,003: the finite candidates are the
+    # roots of the gcd, found in plain ints, not every x in F_p
+    F = PrimeField(1_000_003)
+    X = standard_curve(4, F)
+    x = ProjPoint.finite(F, 500)
+    L = from_divisor(X, point_divisor(X, [(1, x)]))
+    calls = []
+    value_at = SectionSpace.value_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return value_at(self, *args)
+
+    monkeypatch.setattr(SectionSpace, "value_at", counted)
+    assert base_locus(L).smooth_points == ((1, x),)
+    assert len(calls) <= 10
+
+
 def _rational_point_bundle(a):
     """O(a) on component 1 of the genus-3 curve over Q with nodes (0,0),
     (1,1), (oo,oo), (2,5): md (1, 0), c_j = det(p_j, a)."""

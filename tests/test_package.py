@@ -24,7 +24,7 @@ EXPORTS = {
     "cohomology": ["BaseLocus", "DescentResult", "SectionSpace", "base_locus",
                    "descend", "gluing_profile", "h0", "h0_vanishing", "h1",
                    "neutral_pair", "point_divisor"],
-    "picard": ["Ell0", "Stratum", "balanced_set", "bounds", "closure_leq",
+    "picard": ["Ell0", "Stratum", "balanced_set", "closure_leq",
                "enumerate_strata", "h0_bar", "is_balanced",
                "normalized_strata", "picard_type", "strata_to_json",
                "strict_set"],
@@ -40,7 +40,7 @@ NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 79  # 70 re-exports and 9 modules
+    assert len(NAMES) == 78  # 69 re-exports and 9 modules
     assert sorted(bincurve.__all__) == NAMES
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from bincurve.curve import normalize_at, random_curve, standard_curve
 from bincurve.fields import PrimeField
-from bincurve.picard import (Ell0, Stratum, balanced_set, bounds, closure_leq,
+from bincurve.picard import (Ell0, Stratum, balanced_set, closure_leq,
                              enumerate_strata, h0_bar, is_balanced,
                              normalized_strata, picard_type, strata_to_json,
                              strict_set)
@@ -16,13 +17,31 @@ from bincurve.rng import Rng
 F7 = PrimeField(7)
 
 
-def test_bounds_are_exact_fractions():
-    b = bounds(2, 3)
-    assert b.lo == Fraction(-1) and b.hi == Fraction(3)
-    assert b.is_integral
-    b2 = bounds(2, 2)
-    assert b2.lo == Fraction(-1, 2) and b2.hi == Fraction(5, 2)
-    assert not b2.is_integral
+def test_integer_tests_match_the_fraction_interval():
+    # reference: both parts in the closed interval [(d-g-1)/2, (d+g+1)/2]
+    # with exact Fraction ends, strict balance in the open one, the
+    # degeneration type where the ends are integers
+    for g in range(-1, 13):
+        for d in range(-30, 40):
+            lo, hi = Fraction(d - g - 1, 2), Fraction(d + g + 1, 2)
+            integral = lo.denominator == 1
+            assert balanced_set(d, g) == [
+                (d1, d - d1)
+                for d1 in range(math.ceil(lo), math.floor(hi) + 1)], (g, d)
+            assert strict_set(d, g) == [
+                (d1, d - d1)
+                for d1 in range(math.floor(lo) + 1, math.ceil(hi))], (g, d)
+            assert picard_type(d, g) == ("degeneration" if integral
+                                         else "neron"), (g, d)
+            for d1 in range(d - g - 6, g + 7):
+                md = (d1, d - d1)
+                assert is_balanced(md, g) == all(lo <= di <= hi
+                                                 for di in md), (g, md)
+            if integral:
+                assert h0_bar(Ell0(d, g)) == 2 * max(0, int(lo) + 1), (g, d)
+            else:
+                with pytest.raises(ValueError):
+                    Ell0(d, g)
 
 
 def test_balanced_sets_frozen_small_cases():

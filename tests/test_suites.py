@@ -252,8 +252,9 @@ def test_check_dim_row_catches_a_wrong_prediction():
 
 
 def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
-    # a fake pool records its worker count and maps in this process, so
-    # that a large jobs starts no processes
+    # a fake pool records its worker count and chunk size and maps in this
+    # process, so that a large jobs starts no processes
+    import concurrent.futures
     started = []
 
     class FakePool:
@@ -266,14 +267,19 @@ def test_pool_map_caps_workers_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items, chunksize):
+            started.append(chunksize)
             return map(fn, items)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     items = list(range(7, -3, -1))
-    out = suites.pool_map(abs, items, jobs=10_000)
+    out = brill_noether.pool_map(abs, items, jobs=10_000)
     assert out == [abs(x) for x in items]
-    assert started == [min(10_000, os.cpu_count() or 1)]
+    workers = min(10_000, os.cpu_count() or 1)
+    # the chunk size of multiprocessing.Pool.map: ceil(n / (4·workers))
+    assert started == [workers, -(-len(items) // (4 * workers))]
+    assert brill_noether.pool_map(abs, list(range(800)), jobs=2)
+    assert started[2:] == [min(2, workers), 800 // (4 * min(2, workers))]
     # one job maps in this process and starts no pool
-    assert suites.pool_map(abs, items, jobs=1) == out
-    assert len(started) == 1
+    assert brill_noether.pool_map(abs, items, jobs=1) == out
+    assert len(started) == 4

@@ -465,13 +465,20 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
     (Clifford's bound h0 <= d/2 + 1 makes cl >= 0). A class of degree d has
     index cl when h0 = h = (d-cl)/2 + 1, and then h1 = h - d + g - 1 >= 2
     exactly when d <= 2g-4-cl; so d runs over cl+2, cl+4, ..., 2g-4-cl,
-    and cl <= g-3. For each md of `balanced_set(d, g)`, `torus_h0` is asked
-    for its first class with h0 >= h; the walk's rank floor and rank bound
-    make an empty probe cheap, and its tight levels (rank at the bound)
-    close their subtrees as product sets instead of descending. The first
-    hit is the answer. No smaller index occurs, so its h0 is exactly h, and
-    it is the first class of least index in (d, md, torus index) order. No
-    hit means that no class qualifies ("undefined").
+    and cl <= g-3. Serre duality cuts that range to d <= g-1: the dual
+    w ⊗ L^-1 of such a class has md (g-1-d1, g-1-d2), balanced since
+    |d1 - d2| is kept, and degree d' = 2g-2-d, of d's parity and in
+    [cl+2, 2g-4-cl] too; its h0' = h1 = h - d + g - 1 >= 2 and h1' = h >= 2,
+    so its index d' - 2h0' + 2 = d - 2h + 2 is cl as well. A hit at
+    d > g-1 therefore has a dual hit at d' < g-1, which the loop probes
+    first, so no probe above g-1 can give the first hit. For each md of
+    `balanced_set(d, g)`, `torus_h0` is asked for its first class with
+    h0 >= h; the walk's rank floor and rank bound make an empty probe
+    cheap, and its tight levels (rank at the bound) close their subtrees
+    as product sets instead of descending. The first hit is the answer.
+    No smaller index occurs, so its h0 is exactly h, and it is the first
+    class of least index in (d, md, torus index) order. No hit means that
+    no class qualifies ("undefined").
 
     `method` is a label derived from the result: "genus2" for the genus-2
     convention (any three point pairs are matched by a Moebius map, so the
@@ -490,7 +497,7 @@ def clifford_index(X: BinaryCurve) -> CliffordReport:
         H = hyperelliptic_class(X)
         return CliffordReport(0, 2, (1, 1), H.c, "genus2", p)
     for cl in range(g - 2):
-        for d in range(cl + 2, 2 * g - 3 - cl, 2):
+        for d in range(cl + 2, min(2 * g - 3 - cl, g), 2):
             for md in balanced_set(d, g):
                 hit = next(torus_h0(X, md, at_least=(d - cl) // 2 + 1), None)
                 if hit is not None:

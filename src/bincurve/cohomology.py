@@ -5,8 +5,9 @@ f(p_j) = c_j·h(q_j) on the monomial coefficients of the form pair (f, h).
 h0 is its nullity; twists down by effective divisors add vanishing rows.
 The monomial evaluations at the nodes depend only on (curve, md), so
 `gluing_profile` builds them once per pair and every generic h0, section
-space and torus walk on that torus reads the same table; an h0 call is then
-one row assembly and one `rank_rows` elimination.
+space and torus walk on that torus reads the same table. Generic h0 is one
+primitive, `h0_gluings`: per gluing vector one row assembly and one
+elimination; `h0(L)` is its one-vector case.
 h1 comes from Riemann-Roch by definition, which keeps Serre duality an
 actual cross-check of the canonical-bundle construction rather than a
 tautology.
@@ -22,7 +23,7 @@ from math import factorial, perm
 from .bundles import EffectiveDivisor, LineBundle
 from .curve import BinaryCurve, ProjPoint
 from .fields import FieldCtx
-from .linalg import kernel_basis, primitive_row, rank_rows
+from .linalg import kernel_basis, primitive_row, rank_in_place, rank_rows
 
 # over Q, base_locus trial-divides the end coefficients a0, an of a gcd and
 # tests every ±(divisor of a0)/(divisor of an); it raises ValueError when
@@ -96,15 +97,40 @@ def gluing_profile(X: BinaryCurve, md):
     return profile
 
 
+def _gluing_rows(e1, e2, c):
+    # row j = [E1[j] | -c_j · E2[j]], the one row builder (see rows_for_gluing)
+    return [[*a, *[v * neg for v in b]]
+            for a, b, neg in zip(e1, e2, [-cj for cj in c])]
+
+
 def rows_for_gluing(L: LineBundle):
     """Gluing matrix rows: row j = [E_{d1}(p_j) | -c_j · E_{d2}(q_j)].
 
     Over F_p the entries are left unreduced: -c_j·v is zero only where v
     is, and `linalg` reduces every product it forms.
     """
-    e1, e2 = gluing_profile(L.curve, L.md)
-    return [[*a, *[v * neg for v in b]]
-            for a, b, neg in zip(e1, e2, [-cj for cj in L.c])]
+    return _gluing_rows(*gluing_profile(L.curve, L.md), L.c)
+
+
+def h0_gluings(X: BinaryCurve, md, gluings):
+    """Generic h0 of each gluing vector of one md-torus, in order.
+
+    Each vector gets its own full gluing matrix, assembled from the shared
+    `gluing_profile` table, and its own elimination; nothing carries over
+    from one vector to the next, so this stays an oracle independent of the
+    torus walk. No `LineBundle` is built, and a vector needs no canonical
+    form: scaling c by a unit scales the h-block columns of its matrix,
+    which leaves the rank alone. Each entry must be a unit (over F_p any
+    representative of one). `h0(L)` is the one-vector case.
+    """
+    e1, e2 = gluing_profile(X, md)
+    n = len(e1)
+    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    ctx = X.ctx
+    for c in gluings:
+        if len(c) != n:
+            raise ValueError("gluing vector length != number of nodes")
+        yield ncols - rank_in_place(ctx, _gluing_rows(e1, e2, c), ncols)
 
 
 def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
@@ -132,8 +158,7 @@ def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
 
 
 def h0(L: LineBundle) -> int:
-    rows, k1, k2 = _section_matrix(L)
-    return k1 + k2 - rank_rows(L.ctx, rows)
+    return next(h0_gluings(L.curve, L.md, [L.c]))
 
 
 def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
@@ -141,7 +166,7 @@ def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
     if not L.curve.same_curve(D.curve):
         raise ValueError("divisor lives on a different curve")
     rows, k1, k2 = _section_matrix(L, D)
-    return k1 + k2 - rank_rows(L.ctx, rows)
+    return k1 + k2 - rank_in_place(L.ctx, rows, k1 + k2)
 
 
 def h1(L: LineBundle) -> int:
@@ -257,12 +282,18 @@ def descend(M: LineBundle, pairs) -> DescentResult:
     if not exists:
         return DescentResult(False, None, False)
     X = BinaryCurve(ctx, list(Y.nodes) + [tuple(pr) for pr in pairs])
-    L = LineBundle(X, M.md, list(M.c) + new_c)
-    got = h0(L)
+    # h0 on the reglued curve: M's gluing rows, then one row per new node,
+    # so no monomial table is built for a curve that is used once
+    d1, d2 = M.md
+    rows, k1, k2 = _section_matrix(M)
+    rows += _gluing_rows([monomial_values(ctx, d1, p) for p, _ in pairs],
+                         [monomial_values(ctx, d2, q) for _, q in pairs],
+                         new_c)
+    got = k1 + k2 - rank_in_place(ctx, rows, k1 + k2)
     if got != space.dim:
         raise RuntimeError(
             f"descent check failed: h0 = {got} != h0(M) = {space.dim}")
-    return DescentResult(True, L, unique)
+    return DescentResult(True, LineBundle(X, M.md, list(M.c) + new_c), unique)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,13 @@ def _echelon(rows, ncols, p) -> int:
 
 def rank_rows(ctx, rows) -> int:
     ncols = len(rows[0]) if rows else 0
-    return _echelon([list(r) for r in rows], ncols, _modulus(ctx))
+    return rank_in_place(ctx, [list(r) for r in rows], ncols)
+
+
+def rank_in_place(ctx, rows, ncols) -> int:
+    """The rank of a list of row lists that the caller built for this call
+    alone: they are eliminated in place, so no copy is made."""
+    return _echelon(rows, ncols, _modulus(ctx))
 
 
 def kernel_basis(ctx, rows, ncols):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import asdict, dataclass
+from itertools import product, tee
 
 from . import cohomology
 from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
@@ -17,8 +18,8 @@ from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
                             clifford_index, growth_estimate, martens_bound,
                             pool_map, predicted_empty, reduce_curve_mod, rho,
                             torus_h0, verify_canonical_very_ample)
-from .bundles import (LineBundle, canonical_bundle, dual, enumerate_bundles,
-                      hyperelliptic_class, tensor)
+from .bundles import LineBundle, canonical_bundle, hyperelliptic_class
+from .cohomology import h0_gluings
 from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
                     normalize_at, random_curve, random_hyperelliptic_curve,
                     standard_curve)
@@ -141,12 +142,20 @@ def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
                           "n_problems": len(problems)}
 
 
+def serre_dual_gluing(w: LineBundle, c) -> list:
+    """w_j / c_j, the gluing of w ⊗ L^-1 for L of gluing c, on md(w) - md(L).
+    It is not canonicalised: generic h0 needs no canonical form."""
+    ctx = w.ctx
+    return [ctx.mul(wj, ctx.inv(cj)) for wj, cj in zip(w.c, c)]
+
+
 @_suite("serre")
 def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0(w ⊗ L^-1) = h0(L) - d + g - 1 on the full exhaustive grid; ties the
-    residue-formula w to Riemann-Roch. The left side takes the generic h0,
-    the right side the torus scan's, so the two h0 paths are compared on
-    every class too."""
+    residue-formula w to Riemann-Roch. The right side is the torus walk's
+    h0 of L, the left side the generic h0 (`h0_gluings`) of the gluing
+    `serre_dual_gluing` on md(w) - md, with no bundle built per class; so
+    the two h0 paths are compared on every class too."""
     checked = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):
@@ -154,9 +163,11 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
         w = canonical_bundle(X)
         for d in range(0, 2 * g + 3):
             for md in balanced_set(d, g):
-                for c, n in torus_h0(X, md):
-                    L = LineBundle(X, md, c)
-                    lhs = cohomology.h0(tensor(w, dual(L)))
+                walk, feed = tee(torus_h0(X, md))
+                lhs_all = h0_gluings(
+                    X, (g - 1 - md[0], g - 1 - md[1]),
+                    (serre_dual_gluing(w, c) for c, _ in feed))
+                for (c, n), lhs in zip(walk, lhs_all):
                     rhs = n - d + g - 1
                     checked += 1
                     if lhs != rhs:
@@ -172,18 +183,23 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
 @_suite("empty")
 def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
     """Every provably-empty (md, r) case has no class with h0 >= r+1, by the
-    generic h0 of every class. The torus walk cannot be the oracle: it stops
-    at the very rank floor `predicted_empty` reads, so it cannot disagree."""
+    generic h0 (`h0_gluings`) of every class, each gluing vector a tuple of
+    units with the last pinned to 1. The torus walk cannot be the oracle: it
+    stops at the very rank floor `predicted_empty` reads, so it cannot
+    disagree."""
     cases = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):
         g = X.genus
+        units = X.ctx.units()
         for d in range(-1, g + 3):
             for md in balanced_set(d, g):
                 rs = [r for r in range(0, 3) if predicted_empty(md, r, g)]
                 if not rs:
                     continue
-                hs = [cohomology.h0(L) for L in enumerate_bundles(X, md)]
+                # every class of the torus once, in `enumerate_bundles` order
+                classes = ((*u, 1) for u in product(units, repeat=g))
+                hs = list(h0_gluings(X, md, classes))
                 for r in rs:
                     cases += 1
                     n = sum(1 for h in hs if h >= r + 1)
@@ -199,7 +215,9 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
     """Degree-split bound h0 <= d1+d2+1-min(d2,g), its equality regime
     d2 >= g, and the descent dictionary on one-node regluings: the fiber
     over M contains exactly one (resp. zero, resp. all) classes matching
-    h0(M) according to the descent result."""
+    h0(M) according to the descent result. The bound and the equality read
+    the torus walk's h0; a fiber is the generic h0 (`h0_gluings`) of the
+    p-1 vectors c + (u,) over each class M = (md, c) of Y the walk finds."""
     rng = Rng(seed)
     checked = 0
     problems = []
@@ -228,6 +246,7 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
         # one, so regluing it onto Y gives back X itself
         Y, removed = normalize_at(X, [g])
         pair = removed[0]
+        units = ctx.units()
         for d in (1, 2):
             for md in balanced_set(d, g - 1):
                 if md[0] < -1 or md[1] < -1:
@@ -235,9 +254,8 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
                 for c, hM in torus_h0(Y, md, at_least=1):
                     M = LineBundle(Y, md, c)
                     res = cohomology.descend(M, [pair])
-                    fiber = [unit for unit in ctx.units()
-                             if cohomology.h0(LineBundle(X, md, c + (unit,)))
-                             == hM]
+                    hs = h0_gluings(X, md, [c + (unit,) for unit in units])
+                    fiber = [unit for unit, h in zip(units, hs) if h == hM]
                     checked += 1
                     expected = 0 if not res.exists else 1 if res.unique else p - 1
                     ok = len(fiber) == expected

@@ -106,8 +106,10 @@ def test_strata_counts_and_type(capsys):
      "57e86702b8e4eac30245bd93529916cd573f70edcdf3adac23004fc7725eb658"),
     ("verify clifford",
      "ce325c66b055e15f0755279039e2c4a0500ce54164bb72a9304e1ab1f7733cf3"),
+    ("verify serre",
+     "61083af456b1fd1f14eb45f09002a15329124d2bcc8bc24bfcb697f19ea08b0b"),
 ], ids=["strata-g4-d3", "strata-g4-d4", "strata-g5-d2", "strata-q-d1",
-        "riemann", "clifford"])
+        "riemann", "clifford", "serre"])
 def test_balanced_set_outputs_are_pinned(capsys, argv, digest):
     # the reports that the balanced and strict sets feed, byte for byte
     import hashlib

@@ -16,14 +16,16 @@ from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
 from bincurve.cohomology import (RATIONAL_ROOT_BOUND, ROOT_CANDIDATE_BOUND,
                                  BaseLocus, SectionSpace, base_locus,
                                  derivative_row, descend, gluing_profile, h0,
-                                 h0_vanishing, h1, monomial_values,
-                                 neutral_pair, point_divisor, rows_for_gluing)
+                                 h0_gluings, h0_vanishing, h1,
+                                 monomial_values, neutral_pair, point_divisor,
+                                 rows_for_gluing)
 from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.linalg import kernel_basis, rank_rows
 from bincurve.picard import balanced_set
 from bincurve.rng import DEFAULT_SEED, Rng
+from bincurve.suites import serre_dual_gluing
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -217,33 +219,69 @@ def _gluing_matrix(X, md, c, p):
 
 @st.composite
 def h0_cases(draw):
-    g = draw(st.integers(2, 4))
-    p = draw(st.sampled_from([0, 7, 11, 13]))
+    """A curve of genus 0-4 over F_p (p 5-13) or Q, branch points drawn from
+    small values and oo; md in [-3, 5]^2, so negative and one-block tori
+    occur; and 1-3 raw unit vectors, whose last coordinate is any unit."""
+    g = draw(st.integers(0, 4))
+    p = draw(st.sampled_from([0, 5, 7, 11, 13]))
     ctx = PrimeField(p) if p else Rationals()
-    X = random_curve(g, ctx, Rng(draw(st.integers(0, 10 ** 6))))
+    values = range(p) if p else range(-4, 5)
+    pool = [ProjPoint.finite(ctx, ctx.from_int(a)) for a in values]
+    pool.append(ProjPoint.infinity(ctx))
+    rng = Rng(draw(st.integers(0, 10 ** 6)))
+    X = BinaryCurve(ctx, list(zip(rng.distinct(pool, g + 1),
+                                  rng.distinct(pool, g + 1))))
+    md = (draw(st.integers(-3, 5)), draw(st.integers(-3, 5)))
     if p:
         unit = st.integers(1, p - 1)
     else:
         unit = st.builds(Fraction, st.integers(-6, 6).filter(bool),
                          st.integers(1, 4))
-    md = (draw(st.integers(-2, 5)), draw(st.integers(-2, 5)))
-    cs = [draw(st.lists(unit, min_size=g + 1, max_size=g + 1))
-          for _ in range(2)]
+    cs = draw(st.lists(st.lists(unit, min_size=g + 1, max_size=g + 1),
+                       min_size=1, max_size=3))
     return X, md, cs, p
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(h0_cases())
 @example((random_curve(3, F7, Rng(4)), (2, 2), [[3, 5, 2, 4], [6, 1, 1, 2]],
           7))
+@example((standard_curve(3, F7), (-1, 4), [[3, 5, 2, 4], [6, 1, 1, 2]], 7))
+@example((standard_curve(2, Rationals()), (3, -2),
+          [[Fraction(-1, 2), 3, Fraction(5, 3)]], 0))
+@example((standard_curve(0, F5), (-2, -1), [[3], [4]], 5))
+# genus 1, md (0,0): only the trivial class, any multiple of (1, 1), has a
+# section, so the vectors of one call read 0, 1, 1
+@example((standard_curve(1, F7), (0, 0), [[2, 1], [1, 1], [3, 3]], 7))
 def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
     """Generic h0 against k1 + k2 - rank of a matrix the test assembles and
-    eliminates itself; the second vector finds the (curve, md) table warm."""
+    eliminates itself, per bundle and per vector of one `h0_gluings` call;
+    later vectors find the (curve, md) table warm. A unit multiple of a
+    vector has the same h0, and the Serre suite's dual gluing, canonicalised,
+    is tensor(w, dual(L))'s."""
     X, md, cs, p = case
+    ctx = X.ctx
     ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
-    for c in cs:
-        want = ncols - _rank(_gluing_matrix(X, md, c, p), p)
-        assert h0(LineBundle(X, md, c)) == want, (md, c)
+    want = [ncols - _rank(_gluing_matrix(X, md, c, p), p) for c in cs]
+    assert [h0(LineBundle(X, md, c)) for c in cs] == want
+    assert list(h0_gluings(X, md, cs)) == want
+    lam = cs[-1][0]
+    scaled = [[ctx.mul(lam, x) for x in c] for c in cs]
+    assert list(h0_gluings(X, md, scaled)) == want
+    if X.genus >= 1:
+        w = canonical_bundle(X)
+        dual_md = (w.md[0] - md[0], w.md[1] - md[1])
+        for c in cs:
+            dual_L = tensor(w, dual(LineBundle(X, md, c)))
+            inline = serre_dual_gluing(w, c)
+            assert LineBundle(X, dual_md, inline).c == dual_L.c
+            assert list(h0_gluings(X, dual_md, [inline])) == [h0(dual_L)]
+
+
+def test_h0_gluings_rejects_a_vector_of_the_wrong_length():
+    X = standard_curve(2, F7)
+    with pytest.raises(ValueError, match="number of nodes"):
+        list(h0_gluings(X, (1, 1), [[1, 2, 3], [1, 2]]))
 
 
 @st.composite

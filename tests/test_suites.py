@@ -1,5 +1,8 @@
 import hashlib
+import json
 import os
+
+import pytest
 
 from bincurve import brill_noether, suites
 from bincurve.brill_noether import DimPrediction, torus_h0
@@ -104,6 +107,37 @@ def test_empty_suite_catches_a_raised_floor(monkeypatch):
                         lambda md, n: real(md, n) + (min(md) >= 0))
     res = SUITES["empty"](gs=(2,), ps=(7,))
     assert not res.passed and res.summary["n_violations"] > 0
+
+
+@pytest.mark.parametrize("name,kwargs,field,kind,keys", [
+    ("serre", {"gs": (1,), "ps": (5,)}, "violations", None,
+     {"g", "p", "curve", "md", "c", "lhs", "rhs"}),
+    ("empty", {"gs": (1,), "ps": (7,)}, "violations", None,
+     {"g", "p", "curve", "md", "r", "count"}),
+    ("lemma-e", {"ps": (5,), "g": 2}, "problems", "descent-fiber",
+     {"p", "kind", "md", "c", "fiber", "exists", "unique"}),
+])
+def test_suites_catch_one_generic_h0_off_by_one(monkeypatch, name, kwargs,
+                                                field, kind, keys):
+    # a planted fault: the first class the suite hands to generic h0 reads
+    # one section too many; the one problem record keeps its keys and JSON
+    real = suites.h0_gluings
+    planted = []
+
+    def faulty(X, md, gluings):
+        for h in real(X, md, gluings):
+            if not planted:
+                planted.append(md)
+                h += 1
+            yield h
+    monkeypatch.setattr(suites, "h0_gluings", faulty)
+    res = SUITES[name](**kwargs)
+    assert planted and not res.passed
+    assert res.summary[f"n_{field}"] == 1
+    (record,) = res.summary[field]
+    assert set(record) == keys and record.get("kind") == kind
+    assert json.loads(canonical_json(res.to_json()))["summary"][field] == [
+        record]
 
 
 def test_lemma_e_suite_small():

@@ -18,8 +18,8 @@ _EXPORTS = {
                "enumerate_bundles from_divisor hyperelliptic_class power "
                "restrict_to_normalization tensor trivial",
     "cohomology": "BaseLocus DescentResult SectionSpace base_locus descend "
-                  "gluing_profile h0 h0_vanishing h1 neutral_pair "
-                  "point_divisor",
+                  "descend_gluings gluing_profile h0 h0_vanishing h1 "
+                  "neutral_pair point_divisor",
     "picard": "Ell0 Stratum balanced_set closure_leq "
               "enumerate_strata h0_bar is_balanced normalized_strata "
               "picard_type strata_to_json strict_set",

@@ -7,10 +7,13 @@ The monomial evaluations at the nodes depend only on (curve, md), so
 `gluing_profile` builds them once per pair and every generic h0, section
 space and torus walk on that torus reads the same table. Generic h0 is one
 primitive, `h0_gluings`: per gluing vector one row assembly and one
-elimination; `h0(L)` is its one-vector case.
+elimination; `h0(L)` is its one-vector case. Descent runs per torus the same
+way: `descend_gluings` builds what depends only on (Y, md, pairs) once and
+eliminates per gluing vector; `descend(M, pairs)` is its one-vector case.
 h1 comes from Riemann-Roch by definition, which keeps Serre duality an
 actual cross-check of the canonical-bundle construction rather than a
-tautology.
+tautology; the Serre suite's dual side (`suites.serre_dual`) inverts each
+unit once per curve, not once per gluing entry.
 """
 from __future__ import annotations
 
@@ -19,11 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import factorial, perm
+from operator import mul
 
 from .bundles import EffectiveDivisor, LineBundle
 from .curve import BinaryCurve, ProjPoint
 from .fields import FieldCtx
-from .linalg import kernel_basis, primitive_row, rank_in_place, rank_rows
+from .linalg import echelon, kernel_basis, modulus, primitive_row, rank_rows
 
 # over Q, base_locus trial-divides the end coefficients a0, an of a gcd and
 # tests every ±(divisor of a0)/(divisor of an); it raises ValueError when
@@ -126,11 +130,11 @@ def h0_gluings(X: BinaryCurve, md, gluings):
     e1, e2 = gluing_profile(X, md)
     n = len(e1)
     ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
-    ctx = X.ctx
+    p = modulus(X.ctx)
     for c in gluings:
         if len(c) != n:
             raise ValueError("gluing vector length != number of nodes")
-        yield ncols - rank_in_place(ctx, _gluing_rows(e1, e2, c), ncols)
+        yield ncols - echelon(_gluing_rows(e1, e2, c), ncols, p)
 
 
 def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
@@ -166,7 +170,7 @@ def h0_vanishing(L: LineBundle, D: EffectiveDivisor) -> int:
     if not L.curve.same_curve(D.curve):
         raise ValueError("divisor lives on a different curve")
     rows, k1, k2 = _section_matrix(L, D)
-    return k1 + k2 - rank_in_place(L.ctx, rows, k1 + k2)
+    return k1 + k2 - echelon(rows, k1 + k2, modulus(L.ctx))
 
 
 def h1(L: LineBundle) -> int:
@@ -195,10 +199,15 @@ class SectionSpace:
     def value_at(self, sec_index: int, comp: int, pt: ProjPoint):
         ctx = self.bundle.ctx
         coeffs = self.basis[sec_index][comp - 1]
-        acc = ctx.zero
-        for a, m in zip(coeffs, monomial_values(ctx, len(coeffs) - 1, pt)):
-            acc = ctx.add(acc, ctx.mul(a, m))
-        return acc
+        return _form_value(coeffs, monomial_values(ctx, len(coeffs) - 1, pt),
+                           modulus(ctx))
+
+
+def _form_value(coeffs, mons, p):
+    # a form's value at a point, from the point's monomial values: over F_p
+    # (p > 0) reduced once, over Q (p = 0) a Fraction
+    acc = sum(map(mul, coeffs, mons))
+    return acc % p if p else Fraction(acc)
 
 
 def point_divisor(X: BinaryCurve, pts) -> EffectiveDivisor:
@@ -218,9 +227,13 @@ def neutral_pair(M: LineBundle, p, q) -> bool:
         raise ValueError("neutral pair needs distinct points")
     rows, _, _ = _section_matrix(M, point_divisor(M.curve, [p, q]))
     *glue, row_p, row_q = rows
-    ctx = M.ctx
+    return _neutral(M.ctx, glue, row_p, row_q)
+
+
+def _neutral(ctx, glue, row_p, row_q) -> bool:
+    # h0(M-p) = h0(M-q) = h0(M-p-q) as three ranks over M's gluing rows
     return (rank_rows(ctx, [*glue, row_p]) == rank_rows(ctx, [*glue, row_q])
-            == rank_rows(ctx, rows))
+            == rank_rows(ctx, [*glue, row_p, row_q]))
 
 
 @dataclass(frozen=True)
@@ -230,8 +243,23 @@ class DescentResult:
     unique: bool
 
 
-def descend(M: LineBundle, pairs) -> DescentResult:
-    """Reglue node branch pairs (p_i on C1, q_i on C2) under M, if possible.
+def _regluing_pairs(Y: BinaryCurve, pairs) -> list:
+    """The pairs as (p, q) tuples. A point on a node of Y, or a point that
+    two pairs share, raises ValueError, whatever the bundle."""
+    pairs = [tuple(pr) for pr in pairs]
+    for comp in (1, 2):
+        pts = [pr[comp - 1] for pr in pairs]
+        if not set(pts).isdisjoint(Y.branch_points(comp)):
+            raise ValueError("regluing point collides with an existing node")
+        if len(set(pts)) != len(pts):
+            raise ValueError("regluing pairs repeat a branch point")
+    return pairs
+
+
+def descend_gluings(Y: BinaryCurve, md, pairs, gluings):
+    """The `DescentResult` of each gluing vector of one md-torus of Y, in
+    order: the bundle (md, c) on Y reglued at the node branch pairs
+    (p_i on C1, q_i on C2), if possible.
 
     A bundle L on the reglued curve with h0(L) = h0(M) exists iff every pair
     is neutral; then each gluing scalar is the ratio s(p_i)/s(q_i) taken from
@@ -239,61 +267,85 @@ def descend(M: LineBundle, pairs) -> DescentResult:
     section-independent — checked). Pairs of base points accept any scalar,
     so uniqueness fails exactly when one occurs. New nodes are appended after
     the existing ones, in the order given.
+
+    The pairs are checked, and everything that depends only on (Y, md,
+    pairs) is built, when this is called: the monomials at each p_i and
+    q_i (the section values' weights, the vanishing rows of the neutral
+    check and the new nodes' gluing rows) and the reglued curve. Each
+    vector gets its own eliminations: its kernel basis, the three ranks of
+    each neutral check and the closing h0. As in `h0_gluings`, a vector
+    needs no canonical form; each entry must be a unit. `descend(M, pairs)`
+    is the one-vector case.
     """
-    ctx = M.ctx
-    Y = M.curve
-    space = SectionSpace(M)
-    if space.dim == 0:
-        raise ValueError("descend needs h0(M) >= 1")
-    branch1 = set(Y.branch_points(1))
-    branch2 = set(Y.branch_points(2))
-    for p, q in pairs:
-        if p in branch1 or q in branch2:
-            raise ValueError("regluing point collides with an existing node")
+    ctx = Y.ctx
+    pairs = _regluing_pairs(Y, pairs)
+    X = BinaryCurve(ctx, list(Y.nodes) + pairs)
+    d1, d2 = md
+    k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
+    ncols = k1 + k2
+    e1, e2 = gluing_profile(Y, md)
+    at_p = [monomial_values(ctx, d1, p) for p, _ in pairs]
+    at_q = [monomial_values(ctx, d2, q) for _, q in pairs]
+    vanishing = [(v + [ctx.zero] * k2, [ctx.zero] * k1 + w)
+                 for v, w in zip(at_p, at_q)]
+    p = modulus(ctx)
 
-    exists = True
-    unique = True
-    new_c = []
-    for p, q in pairs:
-        v = [space.value_at(s, 1, p) for s in range(space.dim)]
-        w = [space.value_at(s, 2, q) for s in range(space.dim)]
-        vz = all(x == ctx.zero for x in v)
-        wz = all(x == ctx.zero for x in w)
-        if vz and wz:
-            # base point pair: condition f(p) = c·h(q) is vacuous
-            new_c.append(ctx.one)
-            unique = False
-        elif vz or wz:
-            exists = False
-        else:
-            s0 = next(s for s in range(space.dim) if w[s] != ctx.zero)
-            cj = ctx.div(v[s0], w[s0])
-            if any(vs != ctx.mul(cj, ws) for vs, ws in zip(v, w)):
-                exists = False
-            else:
-                new_c.append(cj)
+    def results():
+        for c in gluings:
+            if len(c) != len(e1):
+                raise ValueError("gluing vector length != number of nodes")
+            glue = _gluing_rows(e1, e2, c)
+            basis = kernel_basis(ctx, glue, ncols)
+            if not basis:
+                raise ValueError("descend needs h0(M) >= 1")
+            exists = True
+            unique = True
+            new_c = []
+            for mp, mq in zip(at_p, at_q):
+                v = [_form_value(s[:k1], mp, p) for s in basis]
+                w = [_form_value(s[k1:], mq, p) for s in basis]
+                vz = not any(v)
+                wz = not any(w)
+                if vz and wz:
+                    # base point pair: condition f(p) = c·h(q) is vacuous.
+                    # Take c's last entry, 1 on a canonical vector, so that
+                    # a unit multiple of c gives the same bundle
+                    new_c.append(c[-1] if c else ctx.one)
+                    unique = False
+                elif vz or wz:
+                    exists = False
+                else:
+                    s0 = next(s for s, x in enumerate(w) if x)
+                    cj = ctx.div(v[s0], w[s0])
+                    if any(vs != ctx.mul(cj, ws) for vs, ws in zip(v, w)):
+                        exists = False
+                    else:
+                        new_c.append(cj)
 
-    # independent check: descent is possible iff every pair is neutral
-    neutral = all(neutral_pair(M, (1, p), (2, q)) for p, q in pairs)
-    if neutral != exists:
-        raise RuntimeError(
-            f"descent check failed: neutral pairs {neutral}, descent {exists}")
+            # independent check: descent is possible iff every pair is neutral
+            neutral = all(_neutral(ctx, glue, row_p, row_q)
+                          for row_p, row_q in vanishing)
+            if neutral != exists:
+                raise RuntimeError(f"descent check failed: neutral pairs "
+                                   f"{neutral}, descent {exists}")
+            if not exists:
+                yield DescentResult(False, None, False)
+                continue
+            # h0 on the reglued curve: M's gluing rows, then one row per new
+            # node, so no monomial table is built for the reglued curve
+            got = ncols - echelon(glue + _gluing_rows(at_p, at_q, new_c),
+                                  ncols, p)
+            if got != len(basis):
+                raise RuntimeError(f"descent check failed: h0 = {got} != "
+                                   f"h0(M) = {len(basis)}")
+            yield DescentResult(True, LineBundle(X, md, [*c, *new_c]), unique)
+    return results()
 
-    if not exists:
-        return DescentResult(False, None, False)
-    X = BinaryCurve(ctx, list(Y.nodes) + [tuple(pr) for pr in pairs])
-    # h0 on the reglued curve: M's gluing rows, then one row per new node,
-    # so no monomial table is built for a curve that is used once
-    d1, d2 = M.md
-    rows, k1, k2 = _section_matrix(M)
-    rows += _gluing_rows([monomial_values(ctx, d1, p) for p, _ in pairs],
-                         [monomial_values(ctx, d2, q) for _, q in pairs],
-                         new_c)
-    got = k1 + k2 - rank_in_place(ctx, rows, k1 + k2)
-    if got != space.dim:
-        raise RuntimeError(
-            f"descent check failed: h0 = {got} != h0(M) = {space.dim}")
-    return DescentResult(True, LineBundle(X, M.md, list(M.c) + new_c), unique)
+
+def descend(M: LineBundle, pairs) -> DescentResult:
+    """Reglue node branch pairs (p_i on C1, q_i on C2) under M, if possible:
+    `descend_gluings` of M's one gluing vector."""
+    return next(descend_gluings(M.curve, M.md, pairs, [M.c]))
 
 
 # ---------------------------------------------------------------------------

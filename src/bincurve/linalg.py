@@ -1,6 +1,6 @@
 """Exact dense linear algebra: rank and canonical kernel bases.
 
-One forward-elimination routine, `_echelon`, serves F_p and Q alike on
+One forward-elimination routine, `echelon`, serves F_p and Q alike on
 plain values: over F_p (p prime) any int representative of each entry,
 over Q (p = 0) exact rationals, ints or Fractions. Over Q no Fraction is
 built while eliminating: each row is first scaled to a primitive integer
@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _modulus(ctx) -> int:
-    # p over F_p, 0 for exact arithmetic over Q
+def modulus(ctx) -> int:
+    """The `p` argument of `echelon`: p over F_p, 0 for exact arithmetic
+    over Q."""
     return ctx.p if ctx.is_prime_field() else 0
 
 
@@ -34,12 +35,14 @@ def primitive_row(row):
     return [x // c for x in ints] if c > 1 else ints
 
 
-def _echelon(rows, ncols, p) -> int:
+def echelon(rows, ncols, p) -> int:
     """Forward elimination in place over F_p, or over Q when p = 0.
 
-    `rows` is left in echelon form: pivot rows first, leading entries in
-    increasing columns, then zero rows; over Q every entry is an int.
-    Returns the rank.
+    The rows are a list of row lists that the caller built for this call
+    alone, so no copy is made; a caller eliminating many matrices of one
+    field resolves p once (`modulus`). `rows` is left in echelon form:
+    pivot rows first, leading entries in increasing columns, then zero
+    rows; over Q every entry is an int. Returns the rank.
     """
     n = len(rows)
     if not p:
@@ -82,14 +85,9 @@ def _echelon(rows, ncols, p) -> int:
 
 
 def rank_rows(ctx, rows) -> int:
+    """The rank of rows that stay untouched: `echelon` on a copy."""
     ncols = len(rows[0]) if rows else 0
-    return rank_in_place(ctx, [list(r) for r in rows], ncols)
-
-
-def rank_in_place(ctx, rows, ncols) -> int:
-    """The rank of a list of row lists that the caller built for this call
-    alone: they are eliminated in place, so no copy is made."""
-    return _echelon(rows, ncols, _modulus(ctx))
+    return echelon([list(r) for r in rows], ncols, modulus(ctx))
 
 
 def kernel_basis(ctx, rows, ncols):
@@ -102,9 +100,9 @@ def kernel_basis(ctx, rows, ncols):
     are stable. Over Q the substitution runs on integer numerators over one
     common denominator, and each entry becomes a Fraction once, at the end.
     """
-    p = _modulus(ctx)
+    p = modulus(ctx)
     ech = [list(r) for r in rows]
-    ech = ech[:_echelon(ech, ncols, p)]
+    ech = ech[:echelon(ech, ncols, p)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
     steps = [(row, pc, -pow(row[pc], p - 2, p) if p else row[pc])
              for row, pc in zip(ech, pivots)][::-1]

@@ -12,14 +12,13 @@ import inspect
 from dataclasses import asdict, dataclass
 from itertools import product, tee
 
-from . import cohomology
 from .brill_noether import (BNQuery, DimPrediction, assemble_Wbar,
                             bn_enumerate, clifford_equality_classes,
                             clifford_index, growth_estimate, martens_bound,
                             pool_map, predicted_empty, reduce_curve_mod, rho,
                             torus_h0, verify_canonical_very_ample)
 from .bundles import LineBundle, canonical_bundle, hyperelliptic_class
-from .cohomology import h0_gluings
+from .cohomology import descend_gluings, h0_gluings
 from .curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
                     normalize_at, random_curve, random_hyperelliptic_curve,
                     standard_curve)
@@ -142,11 +141,20 @@ def suite_clifford(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
                           "n_problems": len(problems)}
 
 
-def serre_dual_gluing(w: LineBundle, c) -> list:
-    """w_j / c_j, the gluing of w ⊗ L^-1 for L of gluing c, on md(w) - md(L).
-    It is not canonicalised: generic h0 needs no canonical form."""
+def serre_dual(w: LineBundle):
+    """The map c -> (w_j / c_j)_j: the gluing of w ⊗ L^-1 for L of gluing c,
+    on md(w) - md(L). It is neither canonicalised nor, over F_p, reduced:
+    generic h0 needs neither. The map inverts each unit once, when it first
+    meets it, so one map per curve inverts each unit of its tori once."""
     ctx = w.ctx
-    return [ctx.mul(wj, ctx.inv(cj)) for wj, cj in zip(w.c, c)]
+    inverse = {}
+
+    def dual(c):
+        for cj in c:
+            if cj not in inverse:
+                inverse[cj] = ctx.inv(cj)
+        return [wj * inverse[cj] for wj, cj in zip(w.c, c)]
+    return dual
 
 
 @_suite("serre")
@@ -154,19 +162,18 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     """h0(w ⊗ L^-1) = h0(L) - d + g - 1 on the full exhaustive grid; ties the
     residue-formula w to Riemann-Roch. The right side is the torus walk's
     h0 of L, the left side the generic h0 (`h0_gluings`) of the gluing
-    `serre_dual_gluing` on md(w) - md, with no bundle built per class; so
-    the two h0 paths are compared on every class too."""
+    `serre_dual(w)` maps c to on md(w) - md, with no bundle built per class;
+    so the two h0 paths are compared on every class too."""
     checked = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):
         g = X.genus
-        w = canonical_bundle(X)
+        dual = serre_dual(canonical_bundle(X))
         for d in range(0, 2 * g + 3):
             for md in balanced_set(d, g):
                 walk, feed = tee(torus_h0(X, md))
-                lhs_all = h0_gluings(
-                    X, (g - 1 - md[0], g - 1 - md[1]),
-                    (serre_dual_gluing(w, c) for c, _ in feed))
+                lhs_all = h0_gluings(X, (g - 1 - md[0], g - 1 - md[1]),
+                                     (dual(c) for c, _ in feed))
                 for (c, n), lhs in zip(walk, lhs_all):
                     rhs = n - d + g - 1
                     checked += 1
@@ -217,7 +224,9 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
     over M contains exactly one (resp. zero, resp. all) classes matching
     h0(M) according to the descent result. The bound and the equality read
     the torus walk's h0; a fiber is the generic h0 (`h0_gluings`) of the
-    p-1 vectors c + (u,) over each class M = (md, c) of Y the walk finds."""
+    p-1 vectors c + (u,) over each class M = (md, c) of Y the walk finds,
+    whose descent comes from `descend_gluings` on the walk's own vectors,
+    with no bundle built on Y."""
     rng = Rng(seed)
     checked = 0
     problems = []
@@ -251,9 +260,10 @@ def suite_lemma_e(ps=(5, 7), seed=DEFAULT_SEED, g=3):
             for md in balanced_set(d, g - 1):
                 if md[0] < -1 or md[1] < -1:
                     continue
-                for c, hM in torus_h0(Y, md, at_least=1):
-                    M = LineBundle(Y, md, c)
-                    res = cohomology.descend(M, [pair])
+                walk, feed = tee(torus_h0(Y, md, at_least=1))
+                descents = descend_gluings(Y, md, [pair],
+                                           (c for c, _ in feed))
+                for (c, hM), res in zip(walk, descents):
                     hs = h0_gluings(X, md, [c + (unit,) for unit in units])
                     fiber = [unit for unit, h in zip(units, hs) if h == hM]
                     checked += 1

@@ -3,29 +3,31 @@ import json
 import pickle
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bincurve import cohomology
 from bincurve.brill_noether import torus_h0
 from bincurve.bundles import (EffectiveDivisor, LineBundle, canonical_bundle,
                               dual, enumerate_bundles, from_divisor,
                               tensor, trivial)
 from bincurve.cohomology import (RATIONAL_ROOT_BOUND, ROOT_CANDIDATE_BOUND,
                                  BaseLocus, SectionSpace, base_locus,
-                                 derivative_row, descend, gluing_profile, h0,
-                                 h0_gluings, h0_vanishing, h1,
-                                 monomial_values, neutral_pair, point_divisor,
-                                 rows_for_gluing)
+                                 derivative_row, descend, descend_gluings,
+                                 gluing_profile, h0, h0_gluings, h0_vanishing,
+                                 h1, monomial_values, neutral_pair,
+                                 point_divisor, rows_for_gluing)
 from bincurve.curve import (BinaryCurve, ProjPoint, det, normalize_at,
                             random_curve, standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.linalg import kernel_basis, rank_rows
 from bincurve.picard import balanced_set
 from bincurve.rng import DEFAULT_SEED, Rng
-from bincurve.suites import serre_dual_gluing
+from bincurve.suites import serre_dual
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -271,9 +273,10 @@ def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
     if X.genus >= 1:
         w = canonical_bundle(X)
         dual_md = (w.md[0] - md[0], w.md[1] - md[1])
+        serre = serre_dual(w)  # one map for every vector, as in the suite
         for c in cs:
             dual_L = tensor(w, dual(LineBundle(X, md, c)))
-            inline = serre_dual_gluing(w, c)
+            inline = serre(c)
             assert LineBundle(X, dual_md, inline).c == dual_L.c
             assert list(h0_gluings(X, dual_md, [inline])) == [h0(dual_L)]
 
@@ -519,9 +522,9 @@ def _neutral_by_definition(M, p, q):
             == h0_vanishing(M, point_divisor(X, [p, q])))
 
 
-def _lemma_e_grid():
-    """(M, pair) on verify lemma-e's default grid: genus 3 at p = 5, 7, one
-    node separated, every class of degree 1 and 2 with h0 >= 1."""
+def _lemma_e_tori():
+    """(Y, md, removed) of verify lemma-e's default grid: genus 3 at p = 5,
+    7, node 3 separated, every md of degree 1 and 2 it checks."""
     rng = Rng(DEFAULT_SEED)
     for p in (5, 7):
         ctx = PrimeField(p)
@@ -530,10 +533,16 @@ def _lemma_e_grid():
         Y, removed = normalize_at(X, [3])
         for d in (1, 2):
             for md in balanced_set(d, 2):
-                if min(md) < -1:
-                    continue
-                for c, _ in torus_h0(Y, md, at_least=1):
-                    yield LineBundle(Y, md, c), removed[0]
+                if min(md) >= -1:
+                    yield Y, md, removed
+
+
+def _lemma_e_grid():
+    """(M, pair) on verify lemma-e's default grid: every class of its tori
+    with h0 >= 1."""
+    for Y, md, removed in _lemma_e_tori():
+        for c, _ in torus_h0(Y, md, at_least=1):
+            yield LineBundle(Y, md, c), removed[0]
 
 
 def test_neutral_pair_is_its_definition_on_the_lemma_e_grid():
@@ -604,6 +613,145 @@ def test_descend_rejects_branch_collisions():
     M = trivial(Y)
     with pytest.raises(ValueError):
         descend(M, [(Y.nodes[0][0], removed[0][1])])  # reuses a node point
+
+
+def _untouched():
+    raise AssertionError("a gluing vector was read")
+    yield
+
+
+def test_regluing_pairs_are_checked_before_any_class():
+    """A point that two pairs share, or a point on a node of Y, raises
+    ValueError whatever the bundle: `descend` raises on every class, and
+    `descend_gluings` at the call, before it reads a vector. Sharing p
+    used to read exists=False on all 6 classes of md (1,1) here, where
+    descent fails, and to raise only from the reglued curve where it
+    succeeds."""
+    X = random_curve(3, F7, Rng(21))
+    Y, removed = normalize_at(X, [2, 3])
+    (p, q), (p2, q2) = removed
+    classes = list(enumerate_bundles(Y, (1, 1)))
+    assert len(classes) == 6 and all(h0(M) >= 1 for M in classes)
+    repeat = "regluing pairs repeat a branch point"
+    collide = "regluing point collides with an existing node"
+    node_p, node_q = Y.nodes[0]
+    for pairs, message in (([(p, q), (p, q2)], repeat),
+                           ([(p, q), (p2, q)], repeat),
+                           ([(p, q), (p, q)], repeat),
+                           ([(node_p, q)], collide),
+                           ([(p, node_q)], collide),
+                           ([(p2, q2), (node_p, q)], collide)):
+        for M in classes:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                descend(M, pairs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            descend_gluings(Y, (1, 1), pairs, _untouched())
+
+
+def _base_pair(M, p, q) -> bool:
+    # p and q are both base points of M: twisting by either keeps h0
+    X, n = M.curve, h0(M)
+    return (h0_vanishing(M, point_divisor(X, [(1, p)])) == n
+            == h0_vanishing(M, point_divisor(X, [(2, q)])))
+
+
+def _check_descents(Y, md, pairs, classes) -> Counter:
+    """descend_gluings on the classes' gluing vectors, each times 3 (no
+    canonical form), against the definitions and against `descend` class
+    by class; returns the tally of (exists, unique)."""
+    ctx = Y.ctx
+    lam = ctx.from_int(3)
+    vectors = [[ctx.mul(lam, x) for x in M.c] for M in classes]
+    results = list(descend_gluings(Y, md, pairs, vectors))
+    assert len(results) == len(classes)
+    tally = Counter()
+    for M, res in zip(classes, results):
+        assert res == descend(M, pairs)
+        assert res.exists == all(_neutral_by_definition(M, (1, p), (2, q))
+                                 for p, q in pairs)
+        if res.exists:
+            assert res.unique == (not any(_base_pair(M, p, q)
+                                          for p, q in pairs))
+            assert res.bundle.curve.nodes == Y.nodes + tuple(pairs)
+            assert h0(res.bundle) == h0(M)
+        else:
+            assert res.bundle is None and not res.unique
+        tally[res.exists, res.unique] += 1
+    return tally
+
+
+def test_descend_gluings_is_its_definition():
+    """Every class with h0 >= 1 of verify lemma-e's tori at p = 5 and 7 (by
+    generic h0, not the torus walk), a two-pair regluing of genus 3 onto
+    genus 1, and one-vector cases over Q, one of them a pair of base
+    points."""
+    tally = Counter()
+    for Y, md, removed in _lemma_e_tori():
+        classes = [M for M in enumerate_bundles(Y, md) if h0(M) >= 1]
+        tally += _check_descents(Y, md, removed, classes)
+    assert tally[True, True] > 0 and tally[False, False] > 0
+
+    X = random_curve(3, F7, Rng(21))
+    Y, removed = normalize_at(X, [0, 3])
+    tally = Counter()
+    for md in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2)):
+        classes = [M for M in enumerate_bundles(Y, md) if h0(M) >= 1]
+        tally += _check_descents(Y, md, removed, classes)
+    assert tally[True, True] > 0 and tally[False, False] > 0
+
+    Qf = Rationals()
+    tally = Counter()
+    for seed in range(3):
+        X = random_curve(3, Qf, Rng(300 + seed))
+        for S in ([3], [1, 2]):
+            Y, removed = normalize_at(X, S)
+            for md in ((1, 1), (2, 1), (1, 2)):
+                c = [Fraction(seed + j + 2, j + 1) for j in range(Y.genus)]
+                M = LineBundle(Y, md, c + [1])
+                tally += _check_descents(Y, md, removed, [M])
+        # the one section of O(p + q) on a genus-2 Y vanishes at p and q
+        Y, removed = normalize_at(X, [3])
+        (p, q), = removed
+        M = from_divisor(Y, EffectiveDivisor(Y, [(1, p, 1), (2, q, 1)]))
+        assert h0(M) == 1
+        assert _check_descents(Y, M.md, removed, [M]) == {(True, False): 1}
+    assert tally[True, True] > 0
+
+
+def _first_descent():
+    X = random_curve(3, F7, Rng(21))
+    Y, removed = normalize_at(X, [3])
+    for M in enumerate_bundles(Y, (1, 1)):
+        if h0(M) >= 1 and descend(M, removed).exists:
+            return M, removed
+    raise AssertionError("no descent in the scan")
+
+
+def test_descend_raises_when_the_neutral_check_disagrees(monkeypatch):
+    """A planted fault: the rank of M's gluing rows with both vanishing rows
+    reads one too high, so the pair looks not neutral where the section
+    values descend."""
+    M, removed = _first_descent()
+    real = cohomology.rank_rows
+    both = len(M.curve.nodes) + 2
+    monkeypatch.setattr(cohomology, "rank_rows", lambda ctx, rows: real(
+        ctx, rows) + (len(rows) == both))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "descent check failed: neutral pairs False, descent True")):
+        descend(M, removed)
+
+
+def test_descend_raises_when_the_closing_h0_disagrees(monkeypatch):
+    """A planted fault: the closing rank on the reglued curve reads one too
+    high, so the descended bundle seems to lose a section."""
+    M, removed = _first_descent()
+    n = h0(M)
+    real = cohomology.echelon
+    monkeypatch.setattr(cohomology, "echelon",
+                        lambda rows, ncols, p: real(rows, ncols, p) + 1)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"descent check failed: h0 = {n - 1} != h0(M) = {n}")):
+        descend(M, removed)
 
 
 # ------------------------------------------------------------ base locus

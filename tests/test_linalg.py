@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincurve.fields import PrimeField, Rationals
-from bincurve.linalg import _echelon, kernel_basis, rank_rows
+from bincurve.linalg import echelon, kernel_basis, rank_rows
 
 F7 = PrimeField(7)
 Q = Rationals()
@@ -143,7 +143,7 @@ def test_rank_over_q_equals_largest_nonzero_minor_exactly(mat):
     r = _minor_rank(rows, ncols, 0)
     assert rank_rows(Q, rows) == r
     ech = [list(row) for row in rows]
-    assert _echelon(ech, ncols, 0) == r
+    assert echelon(ech, ncols, 0) == r
     # elimination stays exact: no entry turns into a float, every echelon
     # entry is an int, every kernel entry is a Fraction
     assert all(type(x) is int for row in ech for x in row)
@@ -250,7 +250,7 @@ def test_big_q_elimination_matches_the_fraction_oracle(mat):
     # the echelon contract: pivot rows first, leading columns increasing,
     # then zero rows; entries stay exact
     ech = [list(row) for row in rows]
-    assert _echelon(ech, ncols, 0) == r
+    assert echelon(ech, ncols, 0) == r
     assert all(type(x) in (int, Fraction) for row in ech for x in row)
     leads = [next(j for j, x in enumerate(row) if x) for row in ech[:r]]
     assert leads == sorted(set(leads))

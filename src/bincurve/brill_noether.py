@@ -65,14 +65,14 @@ def rank_floor(md, n: int) -> int:
     """Least rank of the gluing matrix of md over every class of a torus
     with n nodes.
 
-    Row j is [E1(p_j) | -c_j·E2(q_j)], with k1 = max(d1+1, 0) and
-    k2 = max(d2+1, 0) columns. Both blocks are Vandermonde on distinct
+    Row j is [E1(p_j) | -c_j·E2(q_j)], with k1 and k2 columns
+    (`cohomology.column_split`). Both blocks are Vandermonde on distinct
     branch points, and scaling rows by units keeps each block's rank, so
     the rank is at least max(min(n, k1), min(n, k2)). It is exactly that
     on every class when one block is empty (k1 = 0 or k2 = 0), or when it
     equals n, since n rows have rank at most n (this covers n <= 1).
     """
-    k1, k2 = max(md[0] + 1, 0), max(md[1] + 1, 0)
+    k1, k2 = cohomology.column_split(md)
     return max(min(n, k1), min(n, k2))
 
 
@@ -179,8 +179,7 @@ def _torus_runs(X: BinaryCurve, md, lo, hi, at_least, sure_hit):
     hi = total if hi is None else hi
     if not (0 <= lo <= hi <= total):
         raise ValueError("bad index range")
-    k1 = max(md[0] + 1, 0)
-    k2 = max(md[1] + 1, 0)
+    k1, k2 = cohomology.column_split(md)
     ncols = k1 + k2
     max_rank = ncols - at_least
     n = len(X.nodes)
@@ -432,7 +431,7 @@ def predicted_empty(md, r: int, g: int) -> bool:
     """
     if not is_balanced(md, g):
         raise ValueError("only balanced multidegrees have emptiness verdicts")
-    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    ncols = sum(cohomology.column_split(md))
     return rank_floor(md, g + 1) > ncols - (r + 1)
 
 

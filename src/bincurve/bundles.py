@@ -244,11 +244,12 @@ def canonical_bundle(X: BinaryCurve) -> LineBundle:
     force
         c_j = -prod_{k != j} det(p_j, p_k) / prod_{k != j} det(q_j, q_k),
     with det(u, v) = u.a·v.b - u.b·v.a (p_j - p_k when both are finite).
-    Verifies h0 = g before returning.
+    At g = 0 the products are empty, so c = (-1), which is (1) in canonical
+    form, on md (-1, -1). Verifies h0 = g before returning.
     """
     g = X.genus
-    if g < 1:
-        raise ValueError("canonical bundle construction needs g >= 1")
+    if g < 0:
+        raise ValueError("canonical bundle construction needs g >= 0")
     ctx = X.ctx
     ps = X.branch_points(1)
     qs = X.branch_points(2)

@@ -101,6 +101,12 @@ def gluing_profile(X: BinaryCurve, md):
     return profile
 
 
+def column_split(md):
+    """The column counts (k1, k2) of every matrix on md: the k1 = max(d1+1, 0)
+    coefficients of f, then the k2 = max(d2+1, 0) coefficients of h."""
+    return max(md[0] + 1, 0), max(md[1] + 1, 0)
+
+
 def _gluing_rows(e1, e2, c):
     # row j = [E1[j] | -c_j · E2[j]], the one row builder (see rows_for_gluing)
     return [[*a, *[v * neg for v in b]]
@@ -129,7 +135,7 @@ def h0_gluings(X: BinaryCurve, md, gluings):
     """
     e1, e2 = gluing_profile(X, md)
     n = len(e1)
-    ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+    ncols = sum(column_split(md))
     p = modulus(X.ctx)
     for c in gluings:
         if len(c) != n:
@@ -138,13 +144,11 @@ def h0_gluings(X: BinaryCurve, md, gluings):
 
 
 def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):
-    """Gluing rows, plus vanishing rows for D, and the column split (k1, k2).
-
-    Columns are the k1 coefficients of f, then the k2 coefficients of h.
-    """
+    """Gluing rows, plus vanishing rows for D, and the column split (k1, k2)
+    of `column_split`."""
     ctx = L.ctx
     d1, d2 = L.md
-    k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
+    k1, k2 = column_split(L.md)
     rows = rows_for_gluing(L)
     entries = D.entries if D is not None else ()
     for comp, pt, mult in entries:
@@ -281,7 +285,7 @@ def descend_gluings(Y: BinaryCurve, md, pairs, gluings):
     pairs = _regluing_pairs(Y, pairs)
     X = BinaryCurve(ctx, list(Y.nodes) + pairs)
     d1, d2 = md
-    k1, k2 = max(d1 + 1, 0), max(d2 + 1, 0)
+    k1, k2 = column_split(md)
     ncols = k1 + k2
     e1, e2 = gluing_profile(Y, md)
     at_p = [monomial_values(ctx, d1, p) for p, _ in pairs]

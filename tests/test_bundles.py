@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,9 +15,10 @@ from bincurve.bundles import (EffectiveDivisor, LineBundle, apply_moebius,
                               restrict_to_normalization, tensor, trivial)
 from bincurve.brill_noether import torus_h0
 from bincurve.cohomology import h0, h0_vanishing, point_divisor
-from bincurve.curve import (BinaryCurve, ProjPoint, is_hyperelliptic_fast,
-                            random_curve, random_hyperelliptic_curve,
-                            random_moebius, standard_curve)
+from bincurve.curve import (BinaryCurve, MoebiusMap, ProjPoint,
+                            is_hyperelliptic_fast, random_curve,
+                            random_hyperelliptic_curve, random_moebius,
+                            standard_curve)
 from bincurve.fields import PrimeField, Rationals
 from bincurve.rng import Rng
 
@@ -193,14 +195,19 @@ def test_from_divisor_infinity_agrees_with_finite_formula(seed):
 
 
 def test_canonical_bundle_degree_and_sections():
+    # at g = 0, one node: the residue products are empty, so c = (-1), which
+    # is (1) in canonical form; genus -1 (no node) is refused
     for ctx in (F7, F11, Rationals()):
-        for g in (1, 2, 3):
+        for g in (0, 1, 2, 3):
             X = standard_curve(g, ctx)
             w = canonical_bundle(X)
             assert w.md == (g - 1, g - 1)
             assert h0(w) == g
+            assert g > 0 or w.c == (ctx.one,)
     X = random_curve(4, F11, Rng(9))
     assert h0(canonical_bundle(X)) == 4
+    with pytest.raises(ValueError, match="needs g >= 0"):
+        canonical_bundle(BinaryCurve(F7, []))
 
 
 def test_canonical_bundle_when_branch_points_fill_the_line():
@@ -243,6 +250,34 @@ def test_hyperelliptic_class_squares_to_canonical_when_g3():
     H = hyperelliptic_class(X)
     w = canonical_bundle(X)
     assert power(H, 2) == w
+
+
+@pytest.mark.parametrize("fn,message", [
+    (canonical_bundle, "canonical bundle sanity check failed: h0 = 4 != 3"),
+    (hyperelliptic_class,
+     "hyperelliptic class sanity check failed: h0 = 3 != 2")],
+    ids=["canonical_bundle", "hyperelliptic_class"])
+def test_sanity_raises_when_h0_disagrees(monkeypatch, fn, message):
+    """A planted fault: a generic h0 one too high, so omega or H seems to
+    have one section more than it has."""
+    import bincurve.cohomology as cohomology
+    real = cohomology.h0
+    monkeypatch.setattr(cohomology, "h0", lambda L: real(L) + 1)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        fn(standard_curve(3, F11))
+
+
+def test_hyperelliptic_class_raises_on_a_wrong_matching_map(monkeypatch):
+    """A planted fault: the matching map of the standard curve is the
+    identity; with the translation t -> t + 1 as psi, psi^-1 sends q_0 = 0
+    to -1, not to p_0 = 0."""
+    import bincurve.bundles as bundles
+    shift = MoebiusMap(F11, 1, 1, 0, 1)
+    monkeypatch.setattr(bundles, "is_hyperelliptic_fast",
+                        lambda X: (True, shift))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "hyperelliptic class: matching map does not send q_j to p_j")):
+        hyperelliptic_class(standard_curve(3, F11))
 
 
 def test_one_point_never_moves():

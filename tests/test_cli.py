@@ -93,31 +93,6 @@ def test_strata_counts_and_type(capsys):
     assert rows[-1] == ["ell0", "-", "-"]
 
 
-@pytest.mark.parametrize("argv,digest", [
-    ("strata --random-genus 4 --p 11 --d 3",
-     "659562712ebe3c9f7ddebd64b3706dc839dd0da36f709479ac38105f736d5a79"),
-    ("strata --random-genus 4 --p 11 --d 4",
-     "15e3747c99c710ff5447a3d9c612c07e83ca25576e4ddd840920e10d688f3df3"),
-    ("strata --random-genus 5 --p 7 --d 2",
-     "133f2e4cce70f3ef1f5a534374906da9a8ba7424f021a29b9dd51efd0ce6fa27"),
-    ("strata --random-genus 3 --field Q --d 1",
-     "c24eb16851b08f02c52c642991931a14a42c9201ce2bf57673979808cd4165a7"),
-    ("verify riemann",
-     "57e86702b8e4eac30245bd93529916cd573f70edcdf3adac23004fc7725eb658"),
-    ("verify clifford",
-     "ce325c66b055e15f0755279039e2c4a0500ce54164bb72a9304e1ab1f7733cf3"),
-    ("verify serre",
-     "61083af456b1fd1f14eb45f09002a15329124d2bcc8bc24bfcb697f19ea08b0b"),
-], ids=["strata-g4-d3", "strata-g4-d4", "strata-g5-d2", "strata-q-d1",
-        "riemann", "clifford", "serre"])
-def test_balanced_set_outputs_are_pinned(capsys, argv, digest):
-    # the reports that the balanced and strict sets feed, byte for byte
-    import hashlib
-    assert main(argv.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def test_verify_suite_passes_and_fails_exit_codes(capsys):
     code, rep, _ = run(capsys, "verify", "riemann", "--g", "2", "--p", "5")
     assert code == 0 and rep["report"]["passed"] is True

@@ -6,9 +6,12 @@ h0 is its nullity; twists down by effective divisors add vanishing rows.
 The monomial evaluations at the nodes depend only on (curve, md), so
 `gluing_profile` builds them once per pair and every generic h0, section
 space and torus walk on that torus reads the same table. Generic h0 is one
-primitive, `h0_gluings`: per gluing vector one row assembly and one
-elimination; `h0(L)` is its one-vector case. Descent runs per torus the same
-way: `descend_gluings` builds what depends only on (Y, md, pairs) once and
+primitive, `h0_gluings`. A gluing vector only scales the rows of the h
+block by units, so where one block is empty or has rank n (the node count)
+no vector can change the rank; that block's own rows are eliminated once
+per torus. Every other torus gets one row assembly and one elimination per
+gluing vector. `h0(L)` is its one-vector case. Descent runs per torus too:
+`descend_gluings` builds what depends only on (Y, md, pairs) once and
 eliminates per gluing vector; `descend(M, pairs)` is its one-vector case.
 h1 comes from Riemann-Roch by definition, which keeps Serre duality an
 actual cross-check of the canonical-bundle construction rather than a
@@ -125,22 +128,41 @@ def rows_for_gluing(L: LineBundle):
 def h0_gluings(X: BinaryCurve, md, gluings):
     """Generic h0 of each gluing vector of one md-torus, in order.
 
-    Each vector gets its own full gluing matrix, assembled from the shared
-    `gluing_profile` table, and its own elimination; nothing carries over
-    from one vector to the next, so this stays an oracle independent of the
-    torus walk. No `LineBundle` is built, and a vector needs no canonical
-    form: scaling c by a unit scales the h-block columns of its matrix,
-    which leaves the rank alone. Each entry must be a unit (over F_p any
-    representative of one). `h0(L)` is the one-vector case.
+    Row j of the matrix is [E1(p_j) | -c_j·E2(q_j)], so c only scales the
+    rows of the E2 block by units. In three cases the rank is the same for
+    every c, and it is found once per call by eliminating one block's own
+    rows:
+    - k2 = 0: the matrix is E1;
+    - k1 = 0: the matrix is E2 with unit-scaled rows, which keep its rank
+      (ncols = 0 included);
+    - either block alone has rank n, the row count: so has every matrix.
+    A block of k < n columns cannot reach rank n, so it is eliminated only
+    when k >= n or the other block is empty. Every other torus gives each
+    vector its own gluing matrix, assembled from the shared `gluing_profile`
+    table, and its own elimination; nothing else carries over, so this
+    stays an oracle independent of the torus walk. No `LineBundle` is built,
+    and a vector needs no canonical form: scaling c by a unit scales the
+    h-block columns. Each entry must be a unit (over F_p any representative
+    of one), and each vector's length is checked. `h0(L)` is the one-vector
+    case.
     """
     e1, e2 = gluing_profile(X, md)
     n = len(e1)
-    ncols = sum(column_split(md))
+    k1, k2 = column_split(md)
+    ncols = k1 + k2
     p = modulus(X.ctx)
+    rank = None
+    for block, k, other in ((e1, k1, k2), (e2, k2, k1)):
+        if k >= n or not other:
+            r = echelon([list(row) for row in block], k, p)
+            if r == n or not other:
+                rank = r
+                break
     for c in gluings:
         if len(c) != n:
             raise ValueError("gluing vector length != number of nodes")
-        yield ncols - echelon(_gluing_rows(e1, e2, c), ncols, p)
+        yield ncols - (echelon(_gluing_rows(e1, e2, c), ncols, p)
+                       if rank is None else rank)
 
 
 def _section_matrix(L: LineBundle, D: EffectiveDivisor | None = None):

@@ -163,7 +163,10 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
     residue-formula w to Riemann-Roch. The right side is the torus walk's
     h0 of L, the left side the generic h0 (`h0_gluings`) of the gluing
     `serre_dual(w)` maps c to on md(w) - md, with no bundle built per class;
-    so the two h0 paths are compared on every class too."""
+    so the two h0 paths are compared on every class too. On a dual torus
+    with one block empty or of rank n, the generic side is the rank of that
+    block's own rows, eliminated once per torus: no gluing vector changes it,
+    so every class still gets its true generic h0."""
     checked = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):
@@ -191,9 +194,11 @@ def suite_serre(gs=(1, 2, 3), ps=(5, 7), seed=DEFAULT_SEED):
 def suite_empty(gs=(0, 1, 2, 3, 4), ps=(7,), seed=DEFAULT_SEED):
     """Every provably-empty (md, r) case has no class with h0 >= r+1, by the
     generic h0 (`h0_gluings`) of every class, each gluing vector a tuple of
-    units with the last pinned to 1. The torus walk cannot be the oracle: it
-    stops at the very rank floor `predicted_empty` reads, so it cannot
-    disagree."""
+    units with the last pinned to 1. On a torus with one block empty or of
+    rank n that h0 comes from one elimination of the block's own rows, the
+    rank of every class there; elsewhere each class is eliminated on its own.
+    The torus walk cannot be the oracle: it stops at the very rank floor
+    `predicted_empty` reads, so it cannot disagree."""
     cases = 0
     violations = []
     for where, X in _curve_grid(gs, ps, seed):

@@ -5,6 +5,7 @@ import re
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -255,6 +256,11 @@ def h0_cases(draw):
 # genus 1, md (0,0): only the trivial class, any multiple of (1, 1), has a
 # section, so the vectors of one call read 0, 1, 1
 @example((standard_curve(1, F7), (0, 0), [[2, 1], [1, 1], [3, 3]], 7))
+# a block of rank n beside a nonempty block: its rank is every vector's
+@example((standard_curve(3, F7), (4, 1), [[3, 5, 2, 4], [6, 1, 1, 2]], 7))
+@example((standard_curve(3, F7), (1, 4), [[3, 5, 2, 4], [6, 1, 1, 2]], 7))
+@example((standard_curve(2, Rationals()), (3, 0),
+          [[Fraction(-1, 2), 3, Fraction(5, 3)], [1, 1, 1]], 0))
 def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
     """Generic h0 against k1 + k2 - rank of a matrix the test assembles and
     eliminates itself, per bundle and per vector of one `h0_gluings` call;
@@ -281,10 +287,54 @@ def test_h0_is_the_nullity_of_a_gluing_matrix_built_by_hand(case):
             assert list(h0_gluings(X, dual_md, [inline])) == [h0(dual_L)]
 
 
+@pytest.mark.parametrize("X", [
+    *(standard_curve(g, F5) for g in range(4)),
+    random_curve(2, F7, Rng(DEFAULT_SEED)),
+], ids=["g0-p5", "g1-p5", "g2-p5", "g3-p5", "g2-p7"])
+def test_h0_gluings_is_the_nullity_on_every_class(X):
+    """Every class of every md in [-2, g+2]^2, one-block, rank-n and
+    two-block tori alike, against the hand-built matrix's nullity."""
+    g, p = X.genus, X.ctx.p
+    classes = [(*u, 1) for u in product(X.ctx.units(), repeat=g)]
+    for md in product(range(-2, g + 3), repeat=2):
+        ncols = max(md[0] + 1, 0) + max(md[1] + 1, 0)
+        want = [ncols - _rank(_gluing_matrix(X, md, c, p), p)
+                for c in classes]
+        assert list(h0_gluings(X, md, classes)) == want, md
+
+
+# genus 3, so n = 4 rows: a block of k >= 4 columns has rank 4
+@pytest.mark.parametrize("md,per_vector", [
+    ((3, -1), False),  # k2 = 0: the matrix is E1
+    ((-1, 3), False),  # k1 = 0: E2 with its rows scaled by units
+    ((-2, -2), False),  # no columns at all
+    ((4, 1), False),  # E1 has rank n
+    ((1, 4), False),  # E2 has rank n
+    ((2, 1), True),  # two blocks below rank n: one elimination per vector
+    ((1, 2), True),
+])
+def test_h0_gluings_eliminates_a_rank_no_vector_changes_once(
+        monkeypatch, md, per_vector):
+    X = standard_curve(3, F7)
+    classes = [(*u, 1) for u in product(F7.units(), repeat=3)]
+    real = cohomology.echelon
+    calls = []
+
+    def counted(rows, ncols, p):
+        calls.append(ncols)
+        return real(rows, ncols, p)
+    monkeypatch.setattr(cohomology, "echelon", counted)
+    hs = list(h0_gluings(X, md, classes))
+    assert len(hs) == len(classes)
+    assert len(calls) == (len(classes) if per_vector else 1)
+
+
 def test_h0_gluings_rejects_a_vector_of_the_wrong_length():
+    # every vector is checked, on tori whose rank is eliminated once too
     X = standard_curve(2, F7)
-    with pytest.raises(ValueError, match="number of nodes"):
-        list(h0_gluings(X, (1, 1), [[1, 2, 3], [1, 2]]))
+    for md in ((1, 1), (4, 1), (-1, 3), (-2, -2)):
+        with pytest.raises(ValueError, match="number of nodes"):
+            list(h0_gluings(X, md, [[1, 2, 3], [1, 2]]))
 
 
 @st.composite

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from bincurve import brill_noether, suites
+from bincurve import brill_noether, cohomology, suites
 from bincurve.brill_noether import DimPrediction, torus_h0
 from bincurve.curve import random_curve, standard_curve
 from bincurve.fields import PrimeField
@@ -106,6 +106,18 @@ def test_empty_suite_catches_a_raised_floor(monkeypatch):
                         lambda md, n: real(md, n) + (min(md) >= 0))
     res = SUITES["empty"](gs=(2,), ps=(7,))
     assert not res.passed and res.summary["n_violations"] > 0
+
+
+def test_empty_suite_catches_an_elimination_one_low(monkeypatch):
+    # a planted fault: every elimination reads one rank low, so every class
+    # reads one section too many; the first violations sit on one-block tori
+    # (d = -1), whose rank h0_gluings eliminates once per torus
+    real = cohomology.echelon
+    monkeypatch.setattr(cohomology, "echelon",
+                        lambda rows, ncols, p: real(rows, ncols, p) - 1)
+    res = SUITES["empty"](gs=(2,), ps=(7,))
+    assert not res.passed
+    assert any(min(v["md"]) < 0 for v in res.summary["violations"])
 
 
 @pytest.mark.parametrize("name,kwargs,field,kind,keys", [
